@@ -11,6 +11,7 @@ distance to zero inspectable.
 """
 
 import argparse
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +24,7 @@ from noisycav.model import ATOM_A, ATOM_B, SystemConfig, build_model, ground_sta
 def margin_map(n_thermal_values, times, base, dt):
     rows = []
     for n_t in n_thermal_values:
-        cfg = SystemConfig(
-            omega=base.omega, omega_f=base.omega_f, g_a=base.g_a, g_b=base.g_b,
-            kappa=base.kappa, gamma=base.gamma, n_thermal=float(n_t), cutoff=base.cutoff,
-        )
+        cfg = dataclasses.replace(base, n_thermal=float(n_t))
         traj = evolve(
             build_model(cfg),
             ground_state(cfg),

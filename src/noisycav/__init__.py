@@ -6,6 +6,7 @@ parameter sweeps that map the noise-assisted entanglement resonance.
 """
 
 from .dynamics import (
+    HermiticityDriftError,
     IntegratorError,
     IntegratorSettings,
     PositivityLossError,

@@ -11,9 +11,14 @@ the trace drift are checked against the per-step tolerance, and recorded
 states must pass the density-matrix gates. Accuracy is certified by step
 halving, not by an embedded error estimator.
 
-A vectorized superoperator (column-stacking convention,
-vec(A X B) = (B^T kron A) vec(X)) provides an independent oracle for the
-right-hand side and the linear system behind the steady-state solver.
+Stationary states are solved per coherence-order sector. Every term of the
+model changes the total excitation N = n_a + n_b + n_cav by a fixed amount,
+so the vectorized superoperator (column-stacking convention,
+vec(A X B) = (B^T kron A) vec(X)) is block-diagonal in the order
+q = N_i - N_j of the entry rho[i, j]. The steady-state solver builds only
+those blocks; the residual it reports is the master equation evaluated on the
+full space. `vectorize_superoperator` builds the whole matrix with the same
+code, as an oracle for the right-hand side.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import LindbladModel
-from .qops import POSITIVITY_TOL, assert_density_matrix, expectation, partial_trace
+from .qops import POSITIVITY_TOL, assert_density_matrix, excitation_numbers, expectation, partial_trace
 
 
 class IntegratorError(RuntimeError):
@@ -246,49 +251,95 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return v.reshape(dim, dim, order="F")
 
 
-def vectorize_superoperator(model: LindbladModel) -> np.ndarray:
-    """Matrix  L  with  L vec(rho) = vec(lindblad_rhs(model, rho))  for all rho."""
+def _superoperator_block(model: LindbladModel, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Rows and columns of `vectorize_superoperator` for the entries rho[rows[a], cols[a]].
+
+    Uses the kron identity (A kron B)[(j,i),(l,k)] = A[j,l] B[i,k] on the
+    chosen entries only, so the full d^2 x d^2 matrix is never formed.
+    """
+    eye = np.eye(model.dim, dtype=complex)
+    col_pairs, row_pairs = np.ix_(cols, cols), np.ix_(rows, rows)
+
+    def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a[col_pairs] * b[row_pairs]
+
     h = model.hamiltonian
-    d = h.shape[0]
-    eye = np.eye(d, dtype=complex)
-    liouv = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    block = -1j * (kron(eye, h) - kron(h.T, eye))
     for rate, lop in model.collapse_terms:
         ldl = lop.conj().T @ lop
-        liouv = liouv + rate * (
-            2.0 * np.kron(lop.conj(), lop) - np.kron(eye, ldl) - np.kron(ldl.T, eye)
-        )
-    return liouv
+        block = block + rate * (2.0 * kron(lop.conj(), lop) - kron(eye, ldl) - kron(ldl.T, eye))
+    return block
+
+
+def vectorize_superoperator(model: LindbladModel) -> np.ndarray:
+    """Matrix  L  with  L vec(rho) = vec(lindblad_rhs(model, rho))  for all rho."""
+    d = model.dim
+    entries = np.arange(d * d)
+    return _superoperator_block(model, entries % d, entries // d)
+
+
+def _coherence_sectors(model: LindbladModel) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Entries (rows, cols) of rho grouped into sectors the Liouvillian maps into themselves.
+
+    When H conserves the total excitation N and every collapse operator shifts
+    N by one fixed amount, the coherence order q = N_i - N_j of rho[i, j] is
+    conserved, and each q is a sector. Otherwise all entries form one sector.
+    The sector holding rho[0, 0] (q = 0) comes first, and entries keep their
+    vec order within a sector, so rho[0, 0] is the first entry of the first.
+    """
+    d = model.dim
+    n = excitation_numbers(model.layout)
+    entries = np.arange(d * d)
+    rows, cols = entries % d, entries // d
+
+    def shifts(op: np.ndarray) -> set[int]:
+        r, c = np.nonzero(op)
+        return set((n[r] - n[c]).tolist())
+
+    jumps_graded = all(len(shifts(lop)) <= 1 for _, lop in model.collapse_terms)
+    if not (shifts(model.hamiltonian) <= {0} and jumps_graded):
+        return [(rows, cols)]
+    order = n[rows] - n[cols]
+    return [(rows[order == q], cols[order == q]) for q in sorted(set(order.tolist()), key=abs)]
 
 
 def steady_state(model: LindbladModel, residual_tol: float = 1e-8) -> np.ndarray:
     """Unique stationary state of the model.
 
-    Solves L vec(rho) = 0 with the unit-trace condition by replacing the first
-    row of the superoperator with the vectorized trace functional. Degenerate
-    stationary manifolds (extra null directions, e.g. undamped atoms) raise
-    RankDeficientError rather than returning an arbitrary representative.
+    Works on the coherence sectors of the Liouvillian (see `_coherence_sectors`),
+    so for an excitation-conserving model the full d^2 x d^2 matrix is never
+    formed; otherwise the one sector is the dense solve. Uniqueness pools the singular values of
+    every sector, which are those of the full block-diagonal matrix, so a
+    stationary coherence in any sector counts. The state solves L vec(rho) = 0
+    on the q = 0 sector, with its first row (entry rho[0, 0]) replaced by the
+    trace functional. Degenerate stationary manifolds (extra null directions,
+    e.g. undamped atoms) raise RankDeficientError rather than returning an
+    arbitrary representative.
     """
     if not any(rate > 0 for rate, _ in model.collapse_terms):
         raise RankDeficientError("no dissipation: every density matrix commuting with H is stationary")
-    liouv = vectorize_superoperator(model)
     d = model.dim
+    sectors = _coherence_sectors(model)
+    blocks = [_superoperator_block(model, rows, cols) for rows, cols in sectors]
 
-    svals = np.linalg.svd(liouv, compute_uv=False)
-    nullity = int(np.sum(svals < svals[0] * 1e-10))
+    svals = np.concatenate([np.linalg.svd(block, compute_uv=False) for block in blocks])
+    nullity = int(np.sum(svals < svals.max() * 1e-10))
     if nullity != 1:
         raise RankDeficientError(
             f"steady-state manifold has dimension {nullity}; the stationary state is not unique"
         )
 
-    a = liouv.copy()
+    rows, cols = sectors[0]
+    a = blocks[0]
     a[0, :] = 0.0
-    a[0, :: d + 1] = 1.0  # trace functional hits the vectorized diagonal
-    b = np.zeros(d * d, dtype=complex)
+    a[0, rows == cols] = 1.0  # trace functional hits the diagonal entries
+    b = np.zeros(len(rows), dtype=complex)
     b[0] = 1.0
-    rho = unvec(np.linalg.solve(a, b), d)
+    rho = np.zeros((d, d), dtype=complex)
+    rho[rows, cols] = np.linalg.solve(a, b)
     rho = 0.5 * (rho + rho.conj().T)
 
-    residual = float(np.abs(liouv @ vec(rho)).max())
+    residual = steady_state_residual(model, rho)
     if residual > residual_tol:
         raise RankDeficientError(
             f"steady-state residual {residual:.3e} exceeds {residual_tol:.1e}; system is near-degenerate"
@@ -298,5 +349,5 @@ def steady_state(model: LindbladModel, residual_tol: float = 1e-8) -> np.ndarray
 
 
 def steady_state_residual(model: LindbladModel, rho: np.ndarray) -> float:
-    """Sup-norm of L vec(rho); zero for an exact stationary state."""
-    return float(np.abs(vectorize_superoperator(model) @ vec(rho)).max())
+    """Sup-norm of the master equation's right-hand side; zero for an exact stationary state."""
+    return float(np.abs(lindblad_rhs(model, rho)).max())

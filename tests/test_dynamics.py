@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisycav.dynamics import (
+    HermiticityDriftError,
     IntegratorError,
     IntegratorSettings,
     RankDeficientError,
@@ -20,6 +21,7 @@ from noisycav.dynamics import (
 from noisycav.model import (
     ATOM_A,
     ATOM_B,
+    CAVITY,
     LindbladModel,
     SystemConfig,
     build_cavity_model,
@@ -27,7 +29,7 @@ from noisycav.model import (
     ground_state,
     standard_observables,
 )
-from noisycav.qops import SpaceLayout, basis_state
+from noisycav.qops import SpaceLayout, basis_state, embed, excitation_numbers, partial_trace
 
 from conftest import random_density_matrix, random_trace_one_hermitian
 
@@ -37,6 +39,41 @@ def cavity_thermal_state(n_thermal, cutoff):
     q = n_thermal / (1.0 + n_thermal)
     p = q ** np.arange(cutoff + 1)
     return np.diag(p / p.sum()).astype(complex)
+
+
+def dense_liouvillian(model):
+    """Superoperator built column by column from the master equation on the basis matrices E_ij."""
+    d = model.dim
+    liouv = np.empty((d * d, d * d), dtype=complex)
+    for k in range(d * d):
+        basis = np.zeros(d * d, dtype=complex)
+        basis[k] = 1.0
+        liouv[:, k] = vec(lindblad_rhs(model, unvec(basis, d)))
+    return liouv
+
+
+def dense_null_space(liouv):
+    """Right null vectors (columns) by the full SVD, with the solver's 1e-10 relative cut."""
+    _, s, vh = np.linalg.svd(liouv)
+    return vh[s < s[0] * 1e-10].conj().T
+
+
+def dense_steady_state(model, liouv):
+    """Trace-row solve of the full d^2 x d^2 system."""
+    d = model.dim
+    a = liouv.copy()
+    a[0, :] = 0.0
+    a[0, :: d + 1] = 1.0
+    b = np.zeros(d * d, dtype=complex)
+    b[0] = 1.0
+    rho = unvec(np.linalg.solve(a, b), d)
+    return 0.5 * (rho + rho.conj().T)
+
+
+def coherence_orders(model):
+    """Order N_i - N_j of every entry rho[i, j], as a d x d array."""
+    n = excitation_numbers(model.layout)
+    return n[:, None] - n[None, :]
 
 
 def excited_ket(cfg):
@@ -304,7 +341,87 @@ class TestSteadyState:
             steady_state(build_model(SystemConfig(kappa=0.0, gamma=0.0)))
 
     def test_undamped_atoms_are_rank_deficient(self):
-        # g = 0, gamma = 0 leaves every atomic state stationary
+        # g = 0, gamma = 0 leaves every atomic operator stationary: 16 null
+        # directions, as the dense SVD counts them
         cfg = SystemConfig(g_a=0.0, g_b=0.0, gamma=0.0, kappa=1.0, n_thermal=0.5)
-        with pytest.raises(RankDeficientError, match="dimension"):
-            steady_state(build_model(cfg))
+        model = build_model(cfg)
+        assert dense_null_space(dense_liouvillian(model)).shape[1] == 16
+        with pytest.raises(RankDeficientError, match="dimension 16;"):
+            steady_state(model)
+
+
+def with_atom_a_sigma_x(model, rate=0.3):
+    """The model plus a sigma_x collapse term on atom a, which breaks excitation-number conservation."""
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    extra = (rate, embed(sigma_x, ATOM_A, model.layout))
+    return LindbladModel(model.hamiltonian, model.collapse_terms + (extra,), model.layout)
+
+
+SECTOR_CASES = {
+    "interaction": lambda c: build_model(SystemConfig(n_thermal=0.5, cutoff=c)),
+    "lab": lambda c: build_model(SystemConfig(omega=1.3, omega_f=0.9, n_thermal=0.5, cutoff=c), frame="lab"),
+    "cavity": lambda c: build_cavity_model(SystemConfig(n_thermal=0.7, cutoff=c)),
+    "unequal_g": lambda c: build_model(SystemConfig(g_a=0.6, g_b=1.4, n_thermal=0.8, cutoff=c)),
+    "gamma0_unequal_g": lambda c: build_model(
+        SystemConfig(g_a=0.6, g_b=1.4, gamma=0.0, n_thermal=0.5, cutoff=c)
+    ),
+    # equal couplings and gamma = 0 leave the dark atomic state undamped: both
+    # solvers must report the same two-dimensional stationary manifold
+    "gamma0_dark_mode": lambda c: build_model(SystemConfig(gamma=0.0, n_thermal=0.5, cutoff=c)),
+}
+
+
+class TestSectorSteadyState:
+    """The sector solver against a dense reference built here from `lindblad_rhs` alone."""
+
+    @pytest.mark.parametrize("cutoff", [3, 4, 5, 6])
+    @pytest.mark.parametrize("case", sorted(SECTOR_CASES))
+    def test_matches_dense_reference(self, case, cutoff):
+        model = SECTOR_CASES[case](cutoff)
+        liouv = dense_liouvillian(model)
+        nullity = dense_null_space(liouv).shape[1]
+        if nullity != 1:
+            with pytest.raises(RankDeficientError, match=f"dimension {nullity};"):
+                steady_state(model)
+            return
+        rho = steady_state(model)
+        assert np.abs(rho - dense_steady_state(model, liouv)).max() <= 1e-12
+        assert np.all(rho[coherence_orders(model) != 0] == 0.0)
+
+    @pytest.mark.parametrize("cutoff", [3, 5])
+    def test_broken_conservation_uses_one_sector(self, cutoff):
+        model = with_atom_a_sigma_x(build_model(SystemConfig(n_thermal=0.5, cutoff=cutoff)))
+        liouv = dense_liouvillian(model)
+        assert dense_null_space(liouv).shape[1] == 1
+        rho = steady_state(model)
+        assert np.abs(rho - dense_steady_state(model, liouv)).max() <= 1e-12
+        assert np.abs(rho[coherence_orders(model) != 0]).max() > 1e-6
+        assert steady_state_residual(model, rho) <= 1e-8
+
+    def test_stationary_coherences_count_toward_nullity(self):
+        # gamma = 0, n_T = 0: two stationary populations plus a q = +1 and a
+        # q = -1 coherence between the dark state and the ground state
+        model = build_model(SystemConfig(gamma=0.0, n_thermal=0.0))
+        null = dense_null_space(dense_liouvillian(model))
+        assert null.shape[1] == 4
+        orders = vec(coherence_orders(model))
+        per_order = {q: np.linalg.matrix_rank(null[orders == q], tol=1e-8) for q in (-1, 0, 1)}
+        assert per_order == {-1: 1, 0: 2, 1: 1}
+        with pytest.raises(RankDeficientError, match="dimension 4;"):
+            steady_state(model)
+
+    def test_full_model_thermal_law_at_cutoff_20(self):
+        n_t = 0.5
+        cfg = SystemConfig(g_a=0.0, g_b=0.0, gamma=0.2, kappa=1.0, n_thermal=n_t, cutoff=20)
+        model = build_model(cfg)
+        rho = steady_state(model)
+        photons = np.real(np.diag(partial_trace(rho, model.layout, (CAVITY,))))
+        target = (n_t / (1.0 + n_t)) ** np.arange(21) / (1.0 + n_t)
+        assert np.abs(photons - target).max() <= 1e-6
+        assert steady_state_residual(model, rho) <= 1e-8
+
+
+def test_hermiticity_drift_error_is_exported():
+    from noisycav import HermiticityDriftError as exported
+
+    assert exported is HermiticityDriftError
