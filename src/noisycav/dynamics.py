@@ -255,7 +255,7 @@ def _superoperator_block(model: LindbladModel, rows: np.ndarray, cols: np.ndarra
     """Rows and columns of `vectorize_superoperator` for the entries rho[rows[a], cols[a]].
 
     Uses the kron identity (A kron B)[(j,i),(l,k)] = A[j,l] B[i,k] on the
-    chosen entries only, so the full d^2 x d^2 matrix is never formed.
+    chosen entries only, so a block costs its own size, not d^4.
     """
     eye = np.eye(model.dim, dtype=complex)
     col_pairs, row_pairs = np.ix_(cols, cols), np.ix_(rows, rows)
