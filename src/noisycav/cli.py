@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from argparse import ArgumentParser
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -336,24 +336,21 @@ def _parse_axis(raw: str) -> SweepAxis:
         raise ConfigError(f"axis bounds/count malformed in {raw!r}") from None
     if n_i < 1:
         raise ConfigError(f"axis point count must be >= 1, got {n_i}")
-    try:
-        return SweepAxis(name, tuple(np.linspace(lo_f, hi_f, n_i)))
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    return SweepAxis(name, tuple(np.linspace(lo_f, hi_f, n_i)))
 
 
 def _sweep_spec_from_args(run_cfg: RunConfig, args) -> SweepSpec:
-    if args.preset:
-        return preset_spec(args.preset, run_cfg.system, points=args.points)
-    if not args.axis1:
+    if not (args.preset or args.axis1):
         raise ConfigError("sweep needs --preset or --axis1")
-    axis1 = _parse_axis(args.axis1)
-    axis2 = _parse_axis(args.axis2) if args.axis2 else None
-    has_time = axis1.parameter == "time" or (axis2 is not None and axis2.parameter == "time")
-    eval_time = args.at_time
-    if eval_time is None and not has_time:
-        eval_time = bright_mode_half_period(run_cfg.system)
     try:
+        if args.preset:
+            return preset_spec(args.preset, run_cfg.system, points=args.points)
+        axis1 = _parse_axis(args.axis1)
+        axis2 = _parse_axis(args.axis2) if args.axis2 else None
+        has_time = axis1.parameter == "time" or (axis2 is not None and axis2.parameter == "time")
+        eval_time = args.at_time
+        if eval_time is None and not has_time:
+            eval_time = bright_mode_half_period(run_cfg.system)
         return SweepSpec(
             base=run_cfg.system,
             axis1=axis1,
@@ -426,9 +423,9 @@ def _load_run_config(args) -> RunConfig:
         pairs.append(("cutoff", "--cutoff", args.cutoff))
     run_cfg = _build_run_config(pairs)
     if args.out:
-        run_cfg = RunConfig(run_cfg.system, run_cfg.integrator, args.out, run_cfg.fmt)
+        run_cfg = replace(run_cfg, out=args.out)
     if args.format:
-        run_cfg = RunConfig(run_cfg.system, run_cfg.integrator, run_cfg.out, args.format)
+        run_cfg = replace(run_cfg, fmt=args.format)
     return run_cfg
 
 

@@ -5,6 +5,11 @@ The right-hand side is
     drho/dt = -i[H, rho] + sum_k rate_k (2 L_k rho L_k^dag
                                          - L_k^dag L_k rho - rho L_k^dag L_k),
 
+evaluated as written by `lindblad_rhs`, the reference the tests compare
+against and the steady-state residual. Its fast forms, the RK4 evaluator
+`make_rhs` and the superoperator blocks, are both built from `_generator`,
+which folds H and the anticommutators into M = iH + sum_k rate_k L_k^dag L_k
+and the jumps into J_k = sqrt(2 rate_k) L_k. The right-hand side is
 integrated with fixed-step classical RK4. After every step the state is
 re-Hermitized as (rho + rho^dag)/2; the pre-enforcement Hermiticity drift and
 the trace drift are checked against the per-step tolerance, and recorded
@@ -18,7 +23,7 @@ vec(A X B) = (B^T kron A) vec(X)) is block-diagonal in the order
 q = N_i - N_j of the entry rho[i, j]. The steady-state solver builds only
 those blocks; the residual it reports is the master equation evaluated on the
 full space. `vectorize_superoperator` builds the whole matrix with the same
-code, as an oracle for the right-hand side.
+code; tests check it against `lindblad_rhs`.
 """
 
 from __future__ import annotations
@@ -107,16 +112,13 @@ def lindblad_rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def make_rhs(model: LindbladModel):
-    """Precomputed evaluator algebraically identical to `lindblad_rhs`.
+def _generator(model: LindbladModel) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The master equation folded into (M, jumps), the source of its fast forms.
 
-    Folds the Hamiltonian and the anticommutator parts into a single matrix
-    M = iH + sum_k rate_k L_k^dag L_k, so each evaluation is
+    M = iH + sum_k rate_k L_k^dag L_k and J_k = sqrt(2 rate_k) L_k, with
+    zero-rate terms dropped, so that
 
-        rhs(rho) = -(M rho + rho M^dag) + sum_k 2 rate_k L_k rho L_k^dag,
-
-    with the jump terms stacked for batched matmul. Agreement with
-    `lindblad_rhs` is pinned by tests.
+        drho/dt = -(M rho + rho M^dag) + sum_k J_k rho J_k^dag.
     """
     h = model.hamiltonian
     d = h.shape[0]
@@ -127,7 +129,20 @@ def make_rhs(model: LindbladModel):
             continue
         sink = sink + rate * (lop.conj().T @ lop)
         jumps.append(np.sqrt(2.0 * rate) * lop)
-    m = 1j * h + sink
+    return 1j * h + sink, jumps
+
+
+def make_rhs(model: LindbladModel):
+    """Precomputed evaluator algebraically identical to `lindblad_rhs`.
+
+    Evaluates the `_generator` form
+
+        rhs(rho) = -(M rho + rho M^dag) + sum_k J_k rho J_k^dag,
+
+    with the jump terms stacked for batched matmul. Agreement with
+    `lindblad_rhs` is pinned by tests.
+    """
+    m, jumps = _generator(model)
     mdag = m.conj().T
     if jumps:
         a = np.stack(jumps)
@@ -254,8 +269,10 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
 def _superoperator_block(model: LindbladModel, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Rows and columns of `vectorize_superoperator` for the entries rho[rows[a], cols[a]].
 
-    Uses the kron identity (A kron B)[(j,i),(l,k)] = A[j,l] B[i,k] on the
-    chosen entries only, so a block costs its own size, not d^4.
+    The `_generator` form vectorized:
+    -(I kron M + M^* kron I) + sum_k J_k^* kron J_k. Uses the kron identity
+    (A kron B)[(j,i),(l,k)] = A[j,l] B[i,k] on the chosen entries only, so a
+    block costs its own size, not d^4.
     """
     eye = np.eye(model.dim, dtype=complex)
     col_pairs, row_pairs = np.ix_(cols, cols), np.ix_(rows, rows)
@@ -263,11 +280,10 @@ def _superoperator_block(model: LindbladModel, rows: np.ndarray, cols: np.ndarra
     def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a[col_pairs] * b[row_pairs]
 
-    h = model.hamiltonian
-    block = -1j * (kron(eye, h) - kron(h.T, eye))
-    for rate, lop in model.collapse_terms:
-        ldl = lop.conj().T @ lop
-        block = block + rate * (2.0 * kron(lop.conj(), lop) - kron(eye, ldl) - kron(ldl.T, eye))
+    m, jumps = _generator(model)
+    block = -(kron(eye, m) + kron(m.conj(), eye))
+    for jump in jumps:
+        block = block + kron(jump.conj(), jump)
     return block
 
 

@@ -19,7 +19,7 @@ cavity decay 2*kappa, spontaneous emission rate 2*gamma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,24 +129,30 @@ def build_lab_hamiltonian(cfg: SystemConfig) -> np.ndarray:
     return h0 + build_interaction_hamiltonian(cfg)
 
 
+def _channels(cfg: SystemConfig) -> list[tuple[int, float, np.ndarray]]:
+    """Dissipation channels as (layout slot, rate, single-factor operator) rows.
+
+    Cavity loss (kappa(n_T+1), a), thermal pumping (kappa n_T, a^dag), and
+    spontaneous emission (gamma, sigma_minus) on each atom, in that order.
+    The only place the rates are written.
+    """
+    a = annihilation(cfg.cutoff)
+    return [
+        (CAVITY, cfg.kappa * (cfg.n_thermal + 1.0), a),
+        (CAVITY, cfg.kappa * cfg.n_thermal, dagger(a)),
+        (ATOM_A, cfg.gamma, sigma_minus()),
+        (ATOM_B, cfg.gamma, sigma_minus()),
+    ]
+
+
 def build_collapse_terms(cfg: SystemConfig) -> list[tuple[float, np.ndarray]]:
     """Cavity thermal damping plus per-atom spontaneous emission.
 
-    Four families: (kappa(n_T+1), a), (kappa n_T, a^dag), (gamma, sigma_minus)
-    for each atom. Zero-rate terms are omitted.
+    The rows of `_channels` embedded on the composite space. Zero-rate terms
+    are omitted.
     """
     layout = cfg.layout
-    terms: list[tuple[float, np.ndarray]] = []
-    cooling = cfg.kappa * (cfg.n_thermal + 1.0)
-    heating = cfg.kappa * cfg.n_thermal
-    if cooling > 0:
-        terms.append((cooling, embed(annihilation(cfg.cutoff), CAVITY, layout)))
-    if heating > 0:
-        terms.append((heating, embed(dagger(annihilation(cfg.cutoff)), CAVITY, layout)))
-    if cfg.gamma > 0:
-        terms.append((cfg.gamma, embed(sigma_minus(), ATOM_A, layout)))
-        terms.append((cfg.gamma, embed(sigma_minus(), ATOM_B, layout)))
-    return terms
+    return [(rate, embed(op, slot, layout)) for slot, rate, op in _channels(cfg) if rate > 0]
 
 
 def build_model(cfg: SystemConfig, frame: str = "interaction") -> LindbladModel:
@@ -165,20 +171,14 @@ def build_model(cfg: SystemConfig, frame: str = "interaction") -> LindbladModel:
 def build_cavity_model(cfg: SystemConfig) -> LindbladModel:
     """Cavity-only model (no atoms in the space): thermal damping of one mode.
 
+    The cavity rows of `_channels` with nonzero rate, on a one-factor layout.
     This is the configuration whose stationary state is the geometric thermal
     distribution; with atoms present and g = gamma = 0 the steady state would
     be degenerate instead.
     """
     layout = SpaceLayout((cfg.cutoff + 1,))
-    a = annihilation(cfg.cutoff)
-    terms: list[tuple[float, np.ndarray]] = []
-    cooling = cfg.kappa * (cfg.n_thermal + 1.0)
-    heating = cfg.kappa * cfg.n_thermal
-    if cooling > 0:
-        terms.append((cooling, a))
-    if heating > 0:
-        terms.append((heating, dagger(a)))
-    return LindbladModel(np.zeros((cfg.cutoff + 1,) * 2, dtype=complex), tuple(terms), layout)
+    terms = tuple((rate, op) for slot, rate, op in _channels(cfg) if slot == CAVITY and rate > 0)
+    return LindbladModel(np.zeros((layout.dim,) * 2, dtype=complex), terms, layout)
 
 
 def collective_mode_operators(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -264,7 +264,3 @@ def verify_mode_b_decoupling(
     max_pop = float(np.max(traj.observables["mode_b_pop"]))
     return ModeBReport(decoupled=max_pop <= bound, max_population=max_pop, bound=bound)
 
-
-def override(cfg: SystemConfig, **changes) -> SystemConfig:
-    """New config with the given fields replaced (validation re-runs)."""
-    return replace(cfg, **changes)

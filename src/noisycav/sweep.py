@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -110,10 +111,6 @@ class SweepResult:
         return np.array([[cell.concurrence for cell in row] for row in self.cells])
 
 
-def _with_parameter(cfg: SystemConfig, parameter: str, value: float) -> SystemConfig:
-    return replace(cfg, **{parameter: value})
-
-
 def _run_trajectory_task(task):
     """One trajectory, sampled at the requested times; returns per-time records.
 
@@ -149,37 +146,22 @@ def run_sweep(spec: SweepSpec, settings: IntegratorSettings, workers: int = 1) -
     rho0 = spec.initial_density_matrix()
     a1, a2 = spec.axis1, spec.axis2
 
-    # Each task is one trajectory; `targets` maps its per-time records to cells.
+    # Each task is one trajectory, one per combination of the non-time axis
+    # values, recorded along the time axis if there is one; `targets` maps its
+    # per-time records to cells.
+    axes = (a1,) if a2 is None else (a1, a2)
+    times = [spec.evaluation_time]
+    for axis in axes:
+        if axis.parameter == "time":
+            times = list(axis.values)
+    pad = (0,) if a2 is None else ()  # a one-axis grid has a single column
     tasks = []
     targets = []  # list of lists of (i, j) aligned with each task's records
-    if a2 is None:
-        if a1.parameter == "time":
-            tasks.append((spec.base, list(a1.values), rho0, settings, "time column"))
-            targets.append([(i, 0) for i in range(len(a1))])
-        else:
-            for i, v in enumerate(a1.values):
-                cfg = _with_parameter(spec.base, a1.parameter, v)
-                tasks.append((cfg, [spec.evaluation_time], rho0, settings, f"{a1.parameter}={v:g}"))
-                targets.append([(i, 0)])
-    elif a1.parameter == "time":
-        for j, v in enumerate(a2.values):
-            cfg = _with_parameter(spec.base, a2.parameter, v)
-            tasks.append((cfg, list(a1.values), rho0, settings, f"{a2.parameter}={v:g}"))
-            targets.append([(i, j) for i in range(len(a1))])
-    elif a2.parameter == "time":
-        for i, v in enumerate(a1.values):
-            cfg = _with_parameter(spec.base, a1.parameter, v)
-            tasks.append((cfg, list(a2.values), rho0, settings, f"{a1.parameter}={v:g}"))
-            targets.append([(i, j) for j in range(len(a2))])
-    else:
-        for i, v1 in enumerate(a1.values):
-            for j, v2 in enumerate(a2.values):
-                cfg = _with_parameter(
-                    _with_parameter(spec.base, a1.parameter, v1), a2.parameter, v2
-                )
-                label = f"{a1.parameter}={v1:g}, {a2.parameter}={v2:g}"
-                tasks.append((cfg, [spec.evaluation_time], rho0, settings, label))
-                targets.append([(i, j)])
+    for cell in product(*([None] if axis.parameter == "time" else range(len(axis)) for axis in axes)):
+        fixed = {axis.parameter: axis.values[k] for axis, k in zip(axes, cell) if k is not None}
+        label = ", ".join(f"{name}={v:g}" for name, v in fixed.items()) or "time column"
+        tasks.append((replace(spec.base, **fixed), times, rho0, settings, label))
+        targets.append([tuple(r if k is None else k for k in cell) + pad for r in range(len(times))])
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -233,6 +233,18 @@ class TestSweepCommand:
         assert main(["sweep", "--axis1", "n_thermal:0:1"]) == 2
         assert main(["sweep", "--axis1", "n_thermal:0:1:0"]) == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--preset", "fig3", "--points", "0"],
+            ["--preset", "fig3", "--set", "g_a=0", "--set", "g_b=0"],
+            ["--axis1", "n_thermal:0:1:2", "--set", "g_a=0", "--set", "g_b=0"],
+        ],
+    )
+    def test_sweep_spec_errors_are_exit_2(self, args, capsys):
+        assert main(["sweep", *args]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_json_records_mirror_csv(self, tmp_path):
         base = ["sweep", "--axis1", "n_thermal:0:1:2", "--at-time", "0.2"]
         csv_out = tmp_path / "w.csv"

@@ -81,6 +81,27 @@ def excited_ket(cfg):
     return basis_state(cfg.layout.dim, idx)
 
 
+def with_zero_rate_term(model):
+    """The model plus a zero-rate collapse term, which every form must ignore."""
+    extra = (0.0, model.collapse_terms[0][1].conj().T)
+    return LindbladModel(model.hamiltonian, model.collapse_terms + (extra,), model.layout)
+
+
+def without_collapse_terms(model):
+    return LindbladModel(model.hamiltonian, (), model.layout)
+
+
+GENERATOR_CASES = {
+    "thermal_atoms": lambda: build_model(SystemConfig(n_thermal=0.5)),
+    "lab_off_resonance": lambda: build_model(
+        SystemConfig(omega=1.3, omega_f=0.9, n_thermal=0.5, cutoff=3), frame="lab"
+    ),
+    "cavity": lambda: build_cavity_model(SystemConfig(n_thermal=0.7, cutoff=6)),
+    "zero_rate_term": lambda: with_zero_rate_term(build_model(SystemConfig(n_thermal=0.5, cutoff=3))),
+    "no_collapse_terms": lambda: without_collapse_terms(build_model(SystemConfig(cutoff=3))),
+}
+
+
 class TestIntegratorSettings:
     def test_defaults(self):
         s = IntegratorSettings()
@@ -156,8 +177,9 @@ class TestLindbladRHS:
         with pytest.raises(ValueError):
             lindblad_rhs(model, np.eye(4, dtype=complex))
 
-    def test_compiled_evaluator_matches(self, rng):
-        model = build_model(SystemConfig(n_thermal=0.8))
+    @pytest.mark.parametrize("case", sorted(GENERATOR_CASES))
+    def test_compiled_evaluator_matches(self, case, rng):
+        model = GENERATOR_CASES[case]()
         fast = make_rhs(model)
         for _ in range(5):
             rho = random_trace_one_hermitian(rng, model.dim)
@@ -165,10 +187,11 @@ class TestLindbladRHS:
 
 
 class TestSuperoperator:
-    def test_agrees_with_rhs_on_random_states(self, rng):
-        # the two code paths are independent: one works matrix-by-matrix,
-        # the other through kron identities on the vectorized state
-        model = build_model(SystemConfig(n_thermal=0.5))
+    @pytest.mark.parametrize("case", sorted(GENERATOR_CASES))
+    def test_agrees_with_rhs_on_random_states(self, case, rng):
+        # `lindblad_rhs` works matrix-by-matrix on the equation as written;
+        # the superoperator goes through the generator and kron identities
+        model = GENERATOR_CASES[case]()
         liouv = vectorize_superoperator(model)
         worst = 0.0
         for _ in range(20):
