@@ -9,6 +9,7 @@ from .dynamics import (
     HermiticityDriftError,
     IntegratorError,
     IntegratorSettings,
+    ModeBReport,
     PositivityLossError,
     RankDeficientError,
     TraceDriftError,
@@ -17,11 +18,11 @@ from .dynamics import (
     lindblad_rhs,
     steady_state,
     vectorize_superoperator,
+    verify_mode_b_decoupling,
 )
 from .entanglement import ConcurrenceResult, concurrence, spin_flip
 from .model import (
     LindbladModel,
-    ModeBReport,
     SystemConfig,
     build_cavity_model,
     build_collapse_terms,
@@ -31,7 +32,6 @@ from .model import (
     collective_mode_operators,
     ground_state,
     standard_observables,
-    verify_mode_b_decoupling,
 )
 from .qops import SpaceLayout, partial_trace, tensor
 from .sweep import (

@@ -232,35 +232,3 @@ def truncation_tail_mass(n_thermal: float, cutoff: int) -> float:
     if n_thermal <= 0:
         return 0.0
     return (n_thermal / (1.0 + n_thermal)) ** (cutoff + 1)
-
-
-@dataclass(frozen=True)
-class ModeBReport:
-    decoupled: bool
-    max_population: float
-    bound: float
-
-
-def verify_mode_b_decoupling(
-    cfg: SystemConfig,
-    t_max: float = 10.0,
-    dt: float = 0.002,
-    bound: float = 1e-8,
-) -> ModeBReport:
-    """Dynamical check that the dark collective mode stays unpopulated.
-
-    Evolves from |g,g,0> (which is the collective ground state) and bounds
-    the mode-B excitation number along the trajectory. This is the dynamical
-    statement behind treating mode B as frozen; it is not an operator
-    commutation identity.
-    """
-    from .dynamics import IntegratorSettings, evolve
-
-    _, sigma_b_plus = collective_mode_operators(cfg)
-    n_b = sigma_b_plus @ dagger(sigma_b_plus)
-    settings = IntegratorSettings(dt=dt, t_max=t_max, record_stride=25)
-    model = build_model(cfg)
-    traj = evolve(model, ground_state(cfg), settings, observables={"mode_b_pop": n_b})
-    max_pop = float(np.max(traj.observables["mode_b_pop"]))
-    return ModeBReport(decoupled=max_pop <= bound, max_population=max_pop, bound=bound)
-

@@ -30,6 +30,7 @@ from noisycav.dynamics import (
     steady_state,
     vec,
     vectorize_superoperator,
+    verify_mode_b_decoupling,
 )
 from noisycav.entanglement import concurrence
 from noisycav.model import (
@@ -40,7 +41,6 @@ from noisycav.model import (
     build_model,
     ground_state,
     standard_observables,
-    verify_mode_b_decoupling,
 )
 from noisycav.qops import basis_state
 from noisycav.sweep import (

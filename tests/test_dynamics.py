@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -392,6 +394,107 @@ SECTOR_CASES = {
     # solvers must report the same two-dimensional stationary manifold
     "gamma0_dark_mode": lambda c: build_model(SystemConfig(gamma=0.0, n_thermal=0.5, cutoff=c)),
 }
+
+
+def reference_rk4(model, rho0, record_times, dt):
+    """Classical RK4 on full d x d matrices through `lindblad_rhs`, with `evolve`'s step schedule.
+
+    Steps are shortened to hit each record time and the state is re-Hermitized
+    after every step, as the integrator does.
+    """
+    rho = np.array(rho0, dtype=complex)
+    out = []
+    t_prev = 0.0
+    for t in record_times:
+        span = t - t_prev
+        if span > 1e-12 * max(1.0, t):
+            n_steps = max(1, math.ceil(span / dt - 1e-9))
+            h = span / n_steps
+            for _ in range(n_steps):
+                k1 = lindblad_rhs(model, rho)
+                k2 = lindblad_rhs(model, rho + 0.5 * h * k1)
+                k3 = lindblad_rhs(model, rho + 0.5 * h * k2)
+                k4 = lindblad_rhs(model, rho + h * k3)
+                rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                rho = 0.5 * (rho + rho.conj().T)
+            t_prev = t
+        out.append(rho.copy())
+    return out
+
+
+def superposition_start(cfg):
+    """(|g,g,0> + |e,g,0>)/sqrt(2): populations in q = 0, coherences in q = +1 and -1."""
+    ket = (basis_state(cfg.layout.dim, 0) + basis_state(cfg.layout.dim, 2 * (cfg.cutoff + 1))) / np.sqrt(2.0)
+    return np.outer(ket, ket.conj())
+
+
+# (config, frame, start, sigma_x jump on atom a) per case
+EVOLVE_CASES = {
+    "thermal_atoms": (dict(n_thermal=0.5, gamma=0.3), "interaction", ground_state, False),
+    "lab_off_resonance": (dict(omega=1.3, omega_f=0.9, n_thermal=0.5), "lab", superposition_start, False),
+    "unequal_g": (dict(g_a=0.6, g_b=1.4, n_thermal=0.8), "interaction", ground_state, False),
+    "superposition": (dict(n_thermal=0.3), "interaction", superposition_start, False),
+    "sigma_x_jump": (dict(n_thermal=0.5), "interaction", ground_state, True),
+}
+
+RECORD_TIMES = [0.0, 0.05, 0.13, 0.3]
+
+
+def evolve_case(case, cutoff):
+    params, frame, start, sigma_x = EVOLVE_CASES[case]
+    cfg = SystemConfig(cutoff=cutoff, **params)
+    model = build_model(cfg, frame=frame)
+    if sigma_x:
+        model = with_atom_a_sigma_x(model)
+    return model, start(cfg)
+
+
+class TestSectorEvolve:
+    """Sector RK4 against a full-matrix RK4 written here on `lindblad_rhs` alone."""
+
+    @pytest.mark.parametrize("cutoff", [2, 3, 4])
+    @pytest.mark.parametrize("case", sorted(EVOLVE_CASES))
+    def test_matches_full_matrix_rk4(self, case, cutoff):
+        model, rho0 = evolve_case(case, cutoff)
+        settings = IntegratorSettings(dt=0.01, t_max=1.0)
+        traj = evolve(model, rho0, settings, record_times=RECORD_TIMES)
+        reference = reference_rk4(model, rho0, RECORD_TIMES, settings.dt)
+        for state, expected in zip(traj.states, reference):
+            assert np.abs(state - expected).max() <= 1e-12
+        assert np.abs(traj.states[-1] - rho0).max() > 1e-3  # the state moved
+
+    @pytest.mark.parametrize("case", ["thermal_atoms", "lab_off_resonance", "superposition"])
+    def test_untouched_sectors_stay_exactly_zero(self, case):
+        model, rho0 = evolve_case(case, 3)
+        orders = coherence_orders(model)
+        touched = np.unique(orders[rho0 != 0])
+        traj = evolve(model, rho0, IntegratorSettings(dt=0.01, t_max=0.3))
+        for state in traj.states:
+            assert np.all(state[~np.isin(orders, touched)] == 0.0)
+            assert np.abs(state[np.isin(orders, touched)]).max() > 0.0
+
+    def test_one_sided_roundoff_coherence_keeps_its_mirror(self):
+        # passes the density-matrix gate, but only rho[e,g,0; g,g,0] is set:
+        # the q = -1 sector holding its transpose must be propagated too
+        cfg = SystemConfig(n_thermal=0.5, cutoff=3)
+        model = build_model(cfg)
+        rho0 = ground_state(cfg)
+        excited = 2 * (cfg.cutoff + 1)
+        rho0[excited, 0] = 1e-14
+        traj = evolve(model, rho0, IntegratorSettings(dt=0.01, t_max=0.3), record_times=RECORD_TIMES)
+        reference = reference_rk4(model, rho0, RECORD_TIMES, 0.01)
+        for state, expected in zip(traj.states[1:], reference[1:]):
+            assert np.abs(state - expected).max() <= 1e-12
+            assert np.array_equal(state, state.conj().T)
+            assert state[0, excited] != 0.0
+
+    def test_reduce_to_matches_full_matrix_rk4(self):
+        model, rho0 = evolve_case("superposition", 3)
+        traj = evolve(model, rho0, IntegratorSettings(dt=0.01, t_max=1.0), record_times=RECORD_TIMES,
+                      reduce_to=(ATOM_A, ATOM_B))
+        reference = reference_rk4(model, rho0, RECORD_TIMES, 0.01)
+        for state, expected in zip(traj.states, reference):
+            assert np.abs(state - partial_trace(expected, model.layout, (ATOM_A, ATOM_B))).max() <= 1e-12
 
 
 class TestSectorSteadyState:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from noisycav.dynamics import IntegratorSettings, evolve
+from noisycav.dynamics import IntegratorSettings, evolve, verify_mode_b_decoupling
 from noisycav.entanglement import concurrence
 from noisycav.model import (
     ATOM_A,
@@ -18,7 +18,6 @@ from noisycav.model import (
     ground_state,
     standard_observables,
     truncation_tail_mass,
-    verify_mode_b_decoupling,
 )
 from noisycav.qops import (
     SpaceLayout,
