@@ -6,10 +6,10 @@ The right-hand side is
                                          - L_k^dag L_k rho - rho L_k^dag L_k),
 
 evaluated as written by `lindblad_rhs`, the reference the tests compare
-against and the steady-state residual. Its fast forms, the evaluator
-`make_rhs` and the superoperator blocks, are both built from `_generator`,
-which folds H and the anticommutators into M = iH + sum_k rate_k L_k^dag L_k
-and the jumps into J_k = sqrt(2 rate_k) L_k.
+against and the steady-state residual. Its fast forms, the superoperator
+blocks and the evaluator `make_rhs` on top of them, are built from
+`_generator`, which folds H and the anticommutators into
+M = iH + sum_k rate_k L_k^dag L_k and the jumps into J_k = sqrt(2 rate_k) L_k.
 
 Every term of the model changes the total excitation N = n_a + n_b + n_cav by
 a fixed amount, so the vectorized superoperator (column-stacking convention,
@@ -19,15 +19,14 @@ of all d^2 entries. Only those blocks are built.
 
 `evolve` integrates with fixed-step classical RK4 on the vector of the
 entries of the sectors rho0 touches (for |g,g,0> the q = 0 sector, 84 of the
-576 entries at cutoff 5). For a linear equation an RK4 step of length h is the
-matrix polynomial I + hL(I + hL/2(I + hL/3(I + hL/4))) of the sector block L,
-built once per step size, so each step is one matrix-vector product. After
-every step the vector is re-Hermitized as (x + conj(x[mirror]))/2, where
-mirror maps rho[i, j] to rho[j, i]; the pre-enforcement Hermiticity drift and
-the trace drift are checked against the per-step tolerance, and recorded
-states, scattered back into d x d matrices, must pass the density-matrix
-gates. Accuracy is certified by step halving, not by an embedded error
-estimator.
+576 entries at cutoff 5): each of the four stages is one `make_rhs` call, a
+matrix-vector product per sector. A model without the symmetry is evaluated
+in matrix form on all d^2 entries, at the cost of dense RK4. After every step
+the vector is re-Hermitized as (x + conj(x[mirror]))/2, where mirror maps
+rho[i, j] to rho[j, i]; the pre-enforcement Hermiticity drift and the trace
+drift are checked against the per-step tolerance, and recorded states,
+scattered back into d x d matrices, must pass the density-matrix gates.
+Accuracy is certified by step halving, not by an embedded error estimator.
 
 `steady_state` solves on the q = 0 block and checks uniqueness on all of
 them; the residual it reports is the master equation evaluated on the full
@@ -148,29 +147,46 @@ def _generator(model: LindbladModel) -> tuple[np.ndarray, list[np.ndarray]]:
     return 1j * h + sink, jumps
 
 
-def make_rhs(model: LindbladModel):
-    """Precomputed evaluator algebraically identical to `lindblad_rhs`.
+def make_rhs(model: LindbladModel, sectors: list[tuple[np.ndarray, np.ndarray]]):
+    """The master equation's right-hand side on the entries of `sectors`, as a function of their vector.
 
-    Evaluates the `_generator` form
+    `sectors` are (rows, cols) pairs from `_coherence_sectors`; the vector holds
+    rho[rows, cols] of each in turn. Each sector maps into itself, so a sector's
+    slice of the result is its `_superoperator_block` times its slice of the
+    vector. A model without the excitation-number symmetry is one sector of all
+    d^2 entries in vec order, whose block would be d^2 x d^2; it is evaluated in
+    the `_generator` form
 
-        rhs(rho) = -(M rho + rho M^dag) + sum_k J_k rho J_k^dag,
+        rhs(rho) = -(M rho + rho M^dag) + sum_k J_k rho J_k^dag
 
-    with the jump terms stacked for batched matmul. Agreement with
-    `lindblad_rhs` is pinned by tests.
+    instead, on rho = unvec(x), with the jump terms stacked for batched matmul.
+    Agreement with `lindblad_rhs` is pinned by tests.
     """
+    d = model.dim
+    if len(sectors) > 1 or len(sectors[0][0]) < d * d:
+        blocks = [_superoperator_block(model, rows, cols) for rows, cols in sectors]
+        if len(blocks) == 1:
+            block = blocks[0]
+            return lambda x: block @ x
+        bounds = np.cumsum([0] + [len(rows) for rows, _ in sectors])
+        parts = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+        def rhs(x: np.ndarray) -> np.ndarray:
+            out = np.empty_like(x)
+            for block, part in zip(blocks, parts):
+                np.matmul(block, x[part], out=out[part])
+            return out
+
+        return rhs
+
     m, jumps = _generator(model)
     mdag = m.conj().T
-    if jumps:
-        a = np.stack(jumps)
-        adag = a.conj().transpose(0, 2, 1)
+    a = np.stack(jumps) if jumps else np.zeros((0, d, d), dtype=complex)
+    adag = a.conj().transpose(0, 2, 1)
 
-        def rhs(rho: np.ndarray) -> np.ndarray:
-            return ((a @ rho) @ adag).sum(axis=0) - (m @ rho + rho @ mdag)
-
-    else:
-
-        def rhs(rho: np.ndarray) -> np.ndarray:
-            return -(m @ rho + rho @ mdag)
+    def rhs(x: np.ndarray) -> np.ndarray:
+        rho = unvec(x, d)
+        return vec(((a @ rho) @ adag).sum(axis=0) - (m @ rho + rho @ mdag))
 
     return rhs
 
@@ -213,22 +229,18 @@ def evolve(
         raise ValueError("record times must be ascending")
 
     sectors = _live_sectors(model, rho0)
-    blocks = [_superoperator_block(model, r, c) for r, c in sectors]
-    bounds = np.cumsum([0] + [len(r) for r, _ in sectors])
-    parts = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    rhs = make_rhs(model, sectors)
     rows = np.concatenate([r for r, _ in sectors])
     cols = np.concatenate([c for _, c in sectors])
     pos = np.full((d, d), -1)
     pos[rows, cols] = np.arange(len(rows))
     mirror = pos[cols, rows]  # position of rho[j, i] for each entry rho[i, j]
     diagonal = np.flatnonzero(rows == cols)
-    steps: dict[float, list[np.ndarray]] = {}
 
     observables = observables or {}
     tol = settings.tolerance
 
     x = np.asarray(rho0, dtype=complex)[rows, cols]
-    raw = np.empty_like(x)
     times_out: list[float] = []
     states: list[np.ndarray] = []
     obs_out: dict[str, list[float]] = {name: [] for name in observables}
@@ -241,12 +253,8 @@ def evolve(
         if span > 1e-12 * max(1.0, t_rec):
             n_steps = max(1, math.ceil(span / settings.dt - 1e-9))
             h = span / n_steps
-            if h not in steps:
-                steps[h] = [_rk4_propagator(block, h) for block in blocks]
-            step = steps[h]
             for _ in range(n_steps):
-                for propagator, part in zip(step, parts):
-                    np.matmul(propagator, x[part], out=raw[part])
+                raw = _rk4_step(rhs, x, h)
                 mirrored = raw[mirror].conj()
                 herm_drift = float(np.abs(raw - mirrored).max())
                 if herm_drift > tol:
@@ -286,17 +294,17 @@ def evolve(
     )
 
 
-def _rk4_propagator(block: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of dx/dt = L x as a matrix: I + hL(I + hL/2(I + hL/3(I + hL/4))).
+def _rk4_step(rhs, x: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of the linear equation dx/dt = rhs(x).
 
-    For a linear autonomous equation this polynomial is the four-stage update
-    itself, so applying it is an RK4 step of length h.
+    For a linear autonomous equation the four stages combine into the
+    polynomial x + hL(x + hL/2(x + hL/3(x + hL/4 x))), evaluated here with one
+    `rhs` call per stage and fewer vector operations than the stage form.
     """
-    eye = np.eye(len(block))
-    step = eye + (h / 4) * block
-    for k in (3, 2, 1):
-        step = eye + (h / k) * (block @ step)
-    return step
+    y = x + (h / 4) * rhs(x)
+    y = x + (h / 3) * rhs(y)
+    y = x + (h / 2) * rhs(y)
+    return x + h * rhs(y)
 
 
 def vec(mat: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from noisycav.dynamics import (
     IntegratorSettings,
     RankDeficientError,
     Trajectory,
+    _coherence_sectors,
     evolve,
     lindblad_rhs,
     make_rhs,
@@ -101,6 +102,8 @@ GENERATOR_CASES = {
     "cavity": lambda: build_cavity_model(SystemConfig(n_thermal=0.7, cutoff=6)),
     "zero_rate_term": lambda: with_zero_rate_term(build_model(SystemConfig(n_thermal=0.5, cutoff=3))),
     "no_collapse_terms": lambda: without_collapse_terms(build_model(SystemConfig(cutoff=3))),
+    # breaks the excitation-number symmetry: one sector, evaluated in matrix form
+    "sigma_x_jump": lambda: with_atom_a_sigma_x(build_model(SystemConfig(n_thermal=0.5, cutoff=3))),
 }
 
 
@@ -181,11 +184,18 @@ class TestLindbladRHS:
 
     @pytest.mark.parametrize("case", sorted(GENERATOR_CASES))
     def test_compiled_evaluator_matches(self, case, rng):
+        # on all sectors together and on each alone, against the equation as
+        # written; a sector's entries of the result depend on its own entries only
         model = GENERATOR_CASES[case]()
-        fast = make_rhs(model)
-        for _ in range(5):
-            rho = random_trace_one_hermitian(rng, model.dim)
-            assert np.abs(fast(rho) - lindblad_rhs(model, rho)).max() < 1e-13
+        sectors = _coherence_sectors(model)
+        for chosen in [sectors] + [[sector] for sector in sectors]:
+            rows = np.concatenate([r for r, _ in chosen])
+            cols = np.concatenate([c for _, c in chosen])
+            fast = make_rhs(model, chosen)
+            for _ in range(3):
+                rho = random_trace_one_hermitian(rng, model.dim)
+                expected = lindblad_rhs(model, rho)[rows, cols]
+                assert np.abs(fast(rho[rows, cols]) - expected).max() < 1e-13
 
 
 class TestSuperoperator:
