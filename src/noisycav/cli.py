@@ -1,9 +1,10 @@
 """Command-line interface: evolve, steady and sweep subcommands.
 
-Configuration is a plain key=value document ('#' comments allowed). Every key
-is validated against a closed list so a typo like "gama" is an error rather
-than a silently ignored default. Output is CSV or JSON with deterministic
-formatting: repeated runs on the same platform produce byte-identical files.
+Configuration is a plain key=value document ('#' comments allowed). The keys
+are the fields of SystemConfig and IntegratorSettings plus `out` and `format`;
+any other key is an error, so a typo like "gama" is not a silently ignored
+default. Output is CSV or JSON with deterministic formatting: repeated runs on
+the same platform produce byte-identical files.
 
 Exit codes: 0 success, 2 configuration error, 3 integrator failure,
 4 degenerate steady state.
@@ -15,7 +16,7 @@ import json
 import os
 import sys
 from argparse import ArgumentParser
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,13 +56,10 @@ EVOLVE_HEADER = "t,concurrence,p_ee_a,p_ee_b,mean_photon,mode_b_pop,trace_residu
 SWEEP_HEADER = "axis1_name,axis1_value,axis2_name,axis2_value,concurrence,mean_photon,trace_residual"
 SUMMARY_HEADER = "fixed_value,argmax_value,max_concurrence,interior,product_at_argmax"
 
-_FLOAT_KEYS = ("omega", "omega_f", "g_a", "g_b", "kappa", "gamma", "n_thermal",
-               "dt", "t_max", "tolerance")
-_INT_KEYS = ("cutoff", "record_stride")
-_SYSTEM_KEYS = ("omega", "omega_f", "g_a", "g_b", "kappa", "gamma", "n_thermal", "cutoff")
-_INTEGRATOR_KEYS = ("dt", "t_max", "tolerance", "record_stride")
-_OUTPUT_KEYS = ("out", "format")
-_ALL_KEYS = _SYSTEM_KEYS + _INTEGRATOR_KEYS + _OUTPUT_KEYS
+# Every configuration key and the type its value is parsed as: the settings
+# fields take the type of their default.
+_KEY_TYPES = {f.name: type(f.default) for cls in (SystemConfig, IntegratorSettings) for f in fields(cls)}
+_KEY_TYPES.update(out=str, format=str)
 
 
 class ConfigError(ValueError):
@@ -76,61 +74,44 @@ class RunConfig:
     fmt: str = "csv"
 
 
-def _parse_value(key: str, raw: str, where: str):
-    if key in _FLOAT_KEYS:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{where}: value for {key} is not a number: {raw!r}") from None
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{where}: value for {key} is not an integer: {raw!r}") from None
-    if key == "format":
-        if raw not in ("csv", "json"):
-            raise ConfigError(f"{where}: format must be csv or json, got {raw!r}")
-        return raw
-    return raw  # out: a path string
+def _parse_assignment(text: str, where: str) -> tuple[str, object]:
+    """One 'key = value' (the caller checks for the '=') -> (key, typed value); `where` prefixes errors."""
+    key, raw = (part.strip() for part in text.split("=", 1))
+    kind = _KEY_TYPES.get(key)
+    if kind is None:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    if key == "format" and raw not in ("csv", "json"):
+        raise ConfigError(f"{where}: format must be csv or json, got {raw!r}")
+    try:
+        return key, kind(raw)
+    except ValueError:
+        noun = "a number" if kind is float else "an integer"
+        raise ConfigError(f"{where}: value for {key} is not {noun}: {raw!r}") from None
 
 
-def _parse_document(text: str) -> list[tuple[str, str, object]]:
-    """key=value lines -> [(key, where, typed value)]; rejects unknown keys."""
-    pairs = []
+def _parse_document(text: str) -> dict[str, object]:
+    """key=value lines -> {key: typed value}, a later line winning."""
+    values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key = value, got {line.strip()!r}")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
-        where = f"line {lineno}"
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-        pairs.append((key, where, _parse_value(key, raw, where)))
-    return pairs
+        key, value = _parse_assignment(stripped, f"line {lineno}")
+        values[key] = value
+    return values
 
 
-def _build_run_config(pairs) -> RunConfig:
-    system_kwargs, integrator_kwargs, output = {}, {}, {}
-    for key, where, value in pairs:
-        if key in _SYSTEM_KEYS:
-            system_kwargs[key] = value
-        elif key in _INTEGRATOR_KEYS:
-            integrator_kwargs[key] = value
-        else:
-            output[key] = value
+def _build_run_config(values: dict[str, object]) -> RunConfig:
+    def settings(cls):
+        return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
+
     try:
-        system = SystemConfig(**system_kwargs)
-        integrator = IntegratorSettings(**integrator_kwargs)
+        system, integrator = settings(SystemConfig), settings(IntegratorSettings)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    return RunConfig(
-        system=system,
-        integrator=integrator,
-        out=output.get("out"),
-        fmt=output.get("format", "csv"),
-    )
+    return RunConfig(system, integrator, out=values.get("out"), fmt=values.get("format", "csv"))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -143,7 +124,23 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _write(path: str, text: str) -> None:
+def _cell(column: str, value) -> str:
+    """One CSV cell: None empty, a bool true/false, a string as is, a number `_fmt`."""
+    if value is None:
+        return "none" if column == "argmax_value" else ""  # the summary's token for "no maximum"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value if isinstance(value, str) else _fmt(value)
+
+
+def _write_table(path: str, fmt: str, header: str, records: list[dict], key: str = "records") -> None:
+    """Records as CSV with `header` naming their columns, or as the JSON object {key: records}."""
+    if fmt == "csv":
+        columns = header.split(",")
+        lines = [header] + [",".join(_cell(col, rec[col]) for col in columns) for rec in records]
+        text = "\n".join(lines) + "\n"
+    else:
+        text = json.dumps({key: records}, indent=2) + "\n"
     Path(path).write_text(text)
 
 
@@ -184,13 +181,7 @@ def cmd_evolve(run_cfg: RunConfig) -> int:
         }
         for i in range(n)
     ]
-    out = run_cfg.out or f"evolve.{run_cfg.fmt}"
-    if run_cfg.fmt == "csv":
-        lines = [EVOLVE_HEADER]
-        lines += [",".join(_fmt(rec[col]) for col in EVOLVE_HEADER.split(",")) for rec in records]
-        _write(out, "\n".join(lines) + "\n")
-    else:
-        _write(out, json.dumps({"records": records}, indent=2) + "\n")
+    _write_table(run_cfg.out or f"evolve.{run_cfg.fmt}", run_cfg.fmt, EVOLVE_HEADER, records)
     _report_truncation_tail(cfg)
     return 0
 
@@ -224,7 +215,7 @@ def cmd_steady(run_cfg: RunConfig, cavity_only: bool = False) -> int:
         for k, p in enumerate(photons):
             lines.append(f"photon_{k},{_fmt(p)}")
         lines.append(f"liouvillian_residual,{_fmt(residual)}")
-        _write(out, "\n".join(lines) + "\n")
+        Path(out).write_text("\n".join(lines) + "\n")
     else:
         payload = {
             "reduced_atoms_re": None if atoms is None else [[float(x) for x in row] for row in atoms.real],
@@ -233,7 +224,7 @@ def cmd_steady(run_cfg: RunConfig, cavity_only: bool = False) -> int:
             "photon_distribution": [float(p) for p in photons],
             "liouvillian_residual": residual,
         }
-        _write(out, json.dumps(payload, indent=2) + "\n")
+        Path(out).write_text(json.dumps(payload, indent=2) + "\n")
     _report_truncation_tail(cfg)
     return 0
 
@@ -242,72 +233,26 @@ def cmd_sweep(run_cfg: RunConfig, spec: SweepSpec, workers: int = 1) -> int:
     result = run_sweep(spec, run_cfg.integrator, workers=workers)
     a1, a2 = spec.axis1, spec.axis2
 
-    records = []
-    for row in result.cells:
-        for cell in row:
-            records.append(
-                {
-                    "axis1_name": a1.parameter,
-                    "axis1_value": cell.axis1_value,
-                    "axis2_name": a2.parameter if a2 is not None else None,
-                    "axis2_value": cell.axis2_value,
-                    "concurrence": cell.concurrence,
-                    "mean_photon": cell.mean_photon,
-                    "trace_residual": cell.trace_residual,
-                }
-            )
-
+    records = [
+        {
+            "axis1_name": a1.parameter,
+            "axis1_value": cell.axis1_value,
+            "axis2_name": a2.parameter if a2 is not None else None,
+            "axis2_value": cell.axis2_value,
+            "concurrence": cell.concurrence,
+            "mean_photon": cell.mean_photon,
+            "trace_residual": cell.trace_residual,
+        }
+        for row in result.cells
+        for cell in row
+    ]
     out = run_cfg.out or f"sweep.{run_cfg.fmt}"
-    if run_cfg.fmt == "csv":
-        lines = [SWEEP_HEADER]
-        for rec in records:
-            lines.append(
-                ",".join(
-                    [
-                        rec["axis1_name"],
-                        _fmt(rec["axis1_value"]),
-                        rec["axis2_name"] or "",
-                        "" if rec["axis2_value"] is None else _fmt(rec["axis2_value"]),
-                        _fmt(rec["concurrence"]),
-                        _fmt(rec["mean_photon"]),
-                        _fmt(rec["trace_residual"]),
-                    ]
-                )
-            )
-        _write(out, "\n".join(lines) + "\n")
-    else:
-        _write(out, json.dumps({"records": records}, indent=2) + "\n")
+    _write_table(out, run_cfg.fmt, SWEEP_HEADER, records)
 
     if a2 is not None:
         rows = resonance_summary(result)
-        summary_path = f"{out}.summary.{run_cfg.fmt}"
-        if run_cfg.fmt == "csv":
-            lines = [SUMMARY_HEADER]
-            for r in rows:
-                lines.append(
-                    ",".join(
-                        [
-                            _fmt(r.fixed_value),
-                            "none" if r.argmax_value is None else _fmt(r.argmax_value),
-                            _fmt(r.max_concurrence),
-                            "true" if r.interior else "false",
-                            "" if r.product_at_argmax is None else _fmt(r.product_at_argmax),
-                        ]
-                    )
-                )
-            _write(summary_path, "\n".join(lines) + "\n")
-        else:
-            payload = [
-                {
-                    "fixed_value": r.fixed_value,
-                    "argmax_value": r.argmax_value,
-                    "max_concurrence": r.max_concurrence,
-                    "interior": r.interior,
-                    "product_at_argmax": r.product_at_argmax,
-                }
-                for r in rows
-            ]
-            _write(summary_path, json.dumps({"rows": payload}, indent=2) + "\n")
+        summary = [asdict(r) for r in rows]
+        _write_table(f"{out}.summary.{run_cfg.fmt}", run_cfg.fmt, SUMMARY_HEADER, summary, key="rows")
         spread = product_spread(rows)
         if spread is not None:
             mean, rel = spread
@@ -342,6 +287,8 @@ def _parse_axis(raw: str) -> SweepAxis:
 def _sweep_spec_from_args(run_cfg: RunConfig, args) -> SweepSpec:
     if not (args.preset or args.axis1):
         raise ConfigError("sweep needs --preset or --axis1")
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     try:
         if args.preset:
             return preset_spec(args.preset, run_cfg.system, points=args.points)
@@ -400,28 +347,26 @@ def _build_parser() -> ArgumentParser:
             sp.add_argument("--at-time", dest="at_time", type=float,
                             help="evaluation time when time is not an axis (default 1/(2g))")
             sp.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                            help="parallel trajectory workers")
+                            help="parallel trajectory workers (at most one per trajectory)")
     return parser
 
 
 def _load_run_config(args) -> RunConfig:
-    pairs = []
+    values = {}
     if args.config:
         try:
             text = Path(args.config).read_text()
         except OSError as err:
             raise ConfigError(f"cannot read config file {args.config}: {err}") from None
-        pairs.extend(_parse_document(text))
+        values.update(_parse_document(text))
     for raw in args.assignments:
         if "=" not in raw:
             raise ConfigError(f"--set expects KEY=VALUE, got {raw!r}")
-        key, value = (part.strip() for part in raw.split("=", 1))
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"--set: unknown key {key!r}")
-        pairs.append((key, "--set", _parse_value(key, value, "--set")))
+        key, value = _parse_assignment(raw, "--set")
+        values[key] = value
     if args.cutoff is not None:
-        pairs.append(("cutoff", "--cutoff", args.cutoff))
-    run_cfg = _build_run_config(pairs)
+        values["cutoff"] = args.cutoff
+    run_cfg = _build_run_config(values)
     if args.out:
         run_cfg = replace(run_cfg, out=args.out)
     if args.format:

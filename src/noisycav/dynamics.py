@@ -41,7 +41,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import LindbladModel, SystemConfig, build_model, collective_mode_operators, ground_state
+from .model import (
+    LindbladModel,
+    SystemConfig,
+    build_model,
+    collective_mode_operators,
+    ground_state,
+    require_finite,
+)
 from .qops import (
     POSITIVITY_TOL,
     assert_density_matrix,
@@ -82,6 +89,7 @@ class IntegratorSettings:
     record_stride: int = 10
 
     def __post_init__(self):
+        require_finite(self)
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_max < 0:
@@ -223,6 +231,8 @@ def evolve(
         if record_times[-1] < settings.t_max - 1e-12:
             record_times.append(settings.t_max)
     record_times = [float(t) for t in record_times]
+    if not all(map(math.isfinite, record_times)):
+        raise ValueError("record times must be finite")
     if any(t < 0 for t in record_times):
         raise ValueError("record times must be nonnegative")
     if any(t2 < t1 for t1, t2 in zip(record_times, record_times[1:])):

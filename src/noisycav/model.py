@@ -19,7 +19,7 @@ cavity decay 2*kappa, spontaneous emission rate 2*gamma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,6 +41,14 @@ ATOM_A, ATOM_B, CAVITY = 0, 1, 2
 FRAMES = ("interaction", "lab")
 
 
+def require_finite(settings) -> None:
+    """Raise ValueError naming the first field of a dataclass instance that is NaN or infinite."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """All physical parameters, in natural units (hbar = 1, rates angular).
@@ -59,16 +67,10 @@ class SystemConfig:
     cutoff: int = 5
 
     def __post_init__(self):
-        if self.omega < 0:
-            raise ValueError(f"omega must be nonnegative, got {self.omega}")
-        if self.omega_f < 0:
-            raise ValueError(f"omega_f must be nonnegative, got {self.omega_f}")
-        if self.kappa < 0:
-            raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
-        if self.n_thermal < 0:
-            raise ValueError(f"n_thermal must be nonnegative, got {self.n_thermal}")
+        require_finite(self)
+        for name in ("omega", "omega_f", "kappa", "gamma", "n_thermal"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if int(self.cutoff) != self.cutoff or self.cutoff < 1:
             raise ValueError(f"cutoff must be a positive integer, got {self.cutoff}")
 

@@ -11,6 +11,7 @@ the output does not depend on scheduling order.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
@@ -20,7 +21,7 @@ import numpy as np
 from .dynamics import IntegratorError, IntegratorSettings, evolve
 from .entanglement import concurrence
 from .model import ATOM_A, ATOM_B, SystemConfig, build_model, ground_state, standard_observables
-from .qops import assert_density_matrix, partial_trace
+from .qops import assert_density_matrix
 
 SWEEPABLE = ("n_thermal", "kappa", "gamma", "time")
 
@@ -44,6 +45,8 @@ class SweepAxis:
         values = tuple(float(v) for v in self.values)
         if not values:
             raise ValueError(f"axis {self.parameter} has no values")
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"axis {self.parameter} values must be finite")
         if any(v2 < v1 for v1, v2 in zip(values, values[1:])):
             raise ValueError(f"axis {self.parameter} values must be ascending")
         if any(v < 0 for v in values):
@@ -67,6 +70,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.axis2 is not None and self.axis1.parameter == self.axis2.parameter:
             raise ValueError(f"axis parameters must be distinct, both are {self.axis1.parameter!r}")
+        if not math.isfinite(self.evaluation_time):
+            raise ValueError(f"evaluation_time must be finite, got {self.evaluation_time}")
         if not self._has_time_axis() and self.evaluation_time <= 0:
             raise ValueError("evaluation_time must be positive when time is not a sweep axis")
         if isinstance(self.initial_state, str):
@@ -112,37 +117,31 @@ class SweepResult:
 
 
 def _run_trajectory_task(task):
-    """One trajectory, sampled at the requested times; returns per-time records.
+    """One trajectory, sampled at the requested times.
 
-    Module-level so process pools can pickle it. Integrator failures are
-    re-raised with the offending cell coordinates prepended.
+    Returns one record per time: the `SweepCell` fields after the two axis
+    values, in field order. Module-level so process pools can pickle it.
+    Integrator failures are re-raised with the offending cell coordinates
+    prepended.
     """
     cfg, times, rho0, settings, label = task
-    model = build_model(cfg)
     obs = standard_observables(cfg)
     obs.pop("mode_b_pop", None)
     try:
-        traj = evolve(model, rho0, settings, record_times=times, observables=obs)
+        traj = evolve(build_model(cfg), rho0, settings, record_times=times, observables=obs,
+                      reduce_to=(ATOM_A, ATOM_B))
     except IntegratorError as err:
         raise type(err)(f"{label}: {err}") from None
-    records = []
-    for idx in range(len(traj.times)):
-        atoms = partial_trace(traj.states[idx], model.layout, (ATOM_A, ATOM_B))
-        records.append(
-            (
-                concurrence(atoms).value,
-                float(traj.observables["mean_photon"][idx]),
-                float(traj.observables["p_ee_a"][idx]),
-                float(traj.observables["p_ee_b"][idx]),
-                float(traj.trace_residuals[idx]),
-                float(traj.min_eigenvalues[idx]),
-            )
-        )
-    return records
+    series = traj.observables
+    return [
+        (concurrence(atoms).value, float(series["mean_photon"][i]), float(series["p_ee_a"][i]),
+         float(series["p_ee_b"][i]), float(traj.trace_residuals[i]), float(traj.min_eigenvalues[i]))
+        for i, atoms in enumerate(traj.states)
+    ]
 
 
 def run_sweep(spec: SweepSpec, settings: IntegratorSettings, workers: int = 1) -> SweepResult:
-    """Evaluate the grid. `workers` > 1 distributes trajectories over processes."""
+    """Evaluate the grid. `workers` > 1 distributes trajectories over at most that many processes."""
     rho0 = spec.initial_density_matrix()
     a1, a2 = spec.axis1, spec.axis2
 
@@ -163,6 +162,7 @@ def run_sweep(spec: SweepSpec, settings: IntegratorSettings, workers: int = 1) -
         tasks.append((replace(spec.base, **fixed), times, rho0, settings, label))
         targets.append([tuple(r if k is None else k for k in cell) + pad for r in range(len(times))])
 
+    workers = min(workers, len(tasks))  # the pool starts all its processes up front
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_trajectory_task, tasks))
@@ -174,17 +174,8 @@ def run_sweep(spec: SweepSpec, settings: IntegratorSettings, workers: int = 1) -
     grid: list[list[SweepCell | None]] = [[None] * n2 for _ in range(n1)]
     for task_targets, records in zip(targets, results):
         for (i, j), rec in zip(task_targets, records):
-            grid[i][j] = SweepCell(
-                axis1_value=a1.values[i],
-                axis2_value=a2.values[j] if a2 is not None else None,
-                concurrence=rec[0],
-                mean_photon=rec[1],
-                p_ee_a=rec[2],
-                p_ee_b=rec[3],
-                trace_residual=rec[4],
-                min_eigenvalue=rec[5],
-            )
-    return SweepResult(spec=spec, cells=[[cell for cell in row] for row in grid])
+            grid[i][j] = SweepCell(a1.values[i], a2.values[j] if a2 is not None else None, *rec)
+    return SweepResult(spec=spec, cells=grid)
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,16 @@ import json
 import numpy as np
 import pytest
 
+import noisycav.cli
 from noisycav.cli import (
     EVOLVE_HEADER,
+    SUMMARY_HEADER,
     SWEEP_HEADER,
     ConfigError,
     main,
     parse_config,
 )
+from noisycav.sweep import SummaryRow
 
 
 class TestParseConfig:
@@ -42,6 +45,17 @@ class TestParseConfig:
     def test_non_numeric_value(self):
         with pytest.raises(ConfigError, match="kappa"):
             parse_config("kappa = fast\n")
+
+    @pytest.mark.parametrize("line", ["cutoff = 2.5\n", "record_stride = x\n", "cutoff = 1e3\n"])
+    def test_non_integer_value(self, line):
+        with pytest.raises(ConfigError, match=rf"line 1: value for {line.split()[0]} is not an integer"):
+            parse_config(line)
+
+    @pytest.mark.parametrize("key", ["omega", "g_a", "kappa", "gamma", "n_thermal", "dt", "t_max", "tolerance"])
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_key(self, key, raw):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            parse_config(f"{key} = {raw}\n")
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# physics\n\nkappa = 1.5  # overridden\n")
@@ -200,6 +214,47 @@ class TestSweepCommand:
         assert lines[0].startswith("fixed_value,argmax_value,max_concurrence")
         assert len(lines) == 3
 
+    def test_summary_sidecar_tokens(self, tmp_path):
+        # the CLI starts from |g,g,0>, where every cell is separable, so every
+        # row has no argmax; with time as an axis there is no product either
+        grid = ["--axis1", "n_thermal:0:1:3", "--axis2", "time:0:0.2:3", "--workers", "1"]
+        assert main(["sweep", "--out", str(tmp_path / "w.csv"), *grid]) == 0
+        sidecar = (tmp_path / "w.csv.summary.csv").read_text()
+        assert sidecar == SUMMARY_HEADER + "\n0,none,0,false,\n0.5,none,0,false,\n1,none,0,false,\n"
+        assert main(["sweep", "--out", str(tmp_path / "w.json"), "--format", "json", *grid]) == 0
+        rows = json.loads((tmp_path / "w.json.summary.json").read_text())["rows"]
+        assert rows[1] == {"fixed_value": 0.5, "argmax_value": None, "max_concurrence": 0.0,
+                           "interior": False, "product_at_argmax": None}
+
+    ROWS = [
+        SummaryRow(0.0, None, 0.0, False, None),
+        SummaryRow(1.0, 1.5, 0.25, True, 1.5),
+        SummaryRow(2.0, 0.3, 0.125, False, None),
+    ]
+
+    @pytest.mark.parametrize(
+        "fmt,expected",
+        [
+            ("csv", SUMMARY_HEADER + "\n0,none,0,false,\n1,1.5,0.25,true,1.5\n2,0.3,0.125,false,\n"),
+            ("json", json.dumps({"rows": [
+                {"fixed_value": 0.0, "argmax_value": None, "max_concurrence": 0.0,
+                 "interior": False, "product_at_argmax": None},
+                {"fixed_value": 1.0, "argmax_value": 1.5, "max_concurrence": 0.25,
+                 "interior": True, "product_at_argmax": 1.5},
+                {"fixed_value": 2.0, "argmax_value": 0.3, "max_concurrence": 0.125,
+                 "interior": False, "product_at_argmax": None},
+            ]}, indent=2) + "\n"),
+        ],
+    )
+    def test_summary_sidecar_format(self, fmt, expected, tmp_path, monkeypatch):
+        # rows with a maximum cannot come from a CLI run (see above), so they are injected
+        monkeypatch.setattr(noisycav.cli, "resonance_summary", lambda result: self.ROWS)
+        out = tmp_path / f"w.{fmt}"
+        args = ["sweep", "--out", str(out), "--format", fmt, "--axis1", "n_thermal:0:1:2",
+                "--axis2", "kappa:1:2:2", "--at-time", "0.05", "--workers", "1"]
+        assert main(args) == 0
+        assert (tmp_path / f"w.{fmt}.summary.{fmt}").read_text() == expected
+
     def test_preset_fig2_small(self, tmp_path):
         out = tmp_path / "w.csv"
         args = ["sweep", "--out", str(out), "--preset", "fig2", "--points", "3",
@@ -266,3 +321,26 @@ class TestSweepCommand:
         assert main(["sweep", "--out", str(a), "--workers", "1", *args]) == 0
         assert main(["sweep", "--out", str(b), "--workers", "2", *args]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["evolve", "--set", "kappa=nan"],
+        ["evolve", "--set", "dt=nan"],
+        ["evolve", "--set", "t_max=inf"],
+        ["evolve", "--set", "n_thermal=inf"],
+        ["steady", "--set", "gamma=nan"],
+        ["sweep", "--axis1", "n_thermal:nan:1:2", "--at-time", "0.1"],
+        ["sweep", "--axis1", "n_thermal:0:inf:2", "--at-time", "0.1"],
+        ["sweep", "--axis1", "n_thermal:0:1:2", "--at-time", "nan"],
+        ["sweep", "--axis1", "n_thermal:0:1:2", "--at-time", "inf"],
+        ["sweep", "--axis1", "n_thermal:0:1:2", "--at-time", "0.1", "--workers", "0"],
+        ["sweep", "--axis1", "n_thermal:0:1:2", "--at-time", "0.1", "--workers", "-3"],
+    ],
+)
+def test_invalid_values_are_exit_2(args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a run that slipped through would write here
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not list(tmp_path.iterdir())

@@ -121,6 +121,10 @@ class TestIntegratorSettings:
             (dict(tolerance=0.0), "tolerance"),
             (dict(tolerance=1e-3), "tolerance"),
             (dict(record_stride=0), "record_stride"),
+            (dict(dt=math.nan), "dt must be finite"),
+            (dict(t_max=math.inf), "t_max must be finite"),
+            (dict(tolerance=math.nan), "tolerance must be finite"),
+            (dict(record_stride=math.inf), "record_stride must be finite"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -287,6 +291,12 @@ class TestEvolve:
         traj = evolve(build_model(cfg), ground_state(cfg), IntegratorSettings(), record_times=times)
         assert np.allclose(traj.times, times)
         assert len(traj.states) == 3
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_record_times_must_be_finite(self, bad):
+        cfg = SystemConfig(cutoff=1)
+        with pytest.raises(ValueError, match="record times must be finite"):
+            evolve(build_model(cfg), ground_state(cfg), IntegratorSettings(), record_times=[0.0, bad])
 
     def test_zero_t_max_records_initial_state_only(self):
         cfg = SystemConfig()

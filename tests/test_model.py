@@ -53,6 +53,14 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match=field):
             SystemConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field", ["omega", "omega_f", "g_a", "g_b", "kappa", "gamma", "n_thermal", "cutoff"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_name_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SystemConfig(**{field: value})
+
     def test_layout_and_coupling(self):
         cfg = SystemConfig(g_a=3.0, g_b=4.0, cutoff=5)
         assert cfg.layout == SpaceLayout((2, 2, 6))

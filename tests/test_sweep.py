@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import noisycav.sweep
 from noisycav.dynamics import IntegratorError, IntegratorSettings, evolve
 from noisycav.entanglement import concurrence
 from noisycav.model import ATOM_A, ATOM_B, SystemConfig, build_model, ground_state
@@ -42,6 +43,17 @@ class TestSpecValidation:
     def test_axes_must_differ(self):
         with pytest.raises(ValueError, match="distinct"):
             small_spec(axis2=SweepAxis("n_thermal", (0.0, 1.0)))
+
+    @pytest.mark.parametrize("parameter", ["n_thermal", "time"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_values_must_be_finite(self, parameter, bad):
+        with pytest.raises(ValueError, match=f"axis {parameter} values must be finite"):
+            SweepAxis(parameter, (0.0, bad))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_evaluation_time_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="evaluation_time must be finite"):
+            SweepSpec(base=SystemConfig(), axis1=SweepAxis("kappa", (1.0,)), evaluation_time=bad)
 
     def test_evaluation_time_required_without_time_axis(self):
         with pytest.raises(ValueError, match="evaluation_time"):
@@ -98,6 +110,34 @@ class TestRunSweep:
         for row1, row2 in zip(serial.cells, parallel.cells):
             for c1, c2 in zip(row1, row2):
                 assert c1 == c2
+
+    @pytest.mark.parametrize("workers,n_tasks,pool_size", [(5000, 2, 2), (2, 3, 2), (4, 1, None), (1, 3, None)])
+    def test_pool_is_bounded_by_the_tasks(self, workers, n_tasks, pool_size, monkeypatch):
+        # a stand-in executor: a real pool of `workers` processes is never started
+        sizes = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(noisycav.sweep, "ProcessPoolExecutor", RecordingExecutor)
+        spec = SweepSpec(
+            base=SystemConfig(cutoff=1),
+            axis1=SweepAxis("n_thermal", tuple(0.5 * k for k in range(n_tasks))),
+            evaluation_time=0.02,
+        )
+        result = run_sweep(spec, FAST, workers=workers)
+        assert result.shape == (n_tasks, 1)
+        assert sizes == ([] if pool_size is None else [pool_size])
 
     def test_time_axis_batching_matches_independent_cells(self):
         # one trajectory sampled at several times must equal separate
