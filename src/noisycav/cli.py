@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 integrator failure,
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from argparse import ArgumentParser
@@ -281,6 +282,8 @@ def _parse_axis(raw: str) -> SweepAxis:
         raise ConfigError(f"axis bounds/count malformed in {raw!r}") from None
     if n_i < 1:
         raise ConfigError(f"axis point count must be >= 1, got {n_i}")
+    if not (math.isfinite(lo_f) and math.isfinite(hi_f)):
+        raise ConfigError(f"axis {name} bounds must be finite, got {raw!r}")
     return SweepAxis(name, tuple(np.linspace(lo_f, hi_f, n_i)))
 
 

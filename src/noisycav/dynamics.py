@@ -21,11 +21,14 @@ of all d^2 entries. Only those blocks are built.
 entries of the sectors rho0 touches (for |g,g,0> the q = 0 sector, 84 of the
 576 entries at cutoff 5): each of the four stages is one `make_rhs` call, a
 matrix-vector product per sector. A model without the symmetry is evaluated
-in matrix form on all d^2 entries, at the cost of dense RK4. After every step
-the vector is re-Hermitized as (x + conj(x[mirror]))/2, where mirror maps
-rho[i, j] to rho[j, i]; the pre-enforcement Hermiticity drift and the trace
-drift are checked against the per-step tolerance, and recorded states,
-scattered back into d x d matrices, must pass the density-matrix gates.
+in matrix form on all d^2 entries, at the cost of dense RK4. In place of a
+model, `evolve` also takes `SectorBlocks`, sector blocks built elsewhere: a
+sweep builds its generator once and re-weights it per cell (see `sweep`).
+After every step the vector is re-Hermitized as (x + conj(x[mirror]))/2,
+where mirror maps rho[i, j] to rho[j, i]; the pre-enforcement Hermiticity
+drift and the trace drift are checked against the per-step tolerance, and
+recorded states, scattered back into d x d matrices, must pass the
+density-matrix gates.
 Accuracy is certified by step halving, not by an embedded error estimator.
 
 `steady_state` solves on the q = 0 block and checks uniqueness on all of
@@ -51,6 +54,7 @@ from .model import (
 )
 from .qops import (
     POSITIVITY_TOL,
+    SpaceLayout,
     assert_density_matrix,
     dagger,
     excitation_numbers,
@@ -122,6 +126,30 @@ class Trajectory:
                 raise ValueError("observable series length disagrees with times")
 
 
+@dataclass(frozen=True, eq=False)
+class SectorBlocks:
+    """A Liouvillian given by its blocks on some coherence sectors, for use in place of a model.
+
+    `sectors` are (rows, cols) pairs as `_live_sectors` gives them, and
+    `blocks[s]` is sector s's `_superoperator_block`, the matrix that maps the
+    entries rho[rows, cols] to their time derivatives. `evolve` and `make_rhs`
+    take one wherever they take a `LindbladModel`.
+    """
+
+    layout: SpaceLayout
+    sectors: list[tuple[np.ndarray, np.ndarray]]
+    blocks: list[np.ndarray]
+
+    def __post_init__(self):
+        sizes = [len(rows) for rows, _ in self.sectors]
+        if [block.shape for block in self.blocks] != [(n, n) for n in sizes]:
+            raise ValueError(f"block shapes do not match sector sizes {sizes}")
+
+    @property
+    def dim(self) -> int:
+        return self.layout.dim
+
+
 def lindblad_rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
     """Master-equation right-hand side, written exactly as the equation reads."""
     h = model.hamiltonian
@@ -155,14 +183,15 @@ def _generator(model: LindbladModel) -> tuple[np.ndarray, list[np.ndarray]]:
     return 1j * h + sink, jumps
 
 
-def make_rhs(model: LindbladModel, sectors: list[tuple[np.ndarray, np.ndarray]]):
+def make_rhs(model: LindbladModel | SectorBlocks, sectors: list[tuple[np.ndarray, np.ndarray]]):
     """The master equation's right-hand side on the entries of `sectors`, as a function of their vector.
 
     `sectors` are (rows, cols) pairs from `_coherence_sectors`; the vector holds
     rho[rows, cols] of each in turn. Each sector maps into itself, so a sector's
     slice of the result is its `_superoperator_block` times its slice of the
-    vector. A model without the excitation-number symmetry is one sector of all
-    d^2 entries in vec order, whose block would be d^2 x d^2; it is evaluated in
+    vector; `SectorBlocks` bring their blocks, and `sectors` must be theirs. A
+    model without the excitation-number symmetry is one sector of all d^2
+    entries in vec order, whose block would be d^2 x d^2; it is evaluated in
     the `_generator` form
 
         rhs(rho) = -(M rho + rho M^dag) + sum_k J_k rho J_k^dag
@@ -171,36 +200,41 @@ def make_rhs(model: LindbladModel, sectors: list[tuple[np.ndarray, np.ndarray]])
     Agreement with `lindblad_rhs` is pinned by tests.
     """
     d = model.dim
-    if len(sectors) > 1 or len(sectors[0][0]) < d * d:
+    if isinstance(model, SectorBlocks):
+        if sectors is not model.sectors:
+            raise ValueError("SectorBlocks evaluate on their own sectors only")
+        blocks = model.blocks
+    elif len(sectors) > 1 or len(sectors[0][0]) < d * d:
         blocks = [_superoperator_block(model, rows, cols) for rows, cols in sectors]
-        if len(blocks) == 1:  # the usual case; the slicing loop costs ~25% of a sweep step
-            block = blocks[0]
-            return lambda x: block @ x
-        bounds = np.cumsum([0] + [len(rows) for rows, _ in sectors])
-        parts = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    else:
+        m, jumps = _generator(model)
+        mdag = m.conj().T
+        a = np.stack(jumps) if jumps else np.zeros((0, d, d), dtype=complex)
+        adag = a.conj().transpose(0, 2, 1)
 
         def rhs(x: np.ndarray) -> np.ndarray:
-            out = np.empty_like(x)
-            for block, part in zip(blocks, parts):
-                np.matmul(block, x[part], out=out[part])
-            return out
+            rho = unvec(x, d)
+            return vec(((a @ rho) @ adag).sum(axis=0) - (m @ rho + rho @ mdag))
 
         return rhs
 
-    m, jumps = _generator(model)
-    mdag = m.conj().T
-    a = np.stack(jumps) if jumps else np.zeros((0, d, d), dtype=complex)
-    adag = a.conj().transpose(0, 2, 1)
+    if len(blocks) == 1:  # the usual case; the slicing loop costs ~25% of a sweep step
+        block = blocks[0]
+        return lambda x: block @ x
+    bounds = np.cumsum([0] + [len(rows) for rows, _ in sectors])
+    parts = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
     def rhs(x: np.ndarray) -> np.ndarray:
-        rho = unvec(x, d)
-        return vec(((a @ rho) @ adag).sum(axis=0) - (m @ rho + rho @ mdag))
+        out = np.empty_like(x)
+        for block, part in zip(blocks, parts):
+            np.matmul(block, x[part], out=out[part])
+        return out
 
     return rhs
 
 
 def evolve(
-    model: LindbladModel,
+    model: LindbladModel | SectorBlocks,
     rho0: np.ndarray,
     settings: IntegratorSettings,
     record_times=None,
@@ -217,7 +251,9 @@ def evolve(
     always computed on the composite state.
 
     Only the entries of the coherence sectors rho0 touches are propagated
-    (see `_live_sectors`); every other entry of rho stays exactly 0.
+    (see `_live_sectors`); every other entry of rho stays exactly 0. For
+    `SectorBlocks` these are its sectors, which must hold every nonzero entry
+    of rho0.
     """
     assert_density_matrix(rho0)
     d = model.dim
@@ -238,12 +274,14 @@ def evolve(
     if any(t2 < t1 for t1, t2 in zip(record_times, record_times[1:])):
         raise ValueError("record times must be ascending")
 
-    sectors = _live_sectors(model, rho0)
+    sectors = model.sectors if isinstance(model, SectorBlocks) else _live_sectors(model, rho0)
     rhs = make_rhs(model, sectors)
     rows = np.concatenate([r for r, _ in sectors])
     cols = np.concatenate([c for _, c in sectors])
     pos = np.full((d, d), -1)
     pos[rows, cols] = np.arange(len(rows))
+    if np.any(rho0[pos < 0]):
+        raise ValueError("initial state has nonzero entries outside the sectors evolved")
     mirror = pos[cols, rows]  # position of rho[j, i] for each entry rho[i, j]
     diagonal = np.flatnonzero(rows == cols)
 

@@ -7,6 +7,12 @@ a single trajectory recorded at the requested times; otherwise every cell is
 an independent evolution to the evaluation time. Cells are independent and
 may be computed by a process pool; results are keyed by grid coordinates, so
 the output does not depend on scheduling order.
+
+No sweepable parameter touches the Hamiltonian or a collapse operator, only
+the rates of `model._channels`, so the model is built once per sweep: its
+sector generator is split into a Hamiltonian block and one unit-rate
+dissipator block per group of channels (`_RateComponents`), and each cell's
+generator is their rate-weighted sum, handed to `evolve` as `SectorBlocks`.
 """
 
 from __future__ import annotations
@@ -18,12 +24,29 @@ from itertools import product
 
 import numpy as np
 
-from .dynamics import IntegratorError, IntegratorSettings, evolve
+from .dynamics import (
+    IntegratorError,
+    IntegratorSettings,
+    SectorBlocks,
+    _live_sectors,
+    _superoperator_block,
+    evolve,
+)
 from .entanglement import concurrence
-from .model import ATOM_A, ATOM_B, SystemConfig, build_model, ground_state, standard_observables
-from .qops import assert_density_matrix
+from .model import (
+    ATOM_A,
+    ATOM_B,
+    LindbladModel,
+    SystemConfig,
+    _channels,
+    build_model,
+    ground_state,
+    standard_observables,
+)
+from .qops import SpaceLayout, assert_density_matrix, embed
 
 SWEEPABLE = ("n_thermal", "kappa", "gamma", "time")
+RECORDED = ("mean_photon", "p_ee_a", "p_ee_b")  # the observables a SweepCell holds
 
 
 def bright_mode_half_period(cfg: SystemConfig) -> float:
@@ -116,6 +139,55 @@ class SweepResult:
         return np.array([[cell.concurrence for cell in row] for row in self.cells])
 
 
+@dataclass(frozen=True, eq=False)
+class _RateComponents:
+    """A sweep's sector generator as a function of the channel rates.
+
+    The block of sector s at config cfg is
+
+        stacks[s][0] + sum_g rate_g(cfg) stacks[s][1 + g],
+
+    where stacks[s][0] is the Hamiltonian's block (no collapse terms) and
+    stacks[s][1 + g] the block of the `_channels` rows in `groups[g]` at unit
+    rate with H = 0: cavity loss, thermal pumping, and the emission of both
+    atoms, whose rates agree in every cell.
+    """
+
+    layout: SpaceLayout
+    sectors: list[tuple[np.ndarray, np.ndarray]]
+    groups: list[list[int]]
+    stacks: list[np.ndarray]
+
+    @classmethod
+    def build(cls, base: SystemConfig, cells: list[SystemConfig], rho0: np.ndarray) -> _RateComponents:
+        """Components of `build_model(base)` on the sectors rho0 touches, for the configs `cells`.
+
+        `_channels` rows whose rates are equal in every one of `cells` share a
+        group, so a cell's block costs one axpy per group.
+        """
+        model = build_model(base)
+        layout = model.layout
+        units = [(1.0, embed(op, slot, layout)) for slot, _, op in _channels(base)]
+        rates = np.array([[rate for _, rate, _ in _channels(cfg)] for cfg in cells])
+        groups: dict[int, list[int]] = {}  # first row of each group -> its rows
+        for k in range(len(units)):
+            first = next(j for j in range(k + 1) if np.array_equal(rates[:, j], rates[:, k]))
+            groups.setdefault(first, []).append(k)
+        # every channel present, so the sectors hold for any rates
+        sectors = _live_sectors(LindbladModel(model.hamiltonian, tuple(units), layout), rho0)
+        zero = np.zeros_like(model.hamiltonian)
+        parts = [LindbladModel(model.hamiltonian, (), layout)]
+        parts += [LindbladModel(zero, tuple(units[k] for k in rows), layout) for rows in groups.values()]
+        stacks = [np.stack([_superoperator_block(part, r, c) for part in parts]) for r, c in sectors]
+        return cls(layout, sectors, list(groups.values()), stacks)
+
+    def at(self, cfg: SystemConfig) -> SectorBlocks:
+        rates = [rate for _, rate, _ in _channels(cfg)]
+        weights = np.array([1.0] + [rates[rows[0]] for rows in self.groups])
+        blocks = [np.tensordot(weights, stack, axes=1) for stack in self.stacks]
+        return SectorBlocks(self.layout, self.sectors, blocks)
+
+
 def _run_trajectory_task(task):
     """One trajectory, sampled at the requested times.
 
@@ -124,18 +196,16 @@ def _run_trajectory_task(task):
     Integrator failures are re-raised with the offending cell coordinates
     prepended.
     """
-    cfg, times, rho0, settings, label = task
-    obs = standard_observables(cfg)
-    obs.pop("mode_b_pop", None)
+    components, cfg, times, rho0, settings, observables, label = task
     try:
-        traj = evolve(build_model(cfg), rho0, settings, record_times=times, observables=obs,
+        traj = evolve(components.at(cfg), rho0, settings, record_times=times, observables=observables,
                       reduce_to=(ATOM_A, ATOM_B))
     except IntegratorError as err:
         raise type(err)(f"{label}: {err}") from None
     series = traj.observables
     return [
-        (concurrence(atoms).value, float(series["mean_photon"][i]), float(series["p_ee_a"][i]),
-         float(series["p_ee_b"][i]), float(traj.trace_residuals[i]), float(traj.min_eigenvalues[i]))
+        (concurrence(atoms).value, *(float(series[name][i]) for name in RECORDED),
+         float(traj.trace_residuals[i]), float(traj.min_eigenvalues[i]))
         for i, atoms in enumerate(traj.states)
     ]
 
@@ -154,13 +224,16 @@ def run_sweep(spec: SweepSpec, settings: IntegratorSettings, workers: int = 1) -
         if axis.parameter == "time":
             times = list(axis.values)
     pad = (0,) if a2 is None else ()  # a one-axis grid has a single column
-    tasks = []
+    cfgs, labels = [], []
     targets = []  # list of lists of (i, j) aligned with each task's records
     for cell in product(*([None] if axis.parameter == "time" else range(len(axis)) for axis in axes)):
         fixed = {axis.parameter: axis.values[k] for axis, k in zip(axes, cell) if k is not None}
-        label = ", ".join(f"{name}={v:g}" for name, v in fixed.items()) or "time column"
-        tasks.append((replace(spec.base, **fixed), times, rho0, settings, label))
+        cfgs.append(replace(spec.base, **fixed))
+        labels.append(", ".join(f"{name}={v:g}" for name, v in fixed.items()) or "time column")
         targets.append([tuple(r if k is None else k for k in cell) + pad for r in range(len(times))])
+    components = _RateComponents.build(spec.base, cfgs, rho0)
+    observables = {name: op for name, op in standard_observables(spec.base).items() if name in RECORDED}
+    tasks = [(components, cfg, times, rho0, settings, observables, label) for cfg, label in zip(cfgs, labels)]
 
     workers = min(workers, len(tasks))  # the pool starts all its processes up front
     if workers > 1:

@@ -339,8 +339,9 @@ class TestSweepCommand:
         ["sweep", "--axis1", "n_thermal:0:1:2", "--at-time", "0.1", "--workers", "-3"],
     ],
 )
-def test_invalid_values_are_exit_2(args, tmp_path, monkeypatch, capsys):
+def test_invalid_values_are_exit_2(args, tmp_path, monkeypatch, capsys, recwarn):
     monkeypatch.chdir(tmp_path)  # a run that slipped through would write here
     assert main(args) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not list(tmp_path.iterdir())
+    assert not recwarn.list  # rejected before numpy sees the value

@@ -10,8 +10,11 @@ from noisycav.dynamics import (
     IntegratorError,
     IntegratorSettings,
     RankDeficientError,
+    SectorBlocks,
     Trajectory,
     _coherence_sectors,
+    _live_sectors,
+    _superoperator_block,
     evolve,
     lindblad_rhs,
     make_rhs,
@@ -515,6 +518,29 @@ class TestSectorEvolve:
         reference = reference_rk4(model, rho0, RECORD_TIMES, 0.01)
         for state, expected in zip(traj.states, reference):
             assert np.abs(state - partial_trace(expected, model.layout, (ATOM_A, ATOM_B))).max() <= 1e-12
+
+    def test_prebuilt_blocks_evolve_as_the_model(self):
+        model, rho0 = evolve_case("superposition", 3)
+        sectors = _live_sectors(model, rho0)
+        assert len(sectors) == 3
+        blocks = SectorBlocks(model.layout, sectors, [_superoperator_block(model, r, c) for r, c in sectors])
+        settings = IntegratorSettings(dt=0.01, t_max=1.0)
+        expected = evolve(model, rho0, settings, record_times=RECORD_TIMES)
+        traj = evolve(blocks, rho0, settings, record_times=RECORD_TIMES)
+        for state, want in zip(traj.states, expected.states):
+            assert np.array_equal(state, want)
+
+    def test_prebuilt_blocks_hold_only_their_sectors(self):
+        cfg = SystemConfig(n_thermal=0.5, cutoff=3)
+        model = build_model(cfg)
+        sectors = _live_sectors(model, ground_state(cfg))  # q = 0 only
+        blocks = SectorBlocks(model.layout, sectors, [_superoperator_block(model, r, c) for r, c in sectors])
+        with pytest.raises(ValueError, match="outside the sectors"):
+            evolve(blocks, superposition_start(cfg), IntegratorSettings(dt=0.01, t_max=0.1))
+        with pytest.raises(ValueError, match="own sectors"):
+            make_rhs(blocks, list(sectors))
+        with pytest.raises(ValueError, match="block shapes"):
+            SectorBlocks(model.layout, sectors, [])
 
 
 class TestSectorSteadyState:

@@ -1,11 +1,16 @@
+from dataclasses import replace
+from itertools import product
+
 import numpy as np
 import pytest
 
 import noisycav.sweep
-from noisycav.dynamics import IntegratorError, IntegratorSettings, evolve
+from noisycav.dynamics import IntegratorError, IntegratorSettings, _superoperator_block, evolve
 from noisycav.entanglement import concurrence
-from noisycav.model import ATOM_A, ATOM_B, SystemConfig, build_model, ground_state
+from noisycav.model import ATOM_A, ATOM_B, SystemConfig, build_model, ground_state, standard_observables
+from noisycav.qops import basis_state
 from noisycav.sweep import (
+    RECORDED,
     SweepAxis,
     SweepCell,
     SweepResult,
@@ -17,6 +22,7 @@ from noisycav.sweep import (
     resonance_summary,
     run_sweep,
 )
+from noisycav.sweep import _RateComponents
 
 FAST = IntegratorSettings(dt=0.004, t_max=5.0)
 
@@ -220,6 +226,98 @@ def synthetic_result(grid, axis1_values, axis2_values, params=("n_thermal", "kap
         for i, a1 in enumerate(axis1_values)
     ]
     return SweepResult(spec=spec, cells=cells)
+
+
+def _superposition_state(cfg):
+    """(|g,g,0> + |e,g,0>)/sqrt(2): the q = 0 sector and the coherences in q = +1 and -1."""
+    ket = (basis_state(cfg.layout.dim, 0) + basis_state(cfg.layout.dim, 2 * (cfg.cutoff + 1))) / np.sqrt(2.0)
+    return np.outer(ket, ket.conj())
+
+
+def _independent_cell(cfg, rho0, times):
+    """A trajectory's records from a model of its own, in the order of `_run_trajectory_task`."""
+    observables = {name: op for name, op in standard_observables(cfg).items() if name in RECORDED}
+    traj = evolve(build_model(cfg), rho0, FAST, record_times=times, observables=observables,
+                  reduce_to=(ATOM_A, ATOM_B))
+    return [
+        (concurrence(atoms).value, *(traj.observables[name][i] for name in RECORDED),
+         traj.trace_residuals[i], traj.min_eigenvalues[i])
+        for i, atoms in enumerate(traj.states)
+    ]
+
+
+GENERATOR_SPECS = {
+    "fig3": lambda base: SweepSpec(base=base, axis1=SweepAxis("n_thermal", (0.0, 0.7, 1.5)),
+                                   axis2=SweepAxis("kappa", (0.5, 2.0, 4.0)), evaluation_time=0.2),
+    "fig4": lambda base: SweepSpec(base=base, axis1=SweepAxis("n_thermal", (0.0, 1.0)),
+                                   axis2=SweepAxis("gamma", (0.0, 0.4, 1.0)), evaluation_time=0.2),
+    "time_axis": lambda base: SweepSpec(base=base, axis1=SweepAxis("gamma", (0.0, 0.5)),
+                                        axis2=SweepAxis("time", (0.0, 0.1, 0.25))),
+    "sectors": lambda base: SweepSpec(base=base, axis1=SweepAxis("kappa", (1.0, 3.0)),
+                                      axis2=SweepAxis("n_thermal", (0.0, 0.8)), evaluation_time=0.2,
+                                      initial_state=_superposition_state(base)),
+}
+
+
+class TestRateComponents:
+    """The per-sweep generator, re-weighted per cell, against a model built per cell."""
+
+    @pytest.mark.parametrize("parameter,values", [
+        ("n_thermal", (0.0, 0.4, 2.5)),
+        ("kappa", (0.0, 0.3, 5.0)),
+        ("gamma", (0.0, 0.2, 1.0)),
+    ])
+    @pytest.mark.parametrize("start", ["ground", "superposition"])
+    def test_cell_blocks_match_a_model_per_cell(self, parameter, values, start):
+        base = SystemConfig(cutoff=3, n_thermal=0.5, g_a=0.8, g_b=1.3)
+        rho0 = ground_state(base) if start == "ground" else _superposition_state(base)
+        cells = [replace(base, **{parameter: v}) for v in values]
+        components = _RateComponents.build(base, cells, rho0)
+        assert len(components.sectors) == (1 if start == "ground" else 3)
+        for cfg in cells:
+            got = components.at(cfg)
+            model = build_model(cfg)
+            for (rows, cols), block in zip(got.sectors, got.blocks):
+                expected = _superoperator_block(model, rows, cols)
+                assert np.abs(block - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_channels_with_equal_rates_in_every_cell_share_a_block(self):
+        # cavity loss, thermal pumping, and both atoms' emission at the one rate gamma
+        base = SystemConfig(cutoff=2)
+        cells = [replace(base, n_thermal=v) for v in (0.0, 1.0)]
+        assert _RateComponents.build(base, cells, ground_state(base)).groups == [[0], [1], [2, 3]]
+        # a single cell where pumping and emission are both off: one group fewer, still exact
+        cell = replace(base, gamma=0.0)
+        components = _RateComponents.build(base, [cell], ground_state(base))
+        assert components.groups == [[0], [1, 2, 3]]
+        (rows, cols), = components.sectors
+        expected = _superoperator_block(build_model(cell), rows, cols)
+        assert np.abs(components.at(cell).blocks[0] - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @staticmethod
+    def assert_cells_match_independent_evolutions(spec, workers):
+        result = run_sweep(spec, FAST, workers=workers)
+        rho0 = spec.initial_density_matrix()
+        time_axis = [axis for axis in (spec.axis1, spec.axis2) if axis.parameter == "time"]
+        times = list(time_axis[0].values) if time_axis else [spec.evaluation_time]
+        for i, j in product(range(len(spec.axis1)), range(len(spec.axis2))):
+            index = {axis.parameter: (axis, k) for axis, k in zip((spec.axis1, spec.axis2), (i, j))}
+            _, r = index.pop("time", (None, 0))
+            cfg = replace(spec.base, **{name: axis.values[k] for name, (axis, k) in index.items()})
+            expected = _independent_cell(cfg, rho0, times)[r]
+            cell = result.cells[i][j]
+            got = (cell.concurrence, cell.mean_photon, cell.p_ee_a, cell.p_ee_b, cell.trace_residual,
+                   cell.min_eigenvalue)
+            assert np.abs(np.subtract(got, expected)).max() <= 1e-12, (i, j)
+
+    @pytest.mark.parametrize("case", sorted(GENERATOR_SPECS))
+    def test_cells_match_independent_evolutions(self, case):
+        spec = GENERATOR_SPECS[case](SystemConfig(cutoff=3, gamma=0.3, g_a=0.8, g_b=1.3))
+        self.assert_cells_match_independent_evolutions(spec, workers=1)
+
+    def test_pooled_cells_match_independent_evolutions(self):
+        spec = GENERATOR_SPECS["fig3"](SystemConfig(cutoff=3, gamma=0.3))
+        self.assert_cells_match_independent_evolutions(spec, workers=2)
 
 
 class TestResonanceSummary:
