@@ -112,6 +112,9 @@ def _build_run_config(values: dict[str, object]) -> RunConfig:
         system, integrator = settings(SystemConfig), settings(IntegratorSettings)
     except ValueError as err:
         raise ConfigError(str(err)) from None
+    if system.omega != system.omega_f:  # no command builds the lab frame, where they would enter
+        raise ConfigError(f"omega={system.omega:g} differs from omega_f={system.omega_f:g}; "
+                          "the CLI models resonant atoms and cavity")
     return RunConfig(system, integrator, out=values.get("out"), fmt=values.get("format", "csv"))
 
 
@@ -290,6 +293,9 @@ def _parse_axis(raw: str) -> SweepAxis:
 def _sweep_spec_from_args(run_cfg: RunConfig, args) -> SweepSpec:
     if not (args.preset or args.axis1):
         raise ConfigError("sweep needs --preset or --axis1")
+    if args.preset and (args.axis1 or args.axis2 or args.at_time is not None):
+        raise ConfigError(f"--preset {args.preset} sets the axes and evaluation time; "
+                          "drop --axis1, --axis2 and --at-time")
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     try:
@@ -298,15 +304,13 @@ def _sweep_spec_from_args(run_cfg: RunConfig, args) -> SweepSpec:
         axis1 = _parse_axis(args.axis1)
         axis2 = _parse_axis(args.axis2) if args.axis2 else None
         has_time = axis1.parameter == "time" or (axis2 is not None and axis2.parameter == "time")
-        eval_time = args.at_time
-        if eval_time is None and not has_time:
-            eval_time = bright_mode_half_period(run_cfg.system)
-        return SweepSpec(
-            base=run_cfg.system,
-            axis1=axis1,
-            axis2=axis2,
-            evaluation_time=0.0 if has_time else eval_time,
-        )
+        if has_time:
+            if args.at_time is not None:
+                raise ConfigError("--at-time does not apply when time is a sweep axis")
+            eval_time = 0.0
+        else:
+            eval_time = bright_mode_half_period(run_cfg.system) if args.at_time is None else args.at_time
+        return SweepSpec(base=run_cfg.system, axis1=axis1, axis2=axis2, evaluation_time=eval_time)
     except ValueError as err:
         raise ConfigError(str(err)) from None
 

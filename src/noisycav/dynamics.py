@@ -17,13 +17,13 @@ vec(A X B) = (B^T kron A) vec(X)) is block-diagonal in the order
 q = N_i - N_j of the entry rho[i, j]; a model that breaks this is one sector
 of all d^2 entries. Only those blocks are built.
 
-`evolve` integrates with fixed-step classical RK4 on the vector of the
-entries of the sectors rho0 touches (for |g,g,0> the q = 0 sector, 84 of the
-576 entries at cutoff 5): each of the four stages is one `make_rhs` call, a
-matrix-vector product per sector. A model without the symmetry is evaluated
-in matrix form on all d^2 entries, at the cost of dense RK4. In place of a
-model, `evolve` also takes `SectorBlocks`, sector blocks built elsewhere: a
-sweep builds its generator once and re-weights it per cell (see `sweep`).
+`evolve` integrates with fixed-step classical RK4 on the entries that
+`_evolved_entries` picks: the q = 0 sector when the model has the symmetry and
+rho0 has no coherence between different N (|g,g,0>: 84 of the 576 entries at
+cutoff 5), each of the four stages one `make_rhs` matvec with its block; else
+all d^2 entries, in matrix form at the cost of dense RK4. In place of a model,
+`evolve` also takes `SectorBlocks`, a q = 0 block built elsewhere: a sweep
+builds its generator once and re-weights it per cell (see `sweep`).
 After every step the vector is re-Hermitized as (x + conj(x[mirror]))/2,
 where mirror maps rho[i, j] to rho[j, i]; the pre-enforcement Hermiticity
 drift and the trace drift are checked against the per-step tolerance, and
@@ -128,22 +128,23 @@ class Trajectory:
 
 @dataclass(frozen=True, eq=False)
 class SectorBlocks:
-    """A Liouvillian given by its blocks on some coherence sectors, for use in place of a model.
+    """A Liouvillian given by its block on one set of entries, for use in place of a model.
 
-    `sectors` are (rows, cols) pairs as `_live_sectors` gives them, and
-    `blocks[s]` is sector s's `_superoperator_block`, the matrix that maps the
-    entries rho[rows, cols] to their time derivatives. `evolve` and `make_rhs`
-    take one wherever they take a `LindbladModel`.
+    `block` is the `_superoperator_block` of the entries rho[rows, cols], the
+    matrix that maps them to their time derivatives; the entries must form a
+    sector the Liouvillian maps into itself. `evolve` and `make_rhs` take one
+    wherever they take a `LindbladModel`.
     """
 
     layout: SpaceLayout
-    sectors: list[tuple[np.ndarray, np.ndarray]]
-    blocks: list[np.ndarray]
+    rows: np.ndarray
+    cols: np.ndarray
+    block: np.ndarray
 
     def __post_init__(self):
-        sizes = [len(rows) for rows, _ in self.sectors]
-        if [block.shape for block in self.blocks] != [(n, n) for n in sizes]:
-            raise ValueError(f"block shapes do not match sector sizes {sizes}")
+        n = len(self.rows)
+        if self.block.shape != (n, n):
+            raise ValueError(f"block shape {self.block.shape} does not match the {n} entries")
 
     @property
     def dim(self) -> int:
@@ -183,16 +184,14 @@ def _generator(model: LindbladModel) -> tuple[np.ndarray, list[np.ndarray]]:
     return 1j * h + sink, jumps
 
 
-def make_rhs(model: LindbladModel | SectorBlocks, sectors: list[tuple[np.ndarray, np.ndarray]]):
-    """The master equation's right-hand side on the entries of `sectors`, as a function of their vector.
+def make_rhs(model: LindbladModel | SectorBlocks, rows: np.ndarray, cols: np.ndarray):
+    """The master equation's right-hand side on the entries rho[rows, cols], as a function of their vector.
 
-    `sectors` are (rows, cols) pairs from `_coherence_sectors`; the vector holds
-    rho[rows, cols] of each in turn. Each sector maps into itself, so a sector's
-    slice of the result is its `_superoperator_block` times its slice of the
-    vector; `SectorBlocks` bring their blocks, and `sectors` must be theirs. A
-    model without the excitation-number symmetry is one sector of all d^2
-    entries in vec order, whose block would be d^2 x d^2; it is evaluated in
-    the `_generator` form
+    The entries are a sector from `_coherence_sectors`, which maps into itself,
+    or all d^2 entries in vec order (see `_evolved_entries`). A sector's result
+    is its `_superoperator_block` (for `SectorBlocks`, their block, on their own
+    entries only) times the vector. All d^2 entries, whose block would be
+    d^2 x d^2, are evaluated in the `_generator` form
 
         rhs(rho) = -(M rho + rho M^dag) + sum_k J_k rho J_k^dag
 
@@ -201,11 +200,11 @@ def make_rhs(model: LindbladModel | SectorBlocks, sectors: list[tuple[np.ndarray
     """
     d = model.dim
     if isinstance(model, SectorBlocks):
-        if sectors is not model.sectors:
-            raise ValueError("SectorBlocks evaluate on their own sectors only")
-        blocks = model.blocks
-    elif len(sectors) > 1 or len(sectors[0][0]) < d * d:
-        blocks = [_superoperator_block(model, rows, cols) for rows, cols in sectors]
+        if rows is not model.rows or cols is not model.cols:
+            raise ValueError("SectorBlocks evaluate on their own entries only")
+        block = model.block
+    elif len(rows) < d * d:
+        block = _superoperator_block(model, rows, cols)
     else:
         m, jumps = _generator(model)
         mdag = m.conj().T
@@ -217,20 +216,7 @@ def make_rhs(model: LindbladModel | SectorBlocks, sectors: list[tuple[np.ndarray
             return vec(((a @ rho) @ adag).sum(axis=0) - (m @ rho + rho @ mdag))
 
         return rhs
-
-    if len(blocks) == 1:  # the usual case; the slicing loop costs ~25% of a sweep step
-        block = blocks[0]
-        return lambda x: block @ x
-    bounds = np.cumsum([0] + [len(rows) for rows, _ in sectors])
-    parts = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-
-    def rhs(x: np.ndarray) -> np.ndarray:
-        out = np.empty_like(x)
-        for block, part in zip(blocks, parts):
-            np.matmul(block, x[part], out=out[part])
-        return out
-
-    return rhs
+    return lambda x: block @ x
 
 
 def evolve(
@@ -250,10 +236,10 @@ def evolve(
     stored states are partial traces over the complement; diagnostics are
     always computed on the composite state.
 
-    Only the entries of the coherence sectors rho0 touches are propagated
-    (see `_live_sectors`); every other entry of rho stays exactly 0. For
-    `SectorBlocks` these are its sectors, which must hold every nonzero entry
-    of rho0.
+    The entries propagated are those of `_evolved_entries`: the q = 0 sector
+    when rho0 lies in it, whose other entries stay exactly 0, else all d^2.
+    For `SectorBlocks` they are its entries, which must hold every nonzero
+    entry of rho0.
     """
     assert_density_matrix(rho0)
     d = model.dim
@@ -274,10 +260,8 @@ def evolve(
     if any(t2 < t1 for t1, t2 in zip(record_times, record_times[1:])):
         raise ValueError("record times must be ascending")
 
-    sectors = model.sectors if isinstance(model, SectorBlocks) else _live_sectors(model, rho0)
-    rhs = make_rhs(model, sectors)
-    rows = np.concatenate([r for r, _ in sectors])
-    cols = np.concatenate([c for _, c in sectors])
+    rows, cols = (model.rows, model.cols) if isinstance(model, SectorBlocks) else _evolved_entries(model, rho0)
+    rhs = make_rhs(model, rows, cols)
     pos = np.full((d, d), -1)
     pos[rows, cols] = np.arange(len(rows))
     if np.any(rho0[pos < 0]):
@@ -417,16 +401,21 @@ def _coherence_sectors(model: LindbladModel) -> list[tuple[np.ndarray, np.ndarra
     return [(rows[order == q], cols[order == q]) for q in sorted(set(order.tolist()), key=abs)]
 
 
-def _live_sectors(model: LindbladModel, rho0: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The sectors of `_coherence_sectors` that rho0 or its transpose has a nonzero entry in.
+def _evolved_entries(model: LindbladModel, rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries (rows, cols) of rho that `evolve` propagates from rho0.
 
-    Entries outside them stay exactly 0 under the Liouvillian. Taking the
-    transpose too keeps sector -q with sector q, so rho[j, i] is live whenever
-    rho[i, j] is, even for a rho0 with a one-sided round-off coherence.
+    The q = 0 sector of `_coherence_sectors` when rho0 has no nonzero entry
+    outside it; every other entry then stays exactly 0 under the Liouvillian.
+    Otherwise, or for a model without the symmetry, all d^2 entries in vec
+    order.
     """
-    nonzero = rho0 != 0
-    touched = nonzero | nonzero.T
-    return [(rows, cols) for rows, cols in _coherence_sectors(model) if touched[rows, cols].any()]
+    rows, cols = _coherence_sectors(model)[0]
+    outside = np.ones(rho0.shape, dtype=bool)
+    outside[rows, cols] = False
+    if np.any(rho0[outside]):
+        entries = np.arange(rho0.size)
+        return entries % model.dim, entries // model.dim
+    return rows, cols
 
 
 def steady_state(model: LindbladModel, residual_tol: float = 1e-8) -> np.ndarray:

@@ -82,10 +82,6 @@ def annihilation(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff + 1)), k=1).astype(complex)
 
 
-def creation(cutoff: int) -> np.ndarray:
-    return dagger(annihilation(cutoff))
-
-
 def number_operator(cutoff: int) -> np.ndarray:
     if cutoff < 1:
         raise ValueError(f"cutoff must be at least 1, got {cutoff}")
@@ -104,10 +100,6 @@ def sigma_plus() -> np.ndarray:
 def sigma_minus() -> np.ndarray:
     """|g><e| in the |g>=0, |e>=1 ordering."""
     return np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-
-
-def ground_projector() -> np.ndarray:
-    return np.diag([1.0, 0.0]).astype(complex)
 
 
 def excited_projector() -> np.ndarray:

@@ -9,10 +9,12 @@ may be computed by a process pool; results are keyed by grid coordinates, so
 the output does not depend on scheduling order.
 
 No sweepable parameter touches the Hamiltonian or a collapse operator, only
-the rates of `model._channels`, so the model is built once per sweep: its
-sector generator is split into a Hamiltonian block and one unit-rate
-dissipator block per group of channels (`_RateComponents`), and each cell's
-generator is their rate-weighted sum, handed to `evolve` as `SectorBlocks`.
+the rates of `model._channels`, so the model is built once per sweep. Sweeps
+evolve on the q = 0 sector (their starts have no coherence between different
+excitation numbers; `evolve` rejects one that has): its generator is split
+into a Hamiltonian block and one unit-rate dissipator block per group of
+channels (`_RateComponents`), and each cell's generator is their
+rate-weighted sum, handed to `evolve` as `SectorBlocks`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .dynamics import (
     IntegratorError,
     IntegratorSettings,
     SectorBlocks,
-    _live_sectors,
+    _coherence_sectors,
     _superoperator_block,
     evolve,
 )
@@ -141,26 +143,27 @@ class SweepResult:
 
 @dataclass(frozen=True, eq=False)
 class _RateComponents:
-    """A sweep's sector generator as a function of the channel rates.
+    """A sweep's q = 0 generator as a function of the channel rates.
 
-    The block of sector s at config cfg is
+    The block at config cfg is
 
-        stacks[s][0] + sum_g rate_g(cfg) stacks[s][1 + g],
+        stack[0] + sum_g rate_g(cfg) stack[1 + g],
 
-    where stacks[s][0] is the Hamiltonian's block (no collapse terms) and
-    stacks[s][1 + g] the block of the `_channels` rows in `groups[g]` at unit
-    rate with H = 0: cavity loss, thermal pumping, and the emission of both
-    atoms, whose rates agree in every cell.
+    where stack[0] is the Hamiltonian's block (no collapse terms) and
+    stack[1 + g] the block of the `_channels` rows in `groups[g]` at unit rate
+    with H = 0: cavity loss, thermal pumping, and the emission of both atoms,
+    whose rates agree in every cell.
     """
 
     layout: SpaceLayout
-    sectors: list[tuple[np.ndarray, np.ndarray]]
+    rows: np.ndarray
+    cols: np.ndarray
     groups: list[list[int]]
-    stacks: list[np.ndarray]
+    stack: np.ndarray
 
     @classmethod
-    def build(cls, base: SystemConfig, cells: list[SystemConfig], rho0: np.ndarray) -> _RateComponents:
-        """Components of `build_model(base)` on the sectors rho0 touches, for the configs `cells`.
+    def build(cls, base: SystemConfig, cells: list[SystemConfig]) -> _RateComponents:
+        """Components of `build_model(base)` on its q = 0 sector, for the configs `cells`.
 
         `_channels` rows whose rates are equal in every one of `cells` share a
         group, so a cell's block costs one axpy per group.
@@ -173,19 +176,18 @@ class _RateComponents:
         for k in range(len(units)):
             first = next(j for j in range(k + 1) if np.array_equal(rates[:, j], rates[:, k]))
             groups.setdefault(first, []).append(k)
-        # every channel present, so the sectors hold for any rates
-        sectors = _live_sectors(LindbladModel(model.hamiltonian, tuple(units), layout), rho0)
+        # every channel present, so the sector holds for any rates
+        rows, cols = _coherence_sectors(LindbladModel(model.hamiltonian, tuple(units), layout))[0]
         zero = np.zeros_like(model.hamiltonian)
         parts = [LindbladModel(model.hamiltonian, (), layout)]
-        parts += [LindbladModel(zero, tuple(units[k] for k in rows), layout) for rows in groups.values()]
-        stacks = [np.stack([_superoperator_block(part, r, c) for part in parts]) for r, c in sectors]
-        return cls(layout, sectors, list(groups.values()), stacks)
+        parts += [LindbladModel(zero, tuple(units[k] for k in group), layout) for group in groups.values()]
+        stack = np.stack([_superoperator_block(part, rows, cols) for part in parts])
+        return cls(layout, rows, cols, list(groups.values()), stack)
 
     def at(self, cfg: SystemConfig) -> SectorBlocks:
         rates = [rate for _, rate, _ in _channels(cfg)]
-        weights = np.array([1.0] + [rates[rows[0]] for rows in self.groups])
-        blocks = [np.tensordot(weights, stack, axes=1) for stack in self.stacks]
-        return SectorBlocks(self.layout, self.sectors, blocks)
+        weights = np.array([1.0] + [rates[group[0]] for group in self.groups])
+        return SectorBlocks(self.layout, self.rows, self.cols, np.tensordot(weights, self.stack, axes=1))
 
 
 def _run_trajectory_task(task):
@@ -231,14 +233,15 @@ def run_sweep(spec: SweepSpec, settings: IntegratorSettings, workers: int = 1) -
         cfgs.append(replace(spec.base, **fixed))
         labels.append(", ".join(f"{name}={v:g}" for name, v in fixed.items()) or "time column")
         targets.append([tuple(r if k is None else k for k in cell) + pad for r in range(len(times))])
-    components = _RateComponents.build(spec.base, cfgs, rho0)
+    components = _RateComponents.build(spec.base, cfgs)
     observables = {name: op for name, op in standard_observables(spec.base).items() if name in RECORDED}
     tasks = [(components, cfg, times, rho0, settings, observables, label) for cfg, label in zip(cfgs, labels)]
 
     workers = min(workers, len(tasks))  # the pool starts all its processes up front
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_trajectory_task, tasks))
+            # one chunk per worker, pickled as one object: the shared components travel once per worker
+            results = list(pool.map(_run_trajectory_task, tasks, chunksize=math.ceil(len(tasks) / workers)))
     else:
         results = [_run_trajectory_task(task) for task in tasks]
 

@@ -337,6 +337,11 @@ class TestSweepCommand:
         ["sweep", "--axis1", "n_thermal:0:1:2", "--at-time", "inf"],
         ["sweep", "--axis1", "n_thermal:0:1:2", "--at-time", "0.1", "--workers", "0"],
         ["sweep", "--axis1", "n_thermal:0:1:2", "--at-time", "0.1", "--workers", "-3"],
+        ["sweep", "--preset", "fig3", "--at-time", "0.05"],
+        ["sweep", "--preset", "fig3", "--axis1", "gamma:0:1:3"],
+        ["sweep", "--preset", "fig3", "--axis2", "gamma:0:1:3"],
+        ["sweep", "--axis1", "n_thermal:0:1:2", "--axis2", "time:0:1:2", "--at-time", "0.1"],
+        ["evolve", "--set", "omega=7"],
     ],
 )
 def test_invalid_values_are_exit_2(args, tmp_path, monkeypatch, capsys, recwarn):

@@ -13,7 +13,7 @@ from noisycav.dynamics import (
     SectorBlocks,
     Trajectory,
     _coherence_sectors,
-    _live_sectors,
+    _evolved_entries,
     _superoperator_block,
     evolve,
     lindblad_rhs,
@@ -191,16 +191,16 @@ class TestLindbladRHS:
 
     @pytest.mark.parametrize("case", sorted(GENERATOR_CASES))
     def test_compiled_evaluator_matches(self, case, rng):
-        # on all sectors together and on each alone, against the equation as
-        # written; a sector's entries of the result depend on its own entries only
+        # on each sector alone (one block) and on all d^2 entries (matrix form),
+        # against the equation as written; a sector's entries of the result
+        # depend on its own entries only
         model = GENERATOR_CASES[case]()
-        sectors = _coherence_sectors(model)
-        for chosen in [sectors] + [[sector] for sector in sectors]:
-            rows = np.concatenate([r for r, _ in chosen])
-            cols = np.concatenate([c for _, c in chosen])
-            fast = make_rhs(model, chosen)
+        d = model.dim
+        everything = (np.arange(d * d) % d, np.arange(d * d) // d)
+        for rows, cols in _coherence_sectors(model) + [everything]:
+            fast = make_rhs(model, rows, cols)
             for _ in range(3):
-                rho = random_trace_one_hermitian(rng, model.dim)
+                rho = random_trace_one_hermitian(rng, d)
                 expected = lindblad_rhs(model, rho)[rows, cols]
                 assert np.abs(fast(rho[rows, cols]) - expected).max() < 1e-13
 
@@ -473,7 +473,7 @@ def evolve_case(case, cutoff):
 
 
 class TestSectorEvolve:
-    """Sector RK4 against a full-matrix RK4 written here on `lindblad_rhs` alone."""
+    """RK4 on the evolved entries (q = 0 or all) against a full-matrix RK4 written here on `lindblad_rhs` alone."""
 
     @pytest.mark.parametrize("cutoff", [2, 3, 4])
     @pytest.mark.parametrize("case", sorted(EVOLVE_CASES))
@@ -520,10 +520,9 @@ class TestSectorEvolve:
             assert np.abs(state - partial_trace(expected, model.layout, (ATOM_A, ATOM_B))).max() <= 1e-12
 
     def test_prebuilt_blocks_evolve_as_the_model(self):
-        model, rho0 = evolve_case("superposition", 3)
-        sectors = _live_sectors(model, rho0)
-        assert len(sectors) == 3
-        blocks = SectorBlocks(model.layout, sectors, [_superoperator_block(model, r, c) for r, c in sectors])
+        model, rho0 = evolve_case("thermal_atoms", 3)
+        rows, cols = _coherence_sectors(model)[0]
+        blocks = SectorBlocks(model.layout, rows, cols, _superoperator_block(model, rows, cols))
         settings = IntegratorSettings(dt=0.01, t_max=1.0)
         expected = evolve(model, rho0, settings, record_times=RECORD_TIMES)
         traj = evolve(blocks, rho0, settings, record_times=RECORD_TIMES)
@@ -533,14 +532,26 @@ class TestSectorEvolve:
     def test_prebuilt_blocks_hold_only_their_sectors(self):
         cfg = SystemConfig(n_thermal=0.5, cutoff=3)
         model = build_model(cfg)
-        sectors = _live_sectors(model, ground_state(cfg))  # q = 0 only
-        blocks = SectorBlocks(model.layout, sectors, [_superoperator_block(model, r, c) for r, c in sectors])
+        rows, cols = _coherence_sectors(model)[0]
+        blocks = SectorBlocks(model.layout, rows, cols, _superoperator_block(model, rows, cols))
         with pytest.raises(ValueError, match="outside the sectors"):
             evolve(blocks, superposition_start(cfg), IntegratorSettings(dt=0.01, t_max=0.1))
-        with pytest.raises(ValueError, match="own sectors"):
-            make_rhs(blocks, list(sectors))
-        with pytest.raises(ValueError, match="block shapes"):
-            SectorBlocks(model.layout, sectors, [])
+        with pytest.raises(ValueError, match="own entries"):
+            make_rhs(blocks, rows.copy(), cols)
+        with pytest.raises(ValueError, match="block shape"):
+            SectorBlocks(model.layout, rows, cols, np.zeros((1, 1)))
+
+    def test_population_start_evolves_q0_and_coherent_start_everything(self):
+        # the one rule: the q = 0 sector for a start without coherence between
+        # different N, all d^2 entries in vec order for one with a q = +-1 coherence
+        cfg = SystemConfig(n_thermal=0.5, cutoff=3)
+        model = build_model(cfg)
+        d = cfg.layout.dim
+        ket = excited_ket(cfg)
+        rows, cols = _evolved_entries(model, np.outer(ket, ket.conj()))
+        assert np.array_equal(np.sort(rows * d + cols), np.flatnonzero(coherence_orders(model) == 0))
+        rows, cols = _evolved_entries(model, superposition_start(cfg))
+        assert np.array_equal(rows + d * cols, np.arange(d * d))
 
 
 class TestSectorSteadyState:

@@ -8,13 +8,11 @@ from noisycav.qops import (
     annihilation,
     assert_density_matrix,
     basis_state,
-    creation,
     dagger,
     density_matrix_defects,
     embed,
     excitation_numbers,
     excited_projector,
-    ground_projector,
     hermitian_eigensystem,
     identity,
     number_operator,
@@ -89,7 +87,7 @@ class TestQubitOperators:
         assert np.array_equal(pauli_z(), np.diag([-1.0, 1.0]))
 
     def test_projectors(self):
-        assert np.array_equal(ground_projector() + excited_projector(), np.eye(2))
+        assert np.array_equal(excited_projector(), np.diag([0.0, 1.0]))  # |e><e|
         assert np.array_equal(excited_projector(), sigma_plus() @ sigma_minus())
 
     def test_sparsity(self):
@@ -278,6 +276,3 @@ class TestSpaceLayout:
         )
         assert np.array_equal(excitation_numbers(layout), np.diag(total).real.astype(int))
         assert list(excitation_numbers(SpaceLayout((3,)))) == [0, 1, 2]
-
-    def test_creation_is_adjoint(self):
-        assert np.array_equal(creation(3), dagger(annihilation(3)))

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from itertools import product
 
@@ -120,7 +121,7 @@ class TestRunSweep:
     @pytest.mark.parametrize("workers,n_tasks,pool_size", [(5000, 2, 2), (2, 3, 2), (4, 1, None), (1, 3, None)])
     def test_pool_is_bounded_by_the_tasks(self, workers, n_tasks, pool_size, monkeypatch):
         # a stand-in executor: a real pool of `workers` processes is never started
-        sizes = []
+        sizes, chunks = [], []
 
         class RecordingExecutor:
             def __init__(self, max_workers):
@@ -132,7 +133,8 @@ class TestRunSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
+            def map(self, fn, tasks, chunksize=1):
+                chunks.append(chunksize)
                 return map(fn, tasks)
 
         monkeypatch.setattr(noisycav.sweep, "ProcessPoolExecutor", RecordingExecutor)
@@ -144,6 +146,8 @@ class TestRunSweep:
         result = run_sweep(spec, FAST, workers=workers)
         assert result.shape == (n_tasks, 1)
         assert sizes == ([] if pool_size is None else [pool_size])
+        # one chunk per worker, so the shared components are pickled once per worker
+        assert chunks == ([] if pool_size is None else [math.ceil(n_tasks / pool_size)])
 
     def test_time_axis_batching_matches_independent_cells(self):
         # one trajectory sampled at several times must equal separate
@@ -253,9 +257,6 @@ GENERATOR_SPECS = {
                                    axis2=SweepAxis("gamma", (0.0, 0.4, 1.0)), evaluation_time=0.2),
     "time_axis": lambda base: SweepSpec(base=base, axis1=SweepAxis("gamma", (0.0, 0.5)),
                                         axis2=SweepAxis("time", (0.0, 0.1, 0.25))),
-    "sectors": lambda base: SweepSpec(base=base, axis1=SweepAxis("kappa", (1.0, 3.0)),
-                                      axis2=SweepAxis("n_thermal", (0.0, 0.8)), evaluation_time=0.2,
-                                      initial_state=_superposition_state(base)),
 }
 
 
@@ -267,32 +268,32 @@ class TestRateComponents:
         ("kappa", (0.0, 0.3, 5.0)),
         ("gamma", (0.0, 0.2, 1.0)),
     ])
-    @pytest.mark.parametrize("start", ["ground", "superposition"])
+    @pytest.mark.parametrize("start", ["ground", "excited"])
     def test_cell_blocks_match_a_model_per_cell(self, parameter, values, start):
         base = SystemConfig(cutoff=3, n_thermal=0.5, g_a=0.8, g_b=1.3)
-        rho0 = ground_state(base) if start == "ground" else _superposition_state(base)
         cells = [replace(base, **{parameter: v}) for v in values]
-        components = _RateComponents.build(base, cells, rho0)
-        assert len(components.sectors) == (1 if start == "ground" else 3)
+        components = _RateComponents.build(base, cells)
+        # the one q = 0 sector holds every population start, |g,g,0> and |e,e,0> alike
+        rho0 = ground_state(base) if start == "ground" else _excited_state(base)
+        outside = np.ones(rho0.shape, dtype=bool)
+        outside[components.rows, components.cols] = False
+        assert not np.any(rho0[outside])
         for cfg in cells:
             got = components.at(cfg)
-            model = build_model(cfg)
-            for (rows, cols), block in zip(got.sectors, got.blocks):
-                expected = _superoperator_block(model, rows, cols)
-                assert np.abs(block - expected).max() <= 1e-13 * np.abs(expected).max()
+            expected = _superoperator_block(build_model(cfg), got.rows, got.cols)
+            assert np.abs(got.block - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_channels_with_equal_rates_in_every_cell_share_a_block(self):
         # cavity loss, thermal pumping, and both atoms' emission at the one rate gamma
         base = SystemConfig(cutoff=2)
         cells = [replace(base, n_thermal=v) for v in (0.0, 1.0)]
-        assert _RateComponents.build(base, cells, ground_state(base)).groups == [[0], [1], [2, 3]]
+        assert _RateComponents.build(base, cells).groups == [[0], [1], [2, 3]]
         # a single cell where pumping and emission are both off: one group fewer, still exact
         cell = replace(base, gamma=0.0)
-        components = _RateComponents.build(base, [cell], ground_state(base))
+        components = _RateComponents.build(base, [cell])
         assert components.groups == [[0], [1, 2, 3]]
-        (rows, cols), = components.sectors
-        expected = _superoperator_block(build_model(cell), rows, cols)
-        assert np.abs(components.at(cell).blocks[0] - expected).max() <= 1e-13 * np.abs(expected).max()
+        expected = _superoperator_block(build_model(cell), components.rows, components.cols)
+        assert np.abs(components.at(cell).block - expected).max() <= 1e-13 * np.abs(expected).max()
 
     @staticmethod
     def assert_cells_match_independent_evolutions(spec, workers):
@@ -314,6 +315,13 @@ class TestRateComponents:
     def test_cells_match_independent_evolutions(self, case):
         spec = GENERATOR_SPECS[case](SystemConfig(cutoff=3, gamma=0.3, g_a=0.8, g_b=1.3))
         self.assert_cells_match_independent_evolutions(spec, workers=1)
+
+    def test_coherent_start_is_rejected(self):
+        # the sweep generator is the q = 0 block; coherences in q = +1 and -1 lie outside it
+        spec = SweepSpec(base=SystemConfig(cutoff=3), axis1=SweepAxis("kappa", (1.0, 3.0)), evaluation_time=0.2,
+                         initial_state=_superposition_state(SystemConfig(cutoff=3)))
+        with pytest.raises(ValueError, match="outside the sectors evolved"):
+            run_sweep(spec, FAST)
 
     def test_pooled_cells_match_independent_evolutions(self):
         spec = GENERATOR_SPECS["fig3"](SystemConfig(cutoff=3, gamma=0.3))
