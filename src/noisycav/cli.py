@@ -3,8 +3,10 @@
 Configuration is a plain key=value document ('#' comments allowed). The keys
 are the fields of SystemConfig and IntegratorSettings plus `out` and `format`;
 any other key is an error, so a typo like "gama" is not a silently ignored
-default. Output is CSV or JSON with deterministic formatting: repeated runs on
-the same platform produce byte-identical files.
+default; `--out`, `--format` and `--cutoff` override their keys. Output is
+CSV, every file written by `_write_table`, or JSON, with deterministic
+formatting: repeated runs on the same platform produce byte-identical files.
+A sweep runs in this process unless `--workers` asks for a process pool.
 
 Exit codes: 0 success, 2 configuration error, 3 integrator failure,
 4 degenerate steady state.
@@ -14,10 +16,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 from argparse import ArgumentParser
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,7 @@ from .model import (
 )
 from .qops import partial_trace
 from .sweep import (
+    PRESETS,
     SweepAxis,
     SweepSpec,
     bright_mode_half_period,
@@ -56,6 +58,7 @@ from .sweep import (
 EVOLVE_HEADER = "t,concurrence,p_ee_a,p_ee_b,mean_photon,mode_b_pop,trace_residual"
 SWEEP_HEADER = "axis1_name,axis1_value,axis2_name,axis2_value,concurrence,mean_photon,trace_residual"
 SUMMARY_HEADER = "fixed_value,argmax_value,max_concurrence,interior,product_at_argmax"
+STEADY_HEADER = "field,value"
 
 # Every configuration key and the type its value is parsed as: the settings
 # fields take the type of their default.
@@ -207,19 +210,14 @@ def cmd_steady(run_cfg: RunConfig, cavity_only: bool = False) -> int:
 
     out = run_cfg.out or f"steady.{run_cfg.fmt}"
     if run_cfg.fmt == "csv":
-        lines = ["field,value"]
+        values = {}
         if atoms is not None:
-            for i in range(4):
-                for j in range(4):
-                    lines.append(f"rho_atoms_re_{i}_{j},{_fmt(atoms[i, j].real)}")
-            for i in range(4):
-                for j in range(4):
-                    lines.append(f"rho_atoms_im_{i}_{j},{_fmt(atoms[i, j].imag)}")
-            lines.append(f"concurrence,{_fmt(conc)}")
-        for k, p in enumerate(photons):
-            lines.append(f"photon_{k},{_fmt(p)}")
-        lines.append(f"liouvillian_residual,{_fmt(residual)}")
-        Path(out).write_text("\n".join(lines) + "\n")
+            for part, plane in (("re", atoms.real), ("im", atoms.imag)):
+                values.update({f"rho_atoms_{part}_{i}_{j}": plane[i, j] for i in range(4) for j in range(4)})
+            values["concurrence"] = conc
+        values.update({f"photon_{k}": p for k, p in enumerate(photons)})
+        values["liouvillian_residual"] = residual
+        _write_table(out, "csv", STEADY_HEADER, [{"field": k, "value": v} for k, v in values.items()])
     else:
         payload = {
             "reduced_atoms_re": None if atoms is None else [[float(x) for x in row] for row in atoms.real],
@@ -298,9 +296,14 @@ def _sweep_spec_from_args(run_cfg: RunConfig, args) -> SweepSpec:
                           "drop --axis1, --axis2 and --at-time")
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+    if args.points is not None and not args.preset:
+        raise ConfigError("--points sizes a preset grid; without --preset give the count in PARAM:LO:HI:N")
+    if args.points is not None and args.points < 1:
+        raise ConfigError(f"--points must be at least 1, got {args.points}")
     try:
         if args.preset:
-            return preset_spec(args.preset, run_cfg.system, points=args.points)
+            points = {} if args.points is None else {"points": args.points}
+            return preset_spec(args.preset, run_cfg.system, **points)
         axis1 = _parse_axis(args.axis1)
         axis2 = _parse_axis(args.axis2) if args.axis2 else None
         has_time = axis1.parameter == "time" or (axis2 is not None and axis2.parameter == "time")
@@ -347,14 +350,15 @@ def _build_parser() -> ArgumentParser:
                 help="drop the atoms: thermally damped cavity mode alone",
             )
         if name == "sweep":
-            sp.add_argument("--preset", choices=("fig2", "fig3", "fig4"), help="figure-reproduction grid")
-            sp.add_argument("--points", type=int, default=31, help="grid points per preset axis")
+            sp.add_argument("--preset", choices=tuple(PRESETS), help="figure-reproduction grid")
+            sp.add_argument("--points", type=int, help="grid points per preset axis (only with --preset)")
             sp.add_argument("--axis1", metavar="PARAM:LO:HI:N", help="first sweep axis")
             sp.add_argument("--axis2", metavar="PARAM:LO:HI:N", help="second sweep axis")
             sp.add_argument("--at-time", dest="at_time", type=float,
                             help="evaluation time when time is not an axis (default 1/(2g))")
-            sp.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                            help="parallel trajectory workers (at most one per trajectory)")
+            sp.add_argument("--workers", type=int, default=1,
+                            help="parallel trajectory workers (at most one per trajectory; "
+                            "pin BLAS to one thread when above 1)")
     return parser
 
 
@@ -371,14 +375,10 @@ def _load_run_config(args) -> RunConfig:
             raise ConfigError(f"--set expects KEY=VALUE, got {raw!r}")
         key, value = _parse_assignment(raw, "--set")
         values[key] = value
-    if args.cutoff is not None:
-        values["cutoff"] = args.cutoff
-    run_cfg = _build_run_config(values)
-    if args.out:
-        run_cfg = replace(run_cfg, out=args.out)
-    if args.format:
-        run_cfg = replace(run_cfg, fmt=args.format)
-    return run_cfg
+    for key, value in (("cutoff", args.cutoff), ("out", args.out or None), ("format", args.format)):
+        if value is not None:
+            values[key] = value
+    return _build_run_config(values)
 
 
 def main(argv=None) -> int:

@@ -17,13 +17,15 @@ vec(A X B) = (B^T kron A) vec(X)) is block-diagonal in the order
 q = N_i - N_j of the entry rho[i, j]; a model that breaks this is one sector
 of all d^2 entries. Only those blocks are built.
 
-`evolve` integrates with fixed-step classical RK4 on the entries that
-`_evolved_entries` picks: the q = 0 sector when the model has the symmetry and
-rho0 has no coherence between different N (|g,g,0>: 84 of the 576 entries at
-cutoff 5), each of the four stages one `make_rhs` matvec with its block; else
-all d^2 entries, in matrix form at the cost of dense RK4. In place of a model,
-`evolve` also takes `SectorBlocks`, a q = 0 block built elsewhere: a sweep
-builds its generator once and re-weights it per cell (see `sweep`).
+`evolve` integrates with fixed-step classical RK4, each of the four stages
+one call of the evaluator `make_rhs` builds from its generator, chosen by
+type. When the model has the symmetry and rho0 has no coherence between
+different N (|g,g,0>: 84 of the 576 entries at cutoff 5), the generator is
+the q = 0 `SectorBlocks` of `_evolved_entries` and a stage is one matvec with
+its block; else it is the model itself, on all d^2 entries in matrix form at
+the cost of dense RK4. In place of a model, `evolve` also takes
+`SectorBlocks` built elsewhere: a sweep builds its generator once and
+re-weights it per cell (see `sweep`).
 After every step the vector is re-Hermitized as (x + conj(x[mirror]))/2,
 where mirror maps rho[i, j] to rho[j, i]; the pre-enforcement Hermiticity
 drift and the trace drift are checked against the per-step tolerance, and
@@ -133,7 +135,7 @@ class SectorBlocks:
     `block` is the `_superoperator_block` of the entries rho[rows, cols], the
     matrix that maps them to their time derivatives; the entries must form a
     sector the Liouvillian maps into itself. `evolve` and `make_rhs` take one
-    wherever they take a `LindbladModel`.
+    in place of a `LindbladModel`, and evolve only its entries.
     """
 
     layout: SpaceLayout
@@ -184,39 +186,32 @@ def _generator(model: LindbladModel) -> tuple[np.ndarray, list[np.ndarray]]:
     return 1j * h + sink, jumps
 
 
-def make_rhs(model: LindbladModel | SectorBlocks, rows: np.ndarray, cols: np.ndarray):
-    """The master equation's right-hand side on the entries rho[rows, cols], as a function of their vector.
+def make_rhs(generator: LindbladModel | SectorBlocks):
+    """The master equation's right-hand side as a function of the vector of the entries it evolves.
 
-    The entries are a sector from `_coherence_sectors`, which maps into itself,
-    or all d^2 entries in vec order (see `_evolved_entries`). A sector's result
-    is its `_superoperator_block` (for `SectorBlocks`, their block, on their own
-    entries only) times the vector. All d^2 entries, whose block would be
-    d^2 x d^2, are evaluated in the `_generator` form
+    `SectorBlocks` evolve their own entries: the result is their block times
+    the vector. A model evolves all d^2 entries in vec order, whose block would
+    be d^2 x d^2, so it is evaluated in the `_generator` form
 
         rhs(rho) = -(M rho + rho M^dag) + sum_k J_k rho J_k^dag
 
     instead, on rho = unvec(x), with the jump terms stacked for batched matmul.
     Agreement with `lindblad_rhs` is pinned by tests.
     """
-    d = model.dim
-    if isinstance(model, SectorBlocks):
-        if rows is not model.rows or cols is not model.cols:
-            raise ValueError("SectorBlocks evaluate on their own entries only")
-        block = model.block
-    elif len(rows) < d * d:
-        block = _superoperator_block(model, rows, cols)
-    else:
-        m, jumps = _generator(model)
-        mdag = m.conj().T
-        a = np.stack(jumps) if jumps else np.zeros((0, d, d), dtype=complex)
-        adag = a.conj().transpose(0, 2, 1)
+    if isinstance(generator, SectorBlocks):
+        block = generator.block
+        return lambda x: block @ x
+    d = generator.dim
+    m, jumps = _generator(generator)
+    mdag = m.conj().T
+    a = np.stack(jumps) if jumps else np.zeros((0, d, d), dtype=complex)
+    adag = a.conj().transpose(0, 2, 1)
 
-        def rhs(x: np.ndarray) -> np.ndarray:
-            rho = unvec(x, d)
-            return vec(((a @ rho) @ adag).sum(axis=0) - (m @ rho + rho @ mdag))
+    def rhs(x: np.ndarray) -> np.ndarray:
+        rho = unvec(x, d)
+        return vec(((a @ rho) @ adag).sum(axis=0) - (m @ rho + rho @ mdag))
 
-        return rhs
-    return lambda x: block @ x
+    return rhs
 
 
 def evolve(
@@ -236,10 +231,10 @@ def evolve(
     stored states are partial traces over the complement; diagnostics are
     always computed on the composite state.
 
-    The entries propagated are those of `_evolved_entries`: the q = 0 sector
-    when rho0 lies in it, whose other entries stay exactly 0, else all d^2.
-    For `SectorBlocks` they are its entries, which must hold every nonzero
-    entry of rho0.
+    A model is propagated on the q = 0 `SectorBlocks` of `_evolved_entries`
+    when rho0 lies in that sector, whose other entries stay exactly 0, else on
+    all d^2 entries. Given `SectorBlocks`, their entries are propagated, and
+    they must hold every nonzero entry of rho0.
     """
     assert_density_matrix(rho0)
     d = model.dim
@@ -260,8 +255,12 @@ def evolve(
     if any(t2 < t1 for t1, t2 in zip(record_times, record_times[1:])):
         raise ValueError("record times must be ascending")
 
-    rows, cols = (model.rows, model.cols) if isinstance(model, SectorBlocks) else _evolved_entries(model, rho0)
-    rhs = make_rhs(model, rows, cols)
+    generator = model if isinstance(model, SectorBlocks) else _evolved_entries(model, rho0) or model
+    if isinstance(generator, SectorBlocks):
+        rows, cols = generator.rows, generator.cols
+    else:  # all d^2 entries, in vec order
+        rows, cols = np.arange(d * d) % d, np.arange(d * d) // d
+    rhs = make_rhs(generator)
     pos = np.full((d, d), -1)
     pos[rows, cols] = np.arange(len(rows))
     if np.any(rho0[pos < 0]):
@@ -401,21 +400,21 @@ def _coherence_sectors(model: LindbladModel) -> list[tuple[np.ndarray, np.ndarra
     return [(rows[order == q], cols[order == q]) for q in sorted(set(order.tolist()), key=abs)]
 
 
-def _evolved_entries(model: LindbladModel, rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The entries (rows, cols) of rho that `evolve` propagates from rho0.
+def _evolved_entries(model: LindbladModel, rho0: np.ndarray) -> SectorBlocks | None:
+    """The q = 0 sector of `_coherence_sectors` as `SectorBlocks`, for `evolve` to propagate from rho0.
 
-    The q = 0 sector of `_coherence_sectors` when rho0 has no nonzero entry
-    outside it; every other entry then stays exactly 0 under the Liouvillian.
-    Otherwise, or for a model without the symmetry, all d^2 entries in vec
-    order.
+    Every entry outside it then stays exactly 0 under the Liouvillian. None
+    when rho0 has a nonzero entry outside it, or when the model lacks the
+    symmetry (one sector of all d^2 entries): `evolve` then propagates all
+    d^2 entries with the model itself.
     """
-    rows, cols = _coherence_sectors(model)[0]
+    sectors = _coherence_sectors(model)
+    rows, cols = sectors[0]
     outside = np.ones(rho0.shape, dtype=bool)
     outside[rows, cols] = False
-    if np.any(rho0[outside]):
-        entries = np.arange(rho0.size)
-        return entries % model.dim, entries // model.dim
-    return rows, cols
+    if len(sectors) == 1 or np.any(rho0[outside]):
+        return None
+    return SectorBlocks(model.layout, rows, cols, _superoperator_block(model, rows, cols))
 
 
 def steady_state(model: LindbladModel, residual_tol: float = 1e-8) -> np.ndarray:

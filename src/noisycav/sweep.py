@@ -15,6 +15,9 @@ excitation numbers; `evolve` rejects one that has): its generator is split
 into a Hamiltonian block and one unit-rate dissipator block per group of
 channels (`_RateComponents`), and each cell's generator is their
 rate-weighted sum, handed to `evolve` as `SectorBlocks`.
+
+The figure grids behind the CLI's --preset are the rows of `PRESETS`, each
+built by `preset_spec`.
 """
 
 from __future__ import annotations
@@ -316,35 +319,24 @@ def _linspace(lo: float, hi: float, n: int) -> tuple[float, ...]:
     return tuple(np.linspace(lo, hi, n))
 
 
-def preset_spec(name: str, base: SystemConfig, points: int = 31) -> SweepSpec:
-    """Figure-reproduction grids behind the CLI presets fig2/fig3/fig4.
+# The figure presets: noise intensity n_thermal in [0, 3] against one second
+# axis, (parameter, its values at n points), evaluated at t = 1/(2g) unless
+# that axis is time.
+PRESETS = {
+    "fig2": ("time", lambda n: _linspace(0.0, 5.0, n)),  # time in [0, 5]
+    "fig3": ("kappa", lambda n: tuple(5.0 * k / n for k in range(1, n + 1))),  # cavity decay in (0, 5]
+    "fig4": ("gamma", lambda n: _linspace(0.0, 1.0, n)),  # atomic decay in [0, 1]
+}
 
-    fig2: noise intensity in [0,3] versus time in [0,5];
-    fig3: noise intensity in [0,3] versus cavity decay in (0,5] at t = 1/(2g);
-    fig4: noise intensity in [0,3] versus atomic decay in [0,1] at t = 1/(2g).
-    """
-    if name == "fig2":
-        return SweepSpec(
-            base=base,
-            axis1=SweepAxis("n_thermal", _linspace(0.0, 3.0, points)),
-            axis2=SweepAxis("time", _linspace(0.0, 5.0, points)),
-        )
-    if name == "fig3":
-        kappas = tuple(5.0 * k / points for k in range(1, points + 1))
-        return SweepSpec(
-            base=base,
-            axis1=SweepAxis("n_thermal", _linspace(0.0, 3.0, points)),
-            axis2=SweepAxis("kappa", kappas),
-            evaluation_time=bright_mode_half_period(base),
-        )
-    if name == "fig4":
-        return SweepSpec(
-            base=base,
-            axis1=SweepAxis("n_thermal", _linspace(0.0, 3.0, points)),
-            axis2=SweepAxis("gamma", _linspace(0.0, 1.0, points)),
-            evaluation_time=bright_mode_half_period(base),
-        )
-    raise ValueError(f"unknown preset {name!r}; choose fig2, fig3 or fig4")
+
+def preset_spec(name: str, base: SystemConfig, points: int = 31) -> SweepSpec:
+    """The `PRESETS` grid `name` at `points` values per axis, behind the CLI's --preset."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {', '.join(PRESETS)}")
+    parameter, values = PRESETS[name]
+    noise, second = SweepAxis("n_thermal", _linspace(0.0, 3.0, points)), SweepAxis(parameter, values(points))
+    time = 0.0 if parameter == "time" else bright_mode_half_period(base)
+    return SweepSpec(base=base, axis1=noise, axis2=second, evaluation_time=time)
 
 
 def product_spread(rows: list[SummaryRow]) -> tuple[float, float] | None:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import noisycav.sweep
+
 
 def random_density_matrix(rng, dim, rank=None):
     """GG†/tr(GG†): full rank unless `rank` says otherwise."""
@@ -31,3 +33,30 @@ def random_trace_one_hermitian(rng, dim):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """A stand-in for the sweep's process pool, so a real pool is never started.
+
+    Returns the lists of the `max_workers` of every pool made and the
+    `chunksize` of every map; the tasks run in this process.
+    """
+    sizes, chunks = [], []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            chunks.append(chunksize)
+            return map(fn, tasks)
+
+    monkeypatch.setattr(noisycav.sweep, "ProcessPoolExecutor", RecordingExecutor)
+    return sizes, chunks

@@ -300,6 +300,21 @@ class TestSweepCommand:
         assert main(["sweep", *args]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args", [["--preset", "fig3", "--points", "-2"], ["--axis1", "n_thermal:0:1:2", "--points", "3"]]
+    )
+    def test_points_errors_name_points(self, args, capsys):
+        assert main(["sweep", *args]) == 2
+        assert "--points" in capsys.readouterr().err
+
+    def test_default_sweep_starts_no_pool(self, tmp_path, recording_pool):
+        # a pool is opt-in: forked workers with full BLAS thread pools oversubscribe the CPU
+        sizes, _ = recording_pool
+        args = ["sweep", "--out", str(tmp_path / "w.csv"), "--axis1", "n_thermal:0:1:3",
+                "--at-time", "0.05", "--cutoff", "2"]
+        assert main(args) == 0
+        assert sizes == []
+
     def test_json_records_mirror_csv(self, tmp_path):
         base = ["sweep", "--axis1", "n_thermal:0:1:2", "--at-time", "0.2"]
         csv_out = tmp_path / "w.csv"
@@ -342,6 +357,8 @@ class TestSweepCommand:
         ["sweep", "--preset", "fig3", "--axis2", "gamma:0:1:3"],
         ["sweep", "--axis1", "n_thermal:0:1:2", "--axis2", "time:0:1:2", "--at-time", "0.1"],
         ["evolve", "--set", "omega=7"],
+        ["sweep", "--preset", "fig3", "--points", "-2"],
+        ["sweep", "--axis1", "n_thermal:0:1:2", "--at-time", "0.05", "--cutoff", "2", "--points", "3"],
     ],
 )
 def test_invalid_values_are_exit_2(args, tmp_path, monkeypatch, capsys, recwarn):

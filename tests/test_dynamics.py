@@ -191,14 +191,16 @@ class TestLindbladRHS:
 
     @pytest.mark.parametrize("case", sorted(GENERATOR_CASES))
     def test_compiled_evaluator_matches(self, case, rng):
-        # on each sector alone (one block) and on all d^2 entries (matrix form),
-        # against the equation as written; a sector's entries of the result
-        # depend on its own entries only
+        # each sector alone as `SectorBlocks` (one block) and the model on all
+        # d^2 entries (matrix form), against the equation as written; a
+        # sector's entries of the result depend on its own entries only
         model = GENERATOR_CASES[case]()
         d = model.dim
         everything = (np.arange(d * d) % d, np.arange(d * d) // d)
-        for rows, cols in _coherence_sectors(model) + [everything]:
-            fast = make_rhs(model, rows, cols)
+        cases = [(SectorBlocks(model.layout, rows, cols, _superoperator_block(model, rows, cols)), (rows, cols))
+                 for rows, cols in _coherence_sectors(model)]
+        for generator, (rows, cols) in cases + [(model, everything)]:
+            fast = make_rhs(generator)
             for _ in range(3):
                 rho = random_trace_one_hermitian(rng, d)
                 expected = lindblad_rhs(model, rho)[rows, cols]
@@ -536,22 +538,23 @@ class TestSectorEvolve:
         blocks = SectorBlocks(model.layout, rows, cols, _superoperator_block(model, rows, cols))
         with pytest.raises(ValueError, match="outside the sectors"):
             evolve(blocks, superposition_start(cfg), IntegratorSettings(dt=0.01, t_max=0.1))
-        with pytest.raises(ValueError, match="own entries"):
-            make_rhs(blocks, rows.copy(), cols)
         with pytest.raises(ValueError, match="block shape"):
             SectorBlocks(model.layout, rows, cols, np.zeros((1, 1)))
 
     def test_population_start_evolves_q0_and_coherent_start_everything(self):
-        # the one rule: the q = 0 sector for a start without coherence between
-        # different N, all d^2 entries in vec order for one with a q = +-1 coherence
+        # the one rule: the q = 0 block for a start without coherence between
+        # different N, none (the model on all d^2 entries) for one with a
+        # q = +-1 coherence or a model without the symmetry
         cfg = SystemConfig(n_thermal=0.5, cutoff=3)
         model = build_model(cfg)
         d = cfg.layout.dim
         ket = excited_ket(cfg)
-        rows, cols = _evolved_entries(model, np.outer(ket, ket.conj()))
+        blocks = _evolved_entries(model, np.outer(ket, ket.conj()))
+        rows, cols = blocks.rows, blocks.cols
         assert np.array_equal(np.sort(rows * d + cols), np.flatnonzero(coherence_orders(model) == 0))
-        rows, cols = _evolved_entries(model, superposition_start(cfg))
-        assert np.array_equal(rows + d * cols, np.arange(d * d))
+        assert np.array_equal(blocks.block, _superoperator_block(model, rows, cols))
+        assert _evolved_entries(model, superposition_start(cfg)) is None
+        assert _evolved_entries(with_atom_a_sigma_x(model), np.outer(ket, ket.conj())) is None
 
 
 class TestSectorSteadyState:

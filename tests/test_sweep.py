@@ -5,7 +5,6 @@ from itertools import product
 import numpy as np
 import pytest
 
-import noisycav.sweep
 from noisycav.dynamics import IntegratorError, IntegratorSettings, _superoperator_block, evolve
 from noisycav.entanglement import concurrence
 from noisycav.model import ATOM_A, ATOM_B, SystemConfig, build_model, ground_state, standard_observables
@@ -119,25 +118,8 @@ class TestRunSweep:
                 assert c1 == c2
 
     @pytest.mark.parametrize("workers,n_tasks,pool_size", [(5000, 2, 2), (2, 3, 2), (4, 1, None), (1, 3, None)])
-    def test_pool_is_bounded_by_the_tasks(self, workers, n_tasks, pool_size, monkeypatch):
-        # a stand-in executor: a real pool of `workers` processes is never started
-        sizes, chunks = [], []
-
-        class RecordingExecutor:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                chunks.append(chunksize)
-                return map(fn, tasks)
-
-        monkeypatch.setattr(noisycav.sweep, "ProcessPoolExecutor", RecordingExecutor)
+    def test_pool_is_bounded_by_the_tasks(self, workers, n_tasks, pool_size, recording_pool):
+        sizes, chunks = recording_pool
         spec = SweepSpec(
             base=SystemConfig(cutoff=1),
             axis1=SweepAxis("n_thermal", tuple(0.5 * k for k in range(n_tasks))),
