@@ -12,6 +12,7 @@ distance to zero inspectable.
 
 import argparse
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,12 @@ def run(argv=None):
     parser.add_argument("--t-points", type=int, default=20)
     parser.add_argument("--dt", type=float, default=0.002)
     args = parser.parse_args(argv)
+    for flag, count in (("--nt-points", args.nt_points), ("--t-points", args.t_points)):
+        if count < 1:
+            parser.error(f"{flag} must be at least 1, got {count}")
+    for flag, value in (("--t-max", args.t_max), ("--dt", args.dt)):
+        if not (math.isfinite(value) and value > 0):
+            parser.error(f"{flag} must be positive and finite, got {value:g}")
 
     n_ts = np.linspace(0.0, args.nt_max, args.nt_points)
     times = np.linspace(args.t_max / args.t_points, args.t_max, args.t_points)

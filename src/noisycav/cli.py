@@ -147,7 +147,7 @@ def _write_table(path: str, fmt: str, header: str, records: list[dict], key: str
         lines = [header] + [",".join(_cell(col, rec[col]) for col in columns) for rec in records]
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps({key: records}, indent=2) + "\n"
+        text = json.dumps({key: records}, indent=2, allow_nan=False) + "\n"
     Path(path).write_text(text)
 
 
@@ -174,7 +174,7 @@ def cmd_evolve(run_cfg: RunConfig) -> int:
     )
     n = len(traj.times)
     conc = [concurrence(traj.states[i]).value for i in range(n)]
-    mode_b = traj.observables.get("mode_b_pop", np.full(n, float("nan")))
+    mode_b = traj.observables.get("mode_b_pop")  # absent without a collective mode
 
     records = [
         {
@@ -183,7 +183,7 @@ def cmd_evolve(run_cfg: RunConfig) -> int:
             "p_ee_a": float(traj.observables["p_ee_a"][i]),
             "p_ee_b": float(traj.observables["p_ee_b"][i]),
             "mean_photon": float(traj.observables["mean_photon"][i]),
-            "mode_b_pop": float(mode_b[i]),
+            "mode_b_pop": None if mode_b is None else float(mode_b[i]),
             "trace_residual": float(traj.trace_residuals[i]),
         }
         for i in range(n)
@@ -226,7 +226,7 @@ def cmd_steady(run_cfg: RunConfig, cavity_only: bool = False) -> int:
             "photon_distribution": [float(p) for p in photons],
             "liouvillian_residual": residual,
         }
-        Path(out).write_text(json.dumps(payload, indent=2) + "\n")
+        Path(out).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     _report_truncation_tail(cfg)
     return 0
 

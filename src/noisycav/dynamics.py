@@ -6,9 +6,8 @@ The right-hand side is
                                          - L_k^dag L_k rho - rho L_k^dag L_k),
 
 evaluated as written by `lindblad_rhs`, the reference the tests compare
-against and the steady-state residual. Its fast forms, the superoperator
-blocks and the evaluator `make_rhs` on top of them, are built from
-`_generator`, which folds H and the anticommutators into
+against and the steady-state residual. Its fast form is the superoperator
+block of `_superoperator_block`, with H and the anticommutators folded into
 M = iH + sum_k rate_k L_k^dag L_k and the jumps into J_k = sqrt(2 rate_k) L_k.
 
 Every term of the model changes the total excitation N = n_a + n_b + n_cav by
@@ -17,15 +16,15 @@ vec(A X B) = (B^T kron A) vec(X)) is block-diagonal in the order
 q = N_i - N_j of the entry rho[i, j]; a model that breaks this is one sector
 of all d^2 entries. Only those blocks are built.
 
-`evolve` integrates with fixed-step classical RK4, each of the four stages
-one call of the evaluator `make_rhs` builds from its generator, chosen by
-type. When the model has the symmetry and rho0 has no coherence between
-different N (|g,g,0>: 84 of the 576 entries at cutoff 5), the generator is
-the q = 0 `SectorBlocks` of `_evolved_entries` and a stage is one matvec with
-its block; else it is the model itself, on all d^2 entries in matrix form at
-the cost of dense RK4. In place of a model, `evolve` also takes
-`SectorBlocks` built elsewhere: a sweep builds its generator once and
-re-weights it per cell (see `sweep`).
+`evolve` integrates with fixed-step classical RK4 on the entries that
+`_evolved_entries` picks: the sectors that rho0 or its transpose touches,
+every other entry staying exactly 0. From |g,g,0> that is the q = 0 sector
+(84 of the 576 entries at cutoff 5); a q = +-1 coherence adds those sectors;
+a model without the symmetry evolves all d^2 entries, at the cost of a
+d^2 x d^2 block. Each of the four stages is one call of the evaluator
+`make_rhs`, one matvec with the block of the `SectorBlocks`. In place of a
+model, `evolve` also takes `SectorBlocks` built elsewhere: a sweep builds its
+generator once and re-weights it per cell (see `sweep`).
 After every step the vector is re-Hermitized as (x + conj(x[mirror]))/2,
 where mirror maps rho[i, j] to rho[j, i]; the pre-enforcement Hermiticity
 drift and the trace drift are checked against the per-step tolerance, and
@@ -134,8 +133,8 @@ class SectorBlocks:
 
     `block` is the `_superoperator_block` of the entries rho[rows, cols], the
     matrix that maps them to their time derivatives; the entries must form a
-    sector the Liouvillian maps into itself. `evolve` and `make_rhs` take one
-    in place of a `LindbladModel`, and evolve only its entries.
+    sector the Liouvillian maps into itself. `evolve` takes one in place of a
+    `LindbladModel`, and evolves only its entries; `make_rhs` evaluates it.
     """
 
     layout: SpaceLayout
@@ -166,52 +165,13 @@ def lindblad_rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def _generator(model: LindbladModel) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The master equation folded into (M, jumps), the source of its fast forms.
+def make_rhs(generator: SectorBlocks):
+    """The master equation's right-hand side on the entries of `generator`: its block times their vector.
 
-    M = iH + sum_k rate_k L_k^dag L_k and J_k = sqrt(2 rate_k) L_k, with
-    zero-rate terms dropped, so that
-
-        drho/dt = -(M rho + rho M^dag) + sum_k J_k rho J_k^dag.
-    """
-    h = model.hamiltonian
-    d = h.shape[0]
-    sink = np.zeros((d, d), dtype=complex)
-    jumps = []
-    for rate, lop in model.collapse_terms:
-        if rate == 0:
-            continue
-        sink = sink + rate * (lop.conj().T @ lop)
-        jumps.append(np.sqrt(2.0 * rate) * lop)
-    return 1j * h + sink, jumps
-
-
-def make_rhs(generator: LindbladModel | SectorBlocks):
-    """The master equation's right-hand side as a function of the vector of the entries it evolves.
-
-    `SectorBlocks` evolve their own entries: the result is their block times
-    the vector. A model evolves all d^2 entries in vec order, whose block would
-    be d^2 x d^2, so it is evaluated in the `_generator` form
-
-        rhs(rho) = -(M rho + rho M^dag) + sum_k J_k rho J_k^dag
-
-    instead, on rho = unvec(x), with the jump terms stacked for batched matmul.
     Agreement with `lindblad_rhs` is pinned by tests.
     """
-    if isinstance(generator, SectorBlocks):
-        block = generator.block
-        return lambda x: block @ x
-    d = generator.dim
-    m, jumps = _generator(generator)
-    mdag = m.conj().T
-    a = np.stack(jumps) if jumps else np.zeros((0, d, d), dtype=complex)
-    adag = a.conj().transpose(0, 2, 1)
-
-    def rhs(x: np.ndarray) -> np.ndarray:
-        rho = unvec(x, d)
-        return vec(((a @ rho) @ adag).sum(axis=0) - (m @ rho + rho @ mdag))
-
-    return rhs
+    block = generator.block
+    return lambda x: block @ x
 
 
 def evolve(
@@ -231,10 +191,9 @@ def evolve(
     stored states are partial traces over the complement; diagnostics are
     always computed on the composite state.
 
-    A model is propagated on the q = 0 `SectorBlocks` of `_evolved_entries`
-    when rho0 lies in that sector, whose other entries stay exactly 0, else on
-    all d^2 entries. Given `SectorBlocks`, their entries are propagated, and
-    they must hold every nonzero entry of rho0.
+    A model is propagated on the entries `_evolved_entries` picks from rho0,
+    whose other entries stay exactly 0. Given `SectorBlocks`, their entries
+    are propagated, and they must hold every nonzero entry of rho0.
     """
     assert_density_matrix(rho0)
     d = model.dim
@@ -255,11 +214,11 @@ def evolve(
     if any(t2 < t1 for t1, t2 in zip(record_times, record_times[1:])):
         raise ValueError("record times must be ascending")
 
-    generator = model if isinstance(model, SectorBlocks) else _evolved_entries(model, rho0) or model
-    if isinstance(generator, SectorBlocks):
-        rows, cols = generator.rows, generator.cols
-    else:  # all d^2 entries, in vec order
-        rows, cols = np.arange(d * d) % d, np.arange(d * d) // d
+    generator = model
+    if not isinstance(model, SectorBlocks):
+        entries = _evolved_entries(model, rho0)
+        generator = SectorBlocks(model.layout, *entries, _superoperator_block(model, *entries))
+    rows, cols = generator.rows, generator.cols
     rhs = make_rhs(generator)
     pos = np.full((d, d), -1)
     pos[rows, cols] = np.arange(len(rows))
@@ -338,22 +297,17 @@ def _rk4_step(rhs, x: np.ndarray, h: float) -> np.ndarray:
     return x + h * rhs(y)
 
 
-def vec(mat: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return mat.reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    return v.reshape(dim, dim, order="F")
-
-
 def _superoperator_block(model: LindbladModel, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Rows and columns of `vectorize_superoperator` for the entries rho[rows[a], cols[a]].
 
-    The `_generator` form vectorized:
-    -(I kron M + M^* kron I) + sum_k J_k^* kron J_k. Uses the kron identity
-    (A kron B)[(j,i),(l,k)] = A[j,l] B[i,k] on the chosen entries only, so a
-    block costs its own size, not d^4.
+    With M = iH + sum_k rate_k L_k^dag L_k and J_k = sqrt(2 rate_k) L_k
+    (zero-rate terms dropped) the equation reads
+
+        drho/dt = -(M rho + rho M^dag) + sum_k J_k rho J_k^dag,
+
+    which vectorizes to -(I kron M + M^* kron I) + sum_k J_k^* kron J_k.
+    Uses the kron identity (A kron B)[(j,i),(l,k)] = A[j,l] B[i,k] on the
+    chosen entries only, so a block costs its own size, not d^4.
     """
     eye = np.eye(model.dim, dtype=complex)
     col_pairs, row_pairs = np.ix_(cols, cols), np.ix_(rows, rows)
@@ -361,7 +315,14 @@ def _superoperator_block(model: LindbladModel, rows: np.ndarray, cols: np.ndarra
     def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a[col_pairs] * b[row_pairs]
 
-    m, jumps = _generator(model)
+    sink = np.zeros_like(eye)
+    jumps = []
+    for rate, lop in model.collapse_terms:
+        if rate == 0:
+            continue
+        sink = sink + rate * (lop.conj().T @ lop)
+        jumps.append(np.sqrt(2.0 * rate) * lop)
+    m = 1j * model.hamiltonian + sink
     block = -(kron(eye, m) + kron(m.conj(), eye))
     for jump in jumps:
         block = block + kron(jump.conj(), jump)
@@ -400,21 +361,19 @@ def _coherence_sectors(model: LindbladModel) -> list[tuple[np.ndarray, np.ndarra
     return [(rows[order == q], cols[order == q]) for q in sorted(set(order.tolist()), key=abs)]
 
 
-def _evolved_entries(model: LindbladModel, rho0: np.ndarray) -> SectorBlocks | None:
-    """The q = 0 sector of `_coherence_sectors` as `SectorBlocks`, for `evolve` to propagate from rho0.
+def _evolved_entries(model: LindbladModel, rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entries (rows, cols) to propagate from rho0: the sectors of `_coherence_sectors` it touches.
 
-    Every entry outside it then stays exactly 0 under the Liouvillian. None
-    when rho0 has a nonzero entry outside it, or when the model lacks the
-    symmetry (one sector of all d^2 entries): `evolve` then propagates all
-    d^2 entries with the model itself.
+    A sector counts when rho0 or its transpose has a nonzero entry in it, so
+    the mirror rho[j, i] of every entry rho[i, j] is among them; every other
+    entry stays exactly 0 under the Liouvillian. Sectors keep their order, so
+    from a start without coherence between different N (|g,g,0>) these are
+    the q = 0 sector's entries alone; a model without the symmetry gives all
+    d^2 entries in vec order.
     """
-    sectors = _coherence_sectors(model)
-    rows, cols = sectors[0]
-    outside = np.ones(rho0.shape, dtype=bool)
-    outside[rows, cols] = False
-    if len(sectors) == 1 or np.any(rho0[outside]):
-        return None
-    return SectorBlocks(model.layout, rows, cols, _superoperator_block(model, rows, cols))
+    touched = (rho0 != 0) | (rho0.T != 0)
+    sectors = [(rows, cols) for rows, cols in _coherence_sectors(model) if touched[rows, cols].any()]
+    return np.concatenate([rows for rows, _ in sectors]), np.concatenate([cols for _, cols in sectors])
 
 
 def steady_state(model: LindbladModel, residual_tol: float = 1e-8) -> np.ndarray:

@@ -9,12 +9,13 @@ may be computed by a process pool; results are keyed by grid coordinates, so
 the output does not depend on scheduling order.
 
 No sweepable parameter touches the Hamiltonian or a collapse operator, only
-the rates of `model._channels`, so the model is built once per sweep. Sweeps
-evolve on the q = 0 sector (their starts have no coherence between different
-excitation numbers; `evolve` rejects one that has): its generator is split
-into a Hamiltonian block and one unit-rate dissipator block per group of
-channels (`_RateComponents`), and each cell's generator is their
-rate-weighted sum, handed to `evolve` as `SectorBlocks`.
+the rates of `model._channels`, so the model is built once per sweep. A sweep
+evolves the entries that `evolve` would pick from its start (the q = 0
+sector from |g,g,0>, plus the q = +-1 sectors from a start with such a
+coherence): the generator on them is split into a Hamiltonian block and one
+unit-rate dissipator block per group of channels (`_RateComponents`), and
+each cell's generator is their rate-weighted sum, handed to `evolve` as
+`SectorBlocks`.
 
 The figure grids behind the CLI's --preset are the rows of `PRESETS`, each
 built by `preset_spec`.
@@ -33,7 +34,7 @@ from .dynamics import (
     IntegratorError,
     IntegratorSettings,
     SectorBlocks,
-    _coherence_sectors,
+    _evolved_entries,
     _superoperator_block,
     evolve,
 )
@@ -106,6 +107,9 @@ class SweepSpec:
             if self.initial_state != "ground":
                 raise ValueError(f"unknown initial state tag {self.initial_state!r}")
         else:
+            shape, d = np.shape(self.initial_state), self.base.layout.dim
+            if shape != (d, d):
+                raise ValueError(f"initial_state shape {shape} does not match the base layout's {(d, d)}")
             assert_density_matrix(np.asarray(self.initial_state))
 
     def _has_time_axis(self) -> bool:
@@ -146,7 +150,7 @@ class SweepResult:
 
 @dataclass(frozen=True, eq=False)
 class _RateComponents:
-    """A sweep's q = 0 generator as a function of the channel rates.
+    """A sweep's generator on the entries evolved from its start, as a function of the channel rates.
 
     The block at config cfg is
 
@@ -165,8 +169,8 @@ class _RateComponents:
     stack: np.ndarray
 
     @classmethod
-    def build(cls, base: SystemConfig, cells: list[SystemConfig]) -> _RateComponents:
-        """Components of `build_model(base)` on its q = 0 sector, for the configs `cells`.
+    def build(cls, base: SystemConfig, cells: list[SystemConfig], rho0: np.ndarray) -> _RateComponents:
+        """Components of `build_model(base)` on the `_evolved_entries` of rho0, for the configs `cells`.
 
         `_channels` rows whose rates are equal in every one of `cells` share a
         group, so a cell's block costs one axpy per group.
@@ -179,8 +183,8 @@ class _RateComponents:
         for k in range(len(units)):
             first = next(j for j in range(k + 1) if np.array_equal(rates[:, j], rates[:, k]))
             groups.setdefault(first, []).append(k)
-        # every channel present, so the sector holds for any rates
-        rows, cols = _coherence_sectors(LindbladModel(model.hamiltonian, tuple(units), layout))[0]
+        # every channel present, so the entries hold for any rates
+        rows, cols = _evolved_entries(LindbladModel(model.hamiltonian, tuple(units), layout), rho0)
         zero = np.zeros_like(model.hamiltonian)
         parts = [LindbladModel(model.hamiltonian, (), layout)]
         parts += [LindbladModel(zero, tuple(units[k] for k in group), layout) for group in groups.values()]
@@ -236,7 +240,7 @@ def run_sweep(spec: SweepSpec, settings: IntegratorSettings, workers: int = 1) -
         cfgs.append(replace(spec.base, **fixed))
         labels.append(", ".join(f"{name}={v:g}" for name, v in fixed.items()) or "time column")
         targets.append([tuple(r if k is None else k for k in cell) + pad for r in range(len(times))])
-    components = _RateComponents.build(spec.base, cfgs)
+    components = _RateComponents.build(spec.base, cfgs, rho0)
     observables = {name: op for name, op in standard_observables(spec.base).items() if name in RECORDED}
     tasks = [(components, cfg, times, rho0, settings, observables, label) for cfg, label in zip(cfgs, labels)]
 

@@ -30,6 +30,15 @@ def random_trace_one_hermitian(rng, dim):
     return h
 
 
+def vec(mat):
+    """Column-stacking vectorization, the entry order of `vectorize_superoperator`."""
+    return mat.reshape(-1, order="F")
+
+
+def unvec(v, dim):
+    return v.reshape(dim, dim, order="F")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

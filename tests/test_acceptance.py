@@ -28,7 +28,6 @@ from noisycav.dynamics import (
     evolve,
     lindblad_rhs,
     steady_state,
-    vec,
     vectorize_superoperator,
     verify_mode_b_decoupling,
 )
@@ -53,7 +52,7 @@ from noisycav.sweep import (
     run_sweep,
 )
 
-from conftest import random_trace_one_hermitian
+from conftest import random_trace_one_hermitian, vec
 from test_entanglement import charpoly_lambdas, werner
 
 EVAL_TIME = bright_mode_half_period(SystemConfig())  # 1/(2g) with g = sqrt(2)

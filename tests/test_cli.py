@@ -137,13 +137,30 @@ class TestEvolveCommand:
                 "--set", "n_thermal=2"]
         assert main(args) == 3
 
-    def test_mode_b_column_nan_without_coupling(self, tmp_path):
+    def test_mode_b_column_empty_without_coupling(self, tmp_path):
         out = tmp_path / "e.csv"
         args = ["evolve", "--out", str(out), "--set", "g_a=0", "--set", "g_b=0",
                 "--set", "t_max=0.1"]
         assert main(args) == 0
         fields = out.read_text().splitlines()[1].split(",")
-        assert fields[5] == "nan"
+        assert fields[5] == ""
+
+    def test_json_without_coupling_is_strict_json(self, tmp_path):
+        # no collective mode: mode_b_pop is null, and no NaN or Infinity token is written
+        out = tmp_path / "e.json"
+        args = ["evolve", "--out", str(out), "--format", "json", "--set", "g_a=0", "--set", "g_b=0",
+                "--set", "t_max=0.1"]
+        assert main(args) == 0
+
+        def reject(token):
+            raise ValueError(f"non-finite JSON token {token}")
+
+        records = json.loads(out.read_text(), parse_constant=reject)["records"]
+        assert records and all(rec["mode_b_pop"] is None for rec in records)
+
+    def test_non_finite_values_fail_to_serialize(self, tmp_path):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            noisycav.cli._write_table(str(tmp_path / "t.json"), "json", "x", [{"x": float("nan")}])
 
 
 class TestSteadyCommand:

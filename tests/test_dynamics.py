@@ -20,8 +20,6 @@ from noisycav.dynamics import (
     make_rhs,
     steady_state,
     steady_state_residual,
-    unvec,
-    vec,
     vectorize_superoperator,
 )
 from noisycav.model import (
@@ -37,7 +35,7 @@ from noisycav.model import (
 )
 from noisycav.qops import SpaceLayout, basis_state, embed, excitation_numbers, partial_trace
 
-from conftest import random_density_matrix, random_trace_one_hermitian
+from conftest import random_density_matrix, random_trace_one_hermitian, unvec, vec
 
 
 def cavity_thermal_state(n_thermal, cutoff):
@@ -105,7 +103,7 @@ GENERATOR_CASES = {
     "cavity": lambda: build_cavity_model(SystemConfig(n_thermal=0.7, cutoff=6)),
     "zero_rate_term": lambda: with_zero_rate_term(build_model(SystemConfig(n_thermal=0.5, cutoff=3))),
     "no_collapse_terms": lambda: without_collapse_terms(build_model(SystemConfig(cutoff=3))),
-    # breaks the excitation-number symmetry: one sector, evaluated in matrix form
+    # breaks the excitation-number symmetry: one sector of all d^2 entries
     "sigma_x_jump": lambda: with_atom_a_sigma_x(build_model(SystemConfig(n_thermal=0.5, cutoff=3))),
 }
 
@@ -191,15 +189,17 @@ class TestLindbladRHS:
 
     @pytest.mark.parametrize("case", sorted(GENERATOR_CASES))
     def test_compiled_evaluator_matches(self, case, rng):
-        # each sector alone as `SectorBlocks` (one block) and the model on all
-        # d^2 entries (matrix form), against the equation as written; a
-        # sector's entries of the result depend on its own entries only
+        # each sector alone as `SectorBlocks`, and all d^2 entries as the
+        # `SectorBlocks` of `vectorize_superoperator`, against the equation as
+        # written; a sector's entries of the result depend on its own entries only
         model = GENERATOR_CASES[case]()
         d = model.dim
-        everything = (np.arange(d * d) % d, np.arange(d * d) // d)
-        cases = [(SectorBlocks(model.layout, rows, cols, _superoperator_block(model, rows, cols)), (rows, cols))
+        entries = np.arange(d * d)
+        cases = [SectorBlocks(model.layout, rows, cols, _superoperator_block(model, rows, cols))
                  for rows, cols in _coherence_sectors(model)]
-        for generator, (rows, cols) in cases + [(model, everything)]:
+        cases.append(SectorBlocks(model.layout, entries % d, entries // d, vectorize_superoperator(model)))
+        for generator in cases:
+            rows, cols = generator.rows, generator.cols
             fast = make_rhs(generator)
             for _ in range(3):
                 rho = random_trace_one_hermitian(rng, d)
@@ -475,7 +475,7 @@ def evolve_case(case, cutoff):
 
 
 class TestSectorEvolve:
-    """RK4 on the evolved entries (q = 0 or all) against a full-matrix RK4 written here on `lindblad_rhs` alone."""
+    """RK4 on the sectors the start touches against a full-matrix RK4 written here on `lindblad_rhs` alone."""
 
     @pytest.mark.parametrize("cutoff", [2, 3, 4])
     @pytest.mark.parametrize("case", sorted(EVOLVE_CASES))
@@ -542,19 +542,32 @@ class TestSectorEvolve:
             SectorBlocks(model.layout, rows, cols, np.zeros((1, 1)))
 
     def test_population_start_evolves_q0_and_coherent_start_everything(self):
-        # the one rule: the q = 0 block for a start without coherence between
-        # different N, none (the model on all d^2 entries) for one with a
-        # q = +-1 coherence or a model without the symmetry
+        # the one rule: the sectors that rho0 or its transpose touches. The
+        # q = 0 sector alone, in its order, for a start without coherence
+        # between different N; q in {0, +-1} for a q = +-1 coherence, even a
+        # one-sided one; all d^2 entries for a model without the symmetry
         cfg = SystemConfig(n_thermal=0.5, cutoff=3)
         model = build_model(cfg)
         d = cfg.layout.dim
+        orders = coherence_orders(model)
         ket = excited_ket(cfg)
-        blocks = _evolved_entries(model, np.outer(ket, ket.conj()))
-        rows, cols = blocks.rows, blocks.cols
-        assert np.array_equal(np.sort(rows * d + cols), np.flatnonzero(coherence_orders(model) == 0))
-        assert np.array_equal(blocks.block, _superoperator_block(model, rows, cols))
-        assert _evolved_entries(model, superposition_start(cfg)) is None
-        assert _evolved_entries(with_atom_a_sigma_x(model), np.outer(ket, ket.conj())) is None
+        excited = np.outer(ket, ket.conj())
+
+        def evolved(model, rho0):  # the entries as sorted row-major indices i * d + j
+            rows, cols = _evolved_entries(model, rho0)
+            assert len(set(zip(rows, cols))) == len(rows)
+            return np.sort(rows * d + cols)
+
+        rows, cols = _evolved_entries(model, excited)
+        q0_rows, q0_cols = _coherence_sectors(model)[0]
+        assert np.array_equal(rows, q0_rows) and np.array_equal(cols, q0_cols)
+        assert np.array_equal(evolved(model, excited), np.flatnonzero(orders == 0))
+        one_sided = ground_state(cfg)
+        one_sided[2 * (cfg.cutoff + 1), 0] = 1e-14
+        for rho0 in (superposition_start(cfg), one_sided):
+            assert np.array_equal(evolved(model, rho0), np.flatnonzero(np.isin(orders, (-1, 0, 1))))
+        rows, cols = _evolved_entries(with_atom_a_sigma_x(model), excited)
+        assert np.array_equal(rows, np.arange(d * d) % d) and np.array_equal(cols, np.arange(d * d) // d)
 
 
 class TestSectorSteadyState:

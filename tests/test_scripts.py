@@ -52,3 +52,21 @@ def test_separability_margin_map(tmp_path, capsys):
     assert all(len(cell) == 3 and all(map(math.isfinite, cell)) for cell in cells)
     assert [cell[:2] for cell in cells] == [[0.0, 0.1], [0.0, 0.2], [1.0, 0.1], [1.0, 0.2]]
     assert f"wrote {out}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--nt-points", "0", "--nt-points must be at least 1"),
+    ("--t-points", "0", "--t-points must be at least 1"),
+    ("--t-points", "-3", "--t-points must be at least 1"),
+    ("--t-max", "0", "--t-max must be positive"),
+    ("--t-max", "nan", "--t-max must be positive"),
+    ("--dt", "0", "--dt must be positive"),
+    ("--dt", "-0.01", "--dt must be positive"),
+])
+def test_separability_margin_rejects_bad_grids(flag, value, message, tmp_path, capsys):
+    out = tmp_path / "margin.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        load("separability_margin").run(["--out", str(out), flag, value])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -5,7 +5,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from noisycav.dynamics import IntegratorError, IntegratorSettings, _superoperator_block, evolve
+from noisycav.dynamics import (
+    IntegratorError,
+    IntegratorSettings,
+    _evolved_entries,
+    _superoperator_block,
+    evolve,
+)
 from noisycav.entanglement import concurrence
 from noisycav.model import ATOM_A, ATOM_B, SystemConfig, build_model, ground_state, standard_observables
 from noisycav.qops import basis_state
@@ -188,6 +194,14 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="initial state"):
             small_spec(initial_state="excited")
 
+    @pytest.mark.parametrize("cutoff", [4, 6])
+    def test_initial_state_shape_must_match_the_base_layout(self, cutoff):
+        # a valid density matrix of another cutoff: 20 x 20 or 28 x 28 against the base's 24 x 24
+        rho0 = ground_state(SystemConfig(cutoff=cutoff))
+        d = rho0.shape[0]
+        with pytest.raises(ValueError, match=rf"shape \({d}, {d}\) does not match .* \(24, 24\)"):
+            small_spec(initial_state=rho0)
+
 
 def _excited_state(cfg):
     d = cfg.layout.dim
@@ -239,6 +253,10 @@ GENERATOR_SPECS = {
                                    axis2=SweepAxis("gamma", (0.0, 0.4, 1.0)), evaluation_time=0.2),
     "time_axis": lambda base: SweepSpec(base=base, axis1=SweepAxis("gamma", (0.0, 0.5)),
                                         axis2=SweepAxis("time", (0.0, 0.1, 0.25))),
+    # a start with coherences in q = +1 and -1, evolved with them
+    "superposition": lambda base: SweepSpec(base=base, axis1=SweepAxis("n_thermal", (0.0, 0.7, 1.5)),
+                                            axis2=SweepAxis("time", (0.0, 0.1, 0.25)),
+                                            initial_state=_superposition_state(base)),
 }
 
 
@@ -250,16 +268,16 @@ class TestRateComponents:
         ("kappa", (0.0, 0.3, 5.0)),
         ("gamma", (0.0, 0.2, 1.0)),
     ])
-    @pytest.mark.parametrize("start", ["ground", "excited"])
+    @pytest.mark.parametrize("start", ["ground", "excited", "superposition"])
     def test_cell_blocks_match_a_model_per_cell(self, parameter, values, start):
         base = SystemConfig(cutoff=3, n_thermal=0.5, g_a=0.8, g_b=1.3)
         cells = [replace(base, **{parameter: v}) for v in values]
-        components = _RateComponents.build(base, cells)
-        # the one q = 0 sector holds every population start, |g,g,0> and |e,e,0> alike
-        rho0 = ground_state(base) if start == "ground" else _excited_state(base)
-        outside = np.ones(rho0.shape, dtype=bool)
-        outside[components.rows, components.cols] = False
-        assert not np.any(rho0[outside])
+        starts = {"ground": ground_state, "excited": _excited_state, "superposition": _superposition_state}
+        rho0 = starts[start](base)
+        components = _RateComponents.build(base, cells, rho0)
+        # the entries `evolve` picks from rho0 for a model of the sweep's own
+        rows, cols = _evolved_entries(build_model(base), rho0)
+        assert np.array_equal(components.rows, rows) and np.array_equal(components.cols, cols)
         for cfg in cells:
             got = components.at(cfg)
             expected = _superoperator_block(build_model(cfg), got.rows, got.cols)
@@ -269,10 +287,11 @@ class TestRateComponents:
         # cavity loss, thermal pumping, and both atoms' emission at the one rate gamma
         base = SystemConfig(cutoff=2)
         cells = [replace(base, n_thermal=v) for v in (0.0, 1.0)]
-        assert _RateComponents.build(base, cells).groups == [[0], [1], [2, 3]]
+        rho0 = ground_state(base)
+        assert _RateComponents.build(base, cells, rho0).groups == [[0], [1], [2, 3]]
         # a single cell where pumping and emission are both off: one group fewer, still exact
         cell = replace(base, gamma=0.0)
-        components = _RateComponents.build(base, [cell])
+        components = _RateComponents.build(base, [cell], rho0)
         assert components.groups == [[0], [1, 2, 3]]
         expected = _superoperator_block(build_model(cell), components.rows, components.cols)
         assert np.abs(components.at(cell).block - expected).max() <= 1e-13 * np.abs(expected).max()
@@ -297,13 +316,6 @@ class TestRateComponents:
     def test_cells_match_independent_evolutions(self, case):
         spec = GENERATOR_SPECS[case](SystemConfig(cutoff=3, gamma=0.3, g_a=0.8, g_b=1.3))
         self.assert_cells_match_independent_evolutions(spec, workers=1)
-
-    def test_coherent_start_is_rejected(self):
-        # the sweep generator is the q = 0 block; coherences in q = +1 and -1 lie outside it
-        spec = SweepSpec(base=SystemConfig(cutoff=3), axis1=SweepAxis("kappa", (1.0, 3.0)), evaluation_time=0.2,
-                         initial_state=_superposition_state(SystemConfig(cutoff=3)))
-        with pytest.raises(ValueError, match="outside the sectors evolved"):
-            run_sweep(spec, FAST)
 
     def test_pooled_cells_match_independent_evolutions(self):
         spec = GENERATOR_SPECS["fig3"](SystemConfig(cutoff=3, gamma=0.3))
