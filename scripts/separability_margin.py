@@ -22,14 +22,14 @@ from noisycav.entanglement import concurrence
 from noisycav.model import ATOM_A, ATOM_B, SystemConfig, build_model, ground_state
 
 
-def margin_map(n_thermal_values, times, base, dt):
+def margin_map(n_thermal_values, times, base, settings):
     rows = []
     for n_t in n_thermal_values:
         cfg = dataclasses.replace(base, n_thermal=float(n_t))
         traj = evolve(
             build_model(cfg),
             ground_state(cfg),
-            IntegratorSettings(dt=dt, t_max=max(times)),
+            settings,
             record_times=list(times),
             reduce_to=(ATOM_A, ATOM_B),
         )
@@ -54,10 +54,15 @@ def run(argv=None):
     for flag, value in (("--t-max", args.t_max), ("--dt", args.dt)):
         if not (math.isfinite(value) and value > 0):
             parser.error(f"{flag} must be positive and finite, got {value:g}")
+    try:  # the largest noise and the step must be valid settings before any cell runs
+        settings = IntegratorSettings(dt=args.dt, t_max=args.t_max)
+        SystemConfig(n_thermal=args.nt_max)
+    except ValueError as err:
+        parser.error(str(err))
 
     n_ts = np.linspace(0.0, args.nt_max, args.nt_points)
     times = np.linspace(args.t_max / args.t_points, args.t_max, args.t_points)
-    rows = margin_map(n_ts, times, SystemConfig(), args.dt)
+    rows = margin_map(n_ts, times, SystemConfig(), settings)
 
     lines = ["n_thermal,t,margin"]
     lines += [f"{n_t:.12g},{t:.12g},{m:.12g}" for n_t, t, m in rows]

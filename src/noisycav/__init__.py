@@ -27,13 +27,12 @@ from .model import (
     build_cavity_model,
     build_collapse_terms,
     build_interaction_hamiltonian,
-    build_lab_hamiltonian,
     build_model,
     collective_mode_operators,
     ground_state,
     standard_observables,
 )
-from .qops import SpaceLayout, partial_trace, tensor
+from .qops import SpaceLayout, partial_trace
 from .sweep import (
     SweepAxis,
     SweepResult,

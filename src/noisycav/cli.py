@@ -115,9 +115,6 @@ def _build_run_config(values: dict[str, object]) -> RunConfig:
         system, integrator = settings(SystemConfig), settings(IntegratorSettings)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    if system.omega != system.omega_f:  # no command builds the lab frame, where they would enter
-        raise ConfigError(f"omega={system.omega:g} differs from omega_f={system.omega_f:g}; "
-                          "the CLI models resonant atoms and cavity")
     return RunConfig(system, integrator, out=values.get("out"), fmt=values.get("format", "csv"))
 
 
@@ -148,7 +145,15 @@ def _write_table(path: str, fmt: str, header: str, records: list[dict], key: str
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps({key: records}, indent=2, allow_nan=False) + "\n"
-    Path(path).write_text(text)
+    _write_text(path, text)
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written is a configuration error."""
+    try:
+        Path(path).write_text(text)
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err}") from None
 
 
 def _report_truncation_tail(cfg: SystemConfig, n_thermal_max: float | None = None) -> None:
@@ -200,9 +205,7 @@ def cmd_steady(run_cfg: RunConfig, cavity_only: bool = False) -> int:
     residual = steady_state_residual(model, rho)
 
     if cavity_only:
-        photons = np.real(np.diag(rho))
-        atoms = None
-        conc = None
+        photons, atoms, conc = np.real(np.diag(rho)), None, None
     else:
         photons = np.real(np.diag(partial_trace(rho, model.layout, (CAVITY,))))
         atoms = partial_trace(rho, model.layout, (ATOM_A, ATOM_B))
@@ -226,7 +229,7 @@ def cmd_steady(run_cfg: RunConfig, cavity_only: bool = False) -> int:
             "photon_distribution": [float(p) for p in photons],
             "liouvillian_residual": residual,
         }
-        Path(out).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+        _write_text(out, json.dumps(payload, indent=2, allow_nan=False) + "\n")
     _report_truncation_tail(cfg)
     return 0
 
@@ -264,11 +267,8 @@ def cmd_sweep(run_cfg: RunConfig, spec: SweepSpec, workers: int = 1) -> int:
                 file=sys.stderr,
             )
 
-    n_t_max = None
-    for axis in (a1, a2):
-        if axis is not None and axis.parameter == "n_thermal":
-            n_t_max = max(axis.values)
-    _report_truncation_tail(spec.base, n_thermal_max=n_t_max)
+    noise = [axis for axis in (a1, a2) if axis is not None and axis.parameter == "n_thermal"]
+    _report_truncation_tail(spec.base, n_thermal_max=max(noise[0].values) if noise else None)
     return 0
 
 

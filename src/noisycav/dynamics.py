@@ -243,19 +243,22 @@ def evolve(
         if span > 1e-12 * max(1.0, t_rec):
             n_steps = max(1, math.ceil(span / settings.dt - 1e-9))
             h = span / n_steps
-            for _ in range(n_steps):
+            for k in range(1, n_steps + 1):
                 raw = _rk4_step(rhs, x, h)
                 mirrored = raw[mirror].conj()
                 herm_drift = float(np.abs(raw - mirrored).max())
-                if herm_drift > tol:
+                # `not <=` so that a NaN drift fails the gate too
+                if not herm_drift <= tol:
                     raise HermiticityDriftError(
-                        f"Hermiticity drift {herm_drift:.3e} exceeds tolerance {tol:.1e} near t={t_prev:.6g}"
+                        f"Hermiticity drift {herm_drift:.3e} exceeds tolerance {tol:.1e} "
+                        f"near t={t_prev + k * h:.6g}"
                     )
                 x = 0.5 * (raw + mirrored)
                 drift = float(abs(x[diagonal].sum().real - 1.0))
-                if drift > tol:
+                if not drift <= tol:
                     raise TraceDriftError(
-                        f"trace drift {drift:.3e} exceeds tolerance {tol:.1e} near t={t_prev:.6g}; reduce dt"
+                        f"trace drift {drift:.3e} exceeds tolerance {tol:.1e} "
+                        f"near t={t_prev + k * h:.6g}; reduce dt"
                     )
             t_prev = t_rec
 
@@ -306,7 +309,7 @@ def _superoperator_block(model: LindbladModel, rows: np.ndarray, cols: np.ndarra
         drho/dt = -(M rho + rho M^dag) + sum_k J_k rho J_k^dag,
 
     which vectorizes to -(I kron M + M^* kron I) + sum_k J_k^* kron J_k.
-    Uses the kron identity (A kron B)[(j,i),(l,k)] = A[j,l] B[i,k] on the
+    Uses the kron rule (A kron B)[(j,i),(l,k)] = A[j,l] B[i,k] on the
     chosen entries only, so a block costs its own size, not d^4.
     """
     eye = np.eye(model.dim, dtype=complex)
@@ -444,7 +447,7 @@ def verify_mode_b_decoupling(
     Evolves from |g,g,0> (which is the collective ground state) and bounds
     the mode-B excitation number along the trajectory. This is the dynamical
     statement behind treating mode B as frozen; it is not an operator
-    commutation identity.
+    commutation relation.
     """
     _, sigma_b_plus = collective_mode_operators(cfg)
     n_b = sigma_b_plus @ dagger(sigma_b_plus)

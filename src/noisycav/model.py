@@ -1,14 +1,12 @@
 """Physical model assembly for two two-level atoms in a thermally driven cavity.
 
-The default evolution frame is the interaction picture, where only the
-resonant atom-cavity exchange survives:
+Atoms and cavity are resonant, and the model is written in the interaction
+picture, where the free energies drop out and only the atom-cavity exchange
+survives:
 
     H_I = sum_i g_i (|g>_i<e| a^dag + h.c.),   i in {a, b}.
 
-The lab frame adds the free energies (omega/2) sigma_z per atom and
-omega_f a^dag a and is kept for cross-checking; the dissipative part is
-frame independent. Dissipation follows the rate-times-anticommutator
-convention
+Dissipation follows the rate-times-anticommutator convention
 
     rate * (2 L rho L^dag - L^dag L rho - rho L^dag L),
 
@@ -31,14 +29,11 @@ from .qops import (
     embed,
     excited_projector,
     number_operator,
-    pauli_z,
     sigma_minus,
     sigma_plus,
 )
 
 ATOM_A, ATOM_B, CAVITY = 0, 1, 2
-
-FRAMES = ("interaction", "lab")
 
 
 def require_finite(settings) -> None:
@@ -57,8 +52,6 @@ class SystemConfig:
     resonant atoms and cavity, g_a = g_b = 1, kappa = 2, gamma = 0.2.
     """
 
-    omega: float = 1.0
-    omega_f: float = 1.0
     g_a: float = 1.0
     g_b: float = 1.0
     kappa: float = 2.0
@@ -68,7 +61,7 @@ class SystemConfig:
 
     def __post_init__(self):
         require_finite(self)
-        for name in ("omega", "omega_f", "kappa", "gamma", "n_thermal"):
+        for name in ("kappa", "gamma", "n_thermal"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if int(self.cutoff) != self.cutoff or self.cutoff < 1:
@@ -111,7 +104,7 @@ class LindbladModel:
 
 
 def build_interaction_hamiltonian(cfg: SystemConfig) -> np.ndarray:
-    """Resonant exchange Hamiltonian on the composite space (default frame).
+    """Resonant exchange Hamiltonian on the composite space.
 
     Built as X + X^dag so the result is Hermitian exactly.
     """
@@ -121,14 +114,6 @@ def build_interaction_hamiltonian(cfg: SystemConfig) -> np.ndarray:
     lower_b = embed(sigma_minus(), ATOM_B, layout)
     x = (cfg.g_a * lower_a + cfg.g_b * lower_b) @ adag
     return x + dagger(x)
-
-
-def build_lab_hamiltonian(cfg: SystemConfig) -> np.ndarray:
-    """Free atomic and cavity energies plus the exchange coupling."""
-    layout = cfg.layout
-    h0 = 0.5 * cfg.omega * (embed(pauli_z(), ATOM_A, layout) + embed(pauli_z(), ATOM_B, layout))
-    h0 = h0 + cfg.omega_f * embed(number_operator(cfg.cutoff), CAVITY, layout)
-    return h0 + build_interaction_hamiltonian(cfg)
 
 
 def _channels(cfg: SystemConfig) -> list[tuple[int, float, np.ndarray]]:
@@ -157,17 +142,9 @@ def build_collapse_terms(cfg: SystemConfig) -> list[tuple[float, np.ndarray]]:
     return [(rate, embed(op, slot, layout)) for slot, rate, op in _channels(cfg) if rate > 0]
 
 
-def build_model(cfg: SystemConfig, frame: str = "interaction") -> LindbladModel:
-    """Full open-system model in the requested frame.
-
-    The dissipative part is identical in both frames; only the Hamiltonian
-    changes. On resonance (omega == omega_f) the two frames give the same
-    reduced-atom entanglement dynamics.
-    """
-    if frame not in FRAMES:
-        raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
-    h = build_interaction_hamiltonian(cfg) if frame == "interaction" else build_lab_hamiltonian(cfg)
-    return LindbladModel(h, tuple(build_collapse_terms(cfg)), cfg.layout)
+def build_model(cfg: SystemConfig) -> LindbladModel:
+    """Full open-system model: the exchange Hamiltonian and the collapse terms."""
+    return LindbladModel(build_interaction_hamiltonian(cfg), tuple(build_collapse_terms(cfg)), cfg.layout)
 
 
 def build_cavity_model(cfg: SystemConfig) -> LindbladModel:

@@ -53,10 +53,6 @@ def excitation_numbers(layout: SpaceLayout) -> np.ndarray:
     return np.indices(layout.factor_dims).reshape(layout.nfactors, -1).sum(axis=0)
 
 
-def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex)
-
-
 def basis_state(dim: int, index: int) -> np.ndarray:
     """Computational basis ket |index> as a length-dim vector."""
     if not 0 <= index < dim:
@@ -74,8 +70,8 @@ def annihilation(cutoff: int) -> np.ndarray:
     """Fock-space annihilation operator truncated at `cutoff` photons.
 
     Returns the (cutoff+1) x (cutoff+1) matrix with <n-1|a|n> = sqrt(n).
-    The truncation is a hard cutoff: [a, a^dag] equals the identity except
-    for the entry (cutoff, cutoff) = -cutoff.
+    The truncation is a hard cutoff: [a, a^dag] is diagonal with every
+    entry 1 except (cutoff, cutoff) = -cutoff.
     """
     if cutoff < 1:
         raise ValueError(f"cutoff must be at least 1, got {cutoff}")
@@ -106,13 +102,8 @@ def excited_projector() -> np.ndarray:
     return np.diag([0.0, 1.0]).astype(complex)
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; the left factor is the slower-varying index."""
-    return np.kron(a, b)
-
-
 def embed(op: np.ndarray, slot: int, layout: SpaceLayout) -> np.ndarray:
-    """Lift `op` acting on one factor to the composite space (identity elsewhere)."""
+    """Lift `op` acting on one factor to the composite space (unit operator on every other factor)."""
     dims = layout.factor_dims
     if not 0 <= slot < len(dims):
         raise ValueError(f"slot {slot} out of range for layout {dims}")

@@ -2,7 +2,7 @@
 
 A sweep evaluates the reduced two-atom concurrence (plus photon number,
 excited populations and numerical health data) on a rectangular grid of one
-or two swept parameters. When one axis is time, each grid column comes from
+or two parameters. When one axis is time, each grid column comes from
 a single trajectory recorded at the requested times; otherwise every cell is
 an independent evolution to the evaluation time. Cells are independent and
 may be computed by a process pool; results are keyed by grid coordinates, so
@@ -270,39 +270,29 @@ class SummaryRow:
     product_at_argmax: float | None
 
 
-def resonance_summary(result: SweepResult, swept: str = "axis2") -> list[SummaryRow]:
-    """Location and height of the concurrence maximum along one axis.
+def resonance_summary(result: SweepResult) -> list[SummaryRow]:
+    """Location and height of the concurrence maximum along axis2, one row per axis1 value.
 
-    With swept="axis2" (default) each row fixes an axis1 value and scans
-    axis2; swept="axis1" transposes that. Identically zero slices are flagged
-    with argmax None. `interior` is True when the maximum sits strictly
-    between the endpoints of the swept axis. `product_at_argmax` is
-    fixed * argmax (None for time axes), the quantity that is roughly constant
-    along the resonance ridge of a noise-vs-decay map.
+    Identically zero rows are flagged with argmax None. `interior` is True
+    when the maximum sits strictly between the endpoints of axis2.
+    `product_at_argmax` is axis1 value * argmax (None for a time axis), the
+    quantity that is roughly constant along the resonance ridge of a
+    noise-vs-decay map.
     """
-    if result.spec.axis2 is None:
+    fixed_axis, scanned = result.spec.axis1, result.spec.axis2
+    if scanned is None:
         raise ValueError("resonance_summary needs a two-axis sweep")
-    if swept not in ("axis1", "axis2"):
-        raise ValueError(f"swept must be 'axis1' or 'axis2', got {swept!r}")
 
-    grid = result.concurrence_grid()
-    if swept == "axis1":
-        grid = grid.T
-        fixed_axis, swept_axis = result.spec.axis2, result.spec.axis1
-    else:
-        fixed_axis, swept_axis = result.spec.axis1, result.spec.axis2
-
-    product_defined = fixed_axis.parameter != "time" and swept_axis.parameter != "time"
+    product_defined = fixed_axis.parameter != "time" and scanned.parameter != "time"
     rows = []
-    for i, fixed in enumerate(fixed_axis.values):
-        series = grid[i]
+    for fixed, series in zip(fixed_axis.values, result.concurrence_grid()):
         k = int(np.argmax(series))
         peak = float(series[k])
         if peak <= 0.0:
             rows.append(SummaryRow(fixed, None, 0.0, False, None))
             continue
-        argmax = float(swept_axis.values[k])
-        interior = 0 < k < len(swept_axis) - 1
+        argmax = float(scanned.values[k])
+        interior = 0 < k < len(scanned) - 1
         product = fixed * argmax if product_defined else None
         rows.append(SummaryRow(fixed, argmax, peak, interior, product))
     return rows

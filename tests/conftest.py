@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import noisycav.sweep
+from noisycav.model import ATOM_A, ATOM_B, CAVITY, build_interaction_hamiltonian, build_model
+from noisycav.qops import embed, number_operator, pauli_z
 
 
 def random_density_matrix(rng, dim, rank=None):
@@ -37,6 +41,24 @@ def vec(mat):
 
 def unvec(v, dim):
     return v.reshape(dim, dim, order="F")
+
+
+def lab_hamiltonian(cfg, omega, omega_f):
+    """Lab-frame Hamiltonian: free energies (omega/2) sigma_z per atom and omega_f a^dag a plus the exchange.
+
+    On resonance (omega == omega_f) the free part commutes with the exchange,
+    so this frame and the interaction picture give the same reduced-atom
+    dynamics; off resonance it is a second model with the same symmetry.
+    """
+    layout = cfg.layout
+    h0 = 0.5 * omega * (embed(pauli_z(), ATOM_A, layout) + embed(pauli_z(), ATOM_B, layout))
+    h0 = h0 + omega_f * embed(number_operator(cfg.cutoff), CAVITY, layout)
+    return h0 + build_interaction_hamiltonian(cfg)
+
+
+def lab_model(cfg, omega, omega_f):
+    """`build_model(cfg)` with `lab_hamiltonian` in place of the interaction-picture Hamiltonian."""
+    return dataclasses.replace(build_model(cfg), hamiltonian=lab_hamiltonian(cfg, omega, omega_f))
 
 
 @pytest.fixture

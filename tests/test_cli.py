@@ -18,7 +18,6 @@ from noisycav.sweep import SummaryRow
 class TestParseConfig:
     def test_empty_document_gives_defaults(self):
         cfg = parse_config("")
-        assert cfg.system.omega == 1.0 and cfg.system.omega_f == 1.0
         assert cfg.system.g_a == 1.0 and cfg.system.g_b == 1.0
         assert cfg.system.kappa == 2.0 and cfg.system.gamma == 0.2
         assert cfg.system.n_thermal == 0.0 and cfg.system.cutoff == 5
@@ -51,7 +50,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=rf"line 1: value for {line.split()[0]} is not an integer"):
             parse_config(line)
 
-    @pytest.mark.parametrize("key", ["omega", "g_a", "kappa", "gamma", "n_thermal", "dt", "t_max", "tolerance"])
+    @pytest.mark.parametrize("key", ["g_a", "kappa", "gamma", "n_thermal", "dt", "t_max", "tolerance"])
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
     def test_non_finite_value_names_key(self, key, raw):
         with pytest.raises(ConfigError, match=f"{key} must be finite"):
@@ -136,6 +135,17 @@ class TestEvolveCommand:
         args = ["evolve", "--out", str(out), "--set", "dt=0.5", "--set", "t_max=5",
                 "--set", "n_thermal=2"]
         assert main(args) == 3
+
+    @pytest.mark.parametrize("args", [
+        ["evolve", "--set", "n_thermal=1e308", "--set", "t_max=0.004"],
+        ["sweep", "--axis1", "n_thermal:0:1e308:2", "--at-time", "0.004"],
+    ])
+    def test_nan_drift_is_exit_3(self, args, tmp_path, capsys):
+        # the overflowing thermal rate makes every entry NaN on the first step
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            assert main([*args, "--cutoff", "1", "--out", str(tmp_path / "out.csv")]) == 3
+        assert "Hermiticity drift nan" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_mode_b_column_empty_without_coupling(self, tmp_path):
         out = tmp_path / "e.csv"
@@ -384,3 +394,17 @@ def test_invalid_values_are_exit_2(args, tmp_path, monkeypatch, capsys, recwarn)
     assert capsys.readouterr().err.startswith("config error: ")
     assert not list(tmp_path.iterdir())
     assert not recwarn.list  # rejected before numpy sees the value
+
+
+@pytest.mark.parametrize("command", [
+    ["evolve", "--set", "t_max=0.004"],
+    ["steady"],
+    ["steady", "--cavity-only", "--format", "json"],
+    ["sweep", "--axis1", "n_thermal:0:1:2", "--axis2", "kappa:1:2:2", "--at-time", "0.004"],
+])
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unwritable_output_is_exit_2(command, target, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.csv" if target == "missing" else tmp_path
+    assert main([*command, "--cutoff", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {out}: ")
+    assert not list(tmp_path.iterdir())

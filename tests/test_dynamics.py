@@ -9,6 +9,7 @@ from noisycav.dynamics import (
     HermiticityDriftError,
     IntegratorError,
     IntegratorSettings,
+    PositivityLossError,
     RankDeficientError,
     SectorBlocks,
     Trajectory,
@@ -35,7 +36,7 @@ from noisycav.model import (
 )
 from noisycav.qops import SpaceLayout, basis_state, embed, excitation_numbers, partial_trace
 
-from conftest import random_density_matrix, random_trace_one_hermitian, unvec, vec
+from conftest import lab_model, random_density_matrix, random_trace_one_hermitian, unvec, vec
 
 
 def cavity_thermal_state(n_thermal, cutoff):
@@ -97,9 +98,7 @@ def without_collapse_terms(model):
 
 GENERATOR_CASES = {
     "thermal_atoms": lambda: build_model(SystemConfig(n_thermal=0.5)),
-    "lab_off_resonance": lambda: build_model(
-        SystemConfig(omega=1.3, omega_f=0.9, n_thermal=0.5, cutoff=3), frame="lab"
-    ),
+    "lab_off_resonance": lambda: lab_model(SystemConfig(n_thermal=0.5, cutoff=3), 1.3, 0.9),
     "cavity": lambda: build_cavity_model(SystemConfig(n_thermal=0.7, cutoff=6)),
     "zero_rate_term": lambda: with_zero_rate_term(build_model(SystemConfig(n_thermal=0.5, cutoff=3))),
     "no_collapse_terms": lambda: without_collapse_terms(build_model(SystemConfig(cutoff=3))),
@@ -348,6 +347,25 @@ class TestEvolve:
         with pytest.raises(IntegratorError):
             evolve(build_model(cfg), ground_state(cfg), IntegratorSettings(dt=0.5, t_max=5.0))
 
+    def test_drift_error_names_the_failing_step(self):
+        # one record span of ten steps: the step ending at t = 0.3 passes both
+        # drift gates (only its record fails, on positivity) and the next one
+        # fails, so the error names t = 0.6, not the span's start t = 0
+        cfg = SystemConfig(n_thermal=3.0, kappa=5.0, cutoff=5)
+        model, settings = build_model(cfg), IntegratorSettings(dt=0.3, t_max=3.0)
+        with pytest.raises(PositivityLossError, match="at t=0.3 "):
+            evolve(model, ground_state(cfg), settings, record_times=[0.0, 0.3])
+        with pytest.raises(HermiticityDriftError, match=r"near t=0\.6$"):
+            evolve(model, ground_state(cfg), settings, record_times=[0.0, 3.0])
+
+    def test_nan_drift_fails_the_gates(self):
+        # the thermal rate overflows to inf, so the first step is NaN, which
+        # compares False against any tolerance
+        cfg = SystemConfig(n_thermal=1e308, cutoff=1)
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            with pytest.raises(HermiticityDriftError, match=r"drift nan .* near t=0\.002$"):
+                evolve(build_model(cfg), ground_state(cfg), IntegratorSettings(t_max=0.004))
+
     def test_rejects_invalid_initial_state(self):
         cfg = SystemConfig()
         bad = np.eye(cfg.layout.dim, dtype=complex)  # trace 24
@@ -409,7 +427,7 @@ def with_atom_a_sigma_x(model, rate=0.3):
 
 SECTOR_CASES = {
     "interaction": lambda c: build_model(SystemConfig(n_thermal=0.5, cutoff=c)),
-    "lab": lambda c: build_model(SystemConfig(omega=1.3, omega_f=0.9, n_thermal=0.5, cutoff=c), frame="lab"),
+    "lab": lambda c: lab_model(SystemConfig(n_thermal=0.5, cutoff=c), 1.3, 0.9),
     "cavity": lambda c: build_cavity_model(SystemConfig(n_thermal=0.7, cutoff=c)),
     "unequal_g": lambda c: build_model(SystemConfig(g_a=0.6, g_b=1.4, n_thermal=0.8, cutoff=c)),
     "gamma0_unequal_g": lambda c: build_model(
@@ -453,22 +471,22 @@ def superposition_start(cfg):
     return np.outer(ket, ket.conj())
 
 
-# (config, frame, start, sigma_x jump on atom a) per case
+# (config, lab-frame (omega, omega_f) or None, start, sigma_x jump on atom a) per case
 EVOLVE_CASES = {
-    "thermal_atoms": (dict(n_thermal=0.5, gamma=0.3), "interaction", ground_state, False),
-    "lab_off_resonance": (dict(omega=1.3, omega_f=0.9, n_thermal=0.5), "lab", superposition_start, False),
-    "unequal_g": (dict(g_a=0.6, g_b=1.4, n_thermal=0.8), "interaction", ground_state, False),
-    "superposition": (dict(n_thermal=0.3), "interaction", superposition_start, False),
-    "sigma_x_jump": (dict(n_thermal=0.5), "interaction", ground_state, True),
+    "thermal_atoms": (dict(n_thermal=0.5, gamma=0.3), None, ground_state, False),
+    "lab_off_resonance": (dict(n_thermal=0.5), (1.3, 0.9), superposition_start, False),
+    "unequal_g": (dict(g_a=0.6, g_b=1.4, n_thermal=0.8), None, ground_state, False),
+    "superposition": (dict(n_thermal=0.3), None, superposition_start, False),
+    "sigma_x_jump": (dict(n_thermal=0.5), None, ground_state, True),
 }
 
 RECORD_TIMES = [0.0, 0.05, 0.13, 0.3]
 
 
 def evolve_case(case, cutoff):
-    params, frame, start, sigma_x = EVOLVE_CASES[case]
+    params, lab, start, sigma_x = EVOLVE_CASES[case]
     cfg = SystemConfig(cutoff=cutoff, **params)
-    model = build_model(cfg, frame=frame)
+    model = build_model(cfg) if lab is None else lab_model(cfg, *lab)
     if sigma_x:
         model = with_atom_a_sigma_x(model)
     return model, start(cfg)

@@ -12,7 +12,6 @@ from noisycav.model import (
     build_cavity_model,
     build_collapse_terms,
     build_interaction_hamiltonian,
-    build_lab_hamiltonian,
     build_model,
     collective_mode_operators,
     ground_state,
@@ -32,6 +31,8 @@ from noisycav.qops import (
     sigma_plus,
 )
 
+from conftest import lab_hamiltonian, lab_model
+
 
 def composite_ket(cfg, atom_a, atom_b, photons):
     idx = (atom_a * 2 + atom_b) * (cfg.cutoff + 1) + photons
@@ -41,21 +42,18 @@ def composite_ket(cfg, atom_a, atom_b, photons):
 class TestSystemConfig:
     def test_defaults_are_the_figure_parameters(self):
         cfg = SystemConfig()
-        assert (cfg.omega, cfg.omega_f) == (1.0, 1.0)
         assert (cfg.g_a, cfg.g_b) == (1.0, 1.0)
         assert (cfg.kappa, cfg.gamma, cfg.n_thermal, cfg.cutoff) == (2.0, 0.2, 0.0, 5)
 
     @pytest.mark.parametrize(
         "field,value",
-        [("kappa", -0.1), ("gamma", -1.0), ("n_thermal", -0.5), ("cutoff", 0), ("omega", -2.0)],
+        [("kappa", -0.1), ("gamma", -1.0), ("n_thermal", -0.5), ("cutoff", 0)],
     )
     def test_domain_violations_name_the_field(self, field, value):
         with pytest.raises(ValueError, match=field):
             SystemConfig(**{field: value})
 
-    @pytest.mark.parametrize(
-        "field", ["omega", "omega_f", "g_a", "g_b", "kappa", "gamma", "n_thermal", "cutoff"]
-    )
+    @pytest.mark.parametrize("field", ["g_a", "g_b", "kappa", "gamma", "n_thermal", "cutoff"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_values_name_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
@@ -107,26 +105,26 @@ class TestInteractionHamiltonian:
 
 class TestLabHamiltonian:
     def test_decoupled_is_diagonal_with_ground_energy(self):
-        cfg = SystemConfig(g_a=0.0, g_b=0.0, omega=1.0, omega_f=1.0)
-        h = build_lab_hamiltonian(cfg)
+        cfg = SystemConfig(g_a=0.0, g_b=0.0)
+        h = lab_hamiltonian(cfg, 1.0, 1.0)
         assert np.abs(h - np.diag(np.diag(h))).max() == 0.0
         ket = composite_ket(cfg, 0, 0, 0)
         assert abs(ket.conj() @ (h @ ket) - (-1.0)) < 1e-14
 
     def test_difference_is_free_hamiltonian_on_resonance(self):
-        cfg = SystemConfig(omega=1.3, omega_f=1.3)
-        diff = build_lab_hamiltonian(cfg) - build_interaction_hamiltonian(cfg)
+        cfg, omega = SystemConfig(), 1.3
+        diff = lab_hamiltonian(cfg, omega, omega) - build_interaction_hamiltonian(cfg)
         layout = cfg.layout
-        h0 = 0.5 * cfg.omega * (embed(pauli_z(), ATOM_A, layout) + embed(pauli_z(), ATOM_B, layout))
-        h0 = h0 + cfg.omega * embed(number_operator(cfg.cutoff), CAVITY, layout)
+        h0 = 0.5 * omega * (embed(pauli_z(), ATOM_A, layout) + embed(pauli_z(), ATOM_B, layout))
+        h0 = h0 + omega * embed(number_operator(cfg.cutoff), CAVITY, layout)
         assert np.abs(diff - h0).max() < 1e-13
 
     def test_free_part_commutes_with_coupling_on_resonance(self):
         # exact on the truncated space: [n, a^dag] = a^dag holds including the
         # boundary column, so no rows need excluding
-        cfg = SystemConfig(omega=0.9, omega_f=0.9)
+        cfg = SystemConfig()
         h_i = build_interaction_hamiltonian(cfg)
-        h0 = build_lab_hamiltonian(cfg) - h_i
+        h0 = lab_hamiltonian(cfg, 0.9, 0.9) - h_i
         assert np.abs(h0 @ h_i - h_i @ h0).max() < 1e-12
 
 
@@ -165,14 +163,10 @@ class TestBuildModel:
         assert model.collapse_terms == ()
         assert np.array_equal(model.hamiltonian, build_interaction_hamiltonian(cfg))
 
-    def test_rejects_unknown_frame(self):
-        with pytest.raises(ValueError, match="frame"):
-            build_model(SystemConfig(), frame="rotating")
-
     def test_liouvillean_part_frame_independent(self):
         cfg = SystemConfig(n_thermal=0.4)
-        lab = build_model(cfg, frame="lab")
-        inter = build_model(cfg, frame="interaction")
+        lab = lab_model(cfg, 1.0, 1.0)
+        inter = build_model(cfg)
         assert len(lab.collapse_terms) == len(inter.collapse_terms)
         for (r1, op1), (r2, op2) in zip(lab.collapse_terms, inter.collapse_terms):
             assert r1 == r2
@@ -181,12 +175,12 @@ class TestBuildModel:
     def test_frames_agree_on_reduced_atom_dynamics(self):
         # on resonance the frames differ by local diagonal unitaries, so the
         # concurrence series and the reduced populations must coincide
-        cfg = SystemConfig(n_thermal=0.5, omega=1.0, omega_f=1.0)
+        cfg = SystemConfig(n_thermal=0.5)
         settings = IntegratorSettings(dt=0.002, t_max=1.5, record_stride=125)
         rho0 = ground_state(cfg)
         out = {}
-        for frame in ("interaction", "lab"):
-            traj = evolve(build_model(cfg, frame=frame), rho0, settings, reduce_to=(ATOM_A, ATOM_B))
+        for frame, model in (("interaction", build_model(cfg)), ("lab", lab_model(cfg, 1.0, 1.0))):
+            traj = evolve(model, rho0, settings, reduce_to=(ATOM_A, ATOM_B))
             out[frame] = traj.states
         for s_int, s_lab in zip(out["interaction"], out["lab"]):
             assert abs(concurrence(s_int).value - concurrence(s_lab).value) < 1e-8

@@ -62,6 +62,9 @@ def test_separability_margin_map(tmp_path, capsys):
     ("--t-max", "nan", "--t-max must be positive"),
     ("--dt", "0", "--dt must be positive"),
     ("--dt", "-0.01", "--dt must be positive"),
+    ("--dt", "10", "dt=10.0 exceeds t_max=5.0"),
+    ("--nt-max", "-1", "n_thermal must be nonnegative"),
+    ("--nt-max", "nan", "n_thermal must be finite"),
 ])
 def test_separability_margin_rejects_bad_grids(flag, value, message, tmp_path, capsys):
     out = tmp_path / "margin.csv"

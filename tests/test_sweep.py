@@ -351,14 +351,6 @@ class TestResonanceSummary:
         assert mean == pytest.approx(4.0)
         assert rel == 0.0
 
-    def test_swept_axis_transposed(self):
-        grid = np.zeros((2, 3))
-        grid[1][2] = 0.9
-        result = synthetic_result(grid, (0.1, 0.2), (1.0, 2.0, 3.0))
-        rows = resonance_summary(result, swept="axis1")
-        assert len(rows) == 3
-        assert rows[2].argmax_value == 0.2
-
     def test_requires_two_axes(self):
         spec = SweepSpec(
             base=SystemConfig(),
