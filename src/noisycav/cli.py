@@ -48,7 +48,6 @@ from .sweep import (
     PRESETS,
     SweepAxis,
     SweepSpec,
-    bright_mode_half_period,
     preset_spec,
     product_spread,
     resonance_summary,
@@ -306,14 +305,7 @@ def _sweep_spec_from_args(run_cfg: RunConfig, args) -> SweepSpec:
             return preset_spec(args.preset, run_cfg.system, **points)
         axis1 = _parse_axis(args.axis1)
         axis2 = _parse_axis(args.axis2) if args.axis2 else None
-        has_time = axis1.parameter == "time" or (axis2 is not None and axis2.parameter == "time")
-        if has_time:
-            if args.at_time is not None:
-                raise ConfigError("--at-time does not apply when time is a sweep axis")
-            eval_time = 0.0
-        else:
-            eval_time = bright_mode_half_period(run_cfg.system) if args.at_time is None else args.at_time
-        return SweepSpec(base=run_cfg.system, axis1=axis1, axis2=axis2, evaluation_time=eval_time)
+        return SweepSpec(base=run_cfg.system, axis1=axis1, axis2=axis2, evaluation_time=args.at_time)
     except ValueError as err:
         raise ConfigError(str(err)) from None
 
@@ -335,20 +327,11 @@ def _build_parser() -> ArgumentParser:
         sp.add_argument("--out", help="output path (default <command>.<format>)")
         sp.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
         sp.add_argument("--cutoff", type=int, help="override the Fock cutoff")
-        sp.add_argument(
-            "--set",
-            dest="assignments",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override one configuration key (repeatable)",
-        )
+        sp.add_argument("--set", dest="assignments", action="append", default=[], metavar="KEY=VALUE",
+                        help="override one configuration key (repeatable)")
         if name == "steady":
-            sp.add_argument(
-                "--cavity-only",
-                action="store_true",
-                help="drop the atoms: thermally damped cavity mode alone",
-            )
+            sp.add_argument("--cavity-only", action="store_true",
+                            help="drop the atoms: thermally damped cavity mode alone")
         if name == "sweep":
             sp.add_argument("--preset", choices=tuple(PRESETS), help="figure-reproduction grid")
             sp.add_argument("--points", type=int, help="grid points per preset axis (only with --preset)")

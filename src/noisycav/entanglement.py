@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qops import assert_density_matrix, hermitian_eigensystem
+from .qops import assert_density_matrix
 
 # Negative eigenvalue residues within the density-matrix gate are projected
 # out before the spin flip; residues of the Hermitian product beyond this
@@ -51,7 +51,7 @@ def concurrence(rho: np.ndarray) -> ConcurrenceResult:
         raise ValueError(f"concurrence needs a 4x4 density matrix, got shape {rho.shape}")
     assert_density_matrix(rho)
 
-    w, v = hermitian_eigensystem(0.5 * (rho + rho.conj().T))
+    w, v = np.linalg.eigh(0.5 * (rho + rho.conj().T))
     clipped = float(min(w.min(), 0.0))
     w = np.clip(w, 0.0, None)
     rho_psd = (v * w) @ v.conj().T

@@ -140,20 +140,6 @@ def partial_trace(rho: np.ndarray, layout: SpaceLayout, keep) -> np.ndarray:
     return work.reshape(d_keep, d_keep)
 
 
-def hermitian_eigensystem(op: np.ndarray, tol: float = HERMITICITY_TOL):
-    """Eigenvalues (ascending, real) and eigenvector columns of a Hermitian matrix.
-
-    Rejects inputs whose Hermiticity defect exceeds `tol`; everything downstream
-    (positivity checks, concurrence) relies on this gate so that no general
-    non-Hermitian eigensolver is ever needed.
-    """
-    defect = float(np.abs(op - op.conj().T).max())
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} exceeds {tol:.1e}")
-    w, v = np.linalg.eigh(op)
-    return w, v
-
-
 def expectation(op: np.ndarray, rho: np.ndarray) -> float:
     """Re tr(op rho); real part only (Hermitian observables)."""
     return float(np.einsum("ij,ji->", op, rho).real)
@@ -167,18 +153,13 @@ def density_matrix_defects(rho: np.ndarray) -> tuple[float, float, float]:
     return herm, trace, min_eig
 
 
-def assert_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = HERMITICITY_TOL,
-    trace_tol: float = TRACE_TOL,
-    eig_tol: float = POSITIVITY_TOL,
-) -> None:
+def assert_density_matrix(rho: np.ndarray) -> None:
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     herm, trace, min_eig = density_matrix_defects(rho)
-    if herm > herm_tol:
-        raise ValueError(f"not Hermitian: defect {herm:.3e} exceeds {herm_tol:.1e}")
-    if trace > trace_tol:
-        raise ValueError(f"trace deviates from 1 by {trace:.3e} (tolerance {trace_tol:.1e})")
-    if min_eig < -eig_tol:
-        raise ValueError(f"not positive: smallest eigenvalue {min_eig:.3e} below -{eig_tol:.1e}")
+    if herm > HERMITICITY_TOL:
+        raise ValueError(f"not Hermitian: defect {herm:.3e} exceeds {HERMITICITY_TOL:.1e}")
+    if trace > TRACE_TOL:
+        raise ValueError(f"trace deviates from 1 by {trace:.3e} (tolerance {TRACE_TOL:.1e})")
+    if min_eig < -POSITIVITY_TOL:
+        raise ValueError(f"not positive: smallest eigenvalue {min_eig:.3e} below -{POSITIVITY_TOL:.1e}")

@@ -13,9 +13,8 @@ the rates of `model._channels`, so the model is built once per sweep. A sweep
 evolves the entries that `evolve` would pick from its start (the q = 0
 sector from |g,g,0>, plus the q = +-1 sectors from a start with such a
 coherence): the generator on them is split into a Hamiltonian block and one
-unit-rate dissipator block per group of channels (`_RateComponents`), and
-each cell's generator is their rate-weighted sum, handed to `evolve` as
-`SectorBlocks`.
+unit-rate dissipator block per channel (`_RateComponents`), and each cell's
+generator is their rate-weighted sum, handed to `evolve` as `SectorBlocks`.
 
 The figure grids behind the CLI's --preset are the rows of `PRESETS`, each
 built by `preset_spec`.
@@ -88,39 +87,51 @@ class SweepAxis:
 
 @dataclass(frozen=True, eq=False)
 class SweepSpec:
-    """Grid definition: base config, one or two axes, and the evaluation time."""
+    """Grid definition: base config, one or two axes, the evaluation time and the start.
+
+    Without a time axis every cell is evaluated at `evaluation_time`, by
+    default the bright-mode half period 1/(2g) of `base`; a time axis sets the
+    record times itself, and then no evaluation time may be given.
+    `initial_state` is a composite density matrix, by default |g,g,0>.
+    """
 
     base: SystemConfig
     axis1: SweepAxis
     axis2: SweepAxis | None = None
-    evaluation_time: float = 0.0
-    initial_state: object = "ground"  # "ground" or a composite density matrix
+    evaluation_time: float | None = None
+    initial_state: np.ndarray | None = None
 
     def __post_init__(self):
         if self.axis2 is not None and self.axis1.parameter == self.axis2.parameter:
             raise ValueError(f"axis parameters must be distinct, both are {self.axis1.parameter!r}")
-        if not math.isfinite(self.evaluation_time):
+        if self._time_axis() is not None:
+            if self.evaluation_time is not None:
+                raise ValueError("an evaluation time does not apply when time is a sweep axis")
+        elif self.evaluation_time is None:
+            object.__setattr__(self, "evaluation_time", bright_mode_half_period(self.base))
+        elif not math.isfinite(self.evaluation_time):
             raise ValueError(f"evaluation_time must be finite, got {self.evaluation_time}")
-        if not self._has_time_axis() and self.evaluation_time <= 0:
+        elif self.evaluation_time <= 0:
             raise ValueError("evaluation_time must be positive when time is not a sweep axis")
-        if isinstance(self.initial_state, str):
-            if self.initial_state != "ground":
-                raise ValueError(f"unknown initial state tag {self.initial_state!r}")
-        else:
+        if self.initial_state is not None:
             shape, d = np.shape(self.initial_state), self.base.layout.dim
             if shape != (d, d):
                 raise ValueError(f"initial_state shape {shape} does not match the base layout's {(d, d)}")
             assert_density_matrix(np.asarray(self.initial_state))
 
-    def _has_time_axis(self) -> bool:
-        return self.axis1.parameter == "time" or (
-            self.axis2 is not None and self.axis2.parameter == "time"
-        )
+    def _time_axis(self) -> SweepAxis | None:
+        axes = (self.axis1,) if self.axis2 is None else (self.axis1, self.axis2)
+        return next((axis for axis in axes if axis.parameter == "time"), None)
+
+    @property
+    def times(self) -> list[float]:
+        """The times every trajectory of the sweep records: the time axis, or the evaluation time."""
+        axis = self._time_axis()
+        return [self.evaluation_time] if axis is None else list(axis.values)
 
     def initial_density_matrix(self) -> np.ndarray:
-        if isinstance(self.initial_state, str):
-            return ground_state(self.base)
-        return np.asarray(self.initial_state, dtype=complex)
+        rho0 = ground_state(self.base) if self.initial_state is None else self.initial_state
+        return np.asarray(rho0, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -154,46 +165,34 @@ class _RateComponents:
 
     The block at config cfg is
 
-        stack[0] + sum_g rate_g(cfg) stack[1 + g],
+        stack[0] + sum_k rate_k(cfg) stack[1 + k],
 
     where stack[0] is the Hamiltonian's block (no collapse terms) and
-    stack[1 + g] the block of the `_channels` rows in `groups[g]` at unit rate
-    with H = 0: cavity loss, thermal pumping, and the emission of both atoms,
-    whose rates agree in every cell.
+    stack[1 + k] the block of row k of `_channels` at unit rate with H = 0:
+    cavity loss, thermal pumping, and the emission of each atom.
     """
 
     layout: SpaceLayout
     rows: np.ndarray
     cols: np.ndarray
-    groups: list[list[int]]
     stack: np.ndarray
 
     @classmethod
-    def build(cls, base: SystemConfig, cells: list[SystemConfig], rho0: np.ndarray) -> _RateComponents:
-        """Components of `build_model(base)` on the `_evolved_entries` of rho0, for the configs `cells`.
-
-        `_channels` rows whose rates are equal in every one of `cells` share a
-        group, so a cell's block costs one axpy per group.
-        """
+    def build(cls, base: SystemConfig, rho0: np.ndarray) -> _RateComponents:
+        """Components of `build_model(base)` on the `_evolved_entries` of rho0."""
         model = build_model(base)
         layout = model.layout
         units = [(1.0, embed(op, slot, layout)) for slot, _, op in _channels(base)]
-        rates = np.array([[rate for _, rate, _ in _channels(cfg)] for cfg in cells])
-        groups: dict[int, list[int]] = {}  # first row of each group -> its rows
-        for k in range(len(units)):
-            first = next(j for j in range(k + 1) if np.array_equal(rates[:, j], rates[:, k]))
-            groups.setdefault(first, []).append(k)
         # every channel present, so the entries hold for any rates
         rows, cols = _evolved_entries(LindbladModel(model.hamiltonian, tuple(units), layout), rho0)
         zero = np.zeros_like(model.hamiltonian)
         parts = [LindbladModel(model.hamiltonian, (), layout)]
-        parts += [LindbladModel(zero, tuple(units[k] for k in group), layout) for group in groups.values()]
+        parts += [LindbladModel(zero, (unit,), layout) for unit in units]
         stack = np.stack([_superoperator_block(part, rows, cols) for part in parts])
-        return cls(layout, rows, cols, list(groups.values()), stack)
+        return cls(layout, rows, cols, stack)
 
     def at(self, cfg: SystemConfig) -> SectorBlocks:
-        rates = [rate for _, rate, _ in _channels(cfg)]
-        weights = np.array([1.0] + [rates[group[0]] for group in self.groups])
+        weights = np.array([1.0] + [rate for _, rate, _ in _channels(cfg)])
         return SectorBlocks(self.layout, self.rows, self.cols, np.tensordot(weights, self.stack, axes=1))
 
 
@@ -228,10 +227,7 @@ def run_sweep(spec: SweepSpec, settings: IntegratorSettings, workers: int = 1) -
     # values, recorded along the time axis if there is one; `targets` maps its
     # per-time records to cells.
     axes = (a1,) if a2 is None else (a1, a2)
-    times = [spec.evaluation_time]
-    for axis in axes:
-        if axis.parameter == "time":
-            times = list(axis.values)
+    times = spec.times
     pad = (0,) if a2 is None else ()  # a one-axis grid has a single column
     cfgs, labels = [], []
     targets = []  # list of lists of (i, j) aligned with each task's records
@@ -240,7 +236,7 @@ def run_sweep(spec: SweepSpec, settings: IntegratorSettings, workers: int = 1) -
         cfgs.append(replace(spec.base, **fixed))
         labels.append(", ".join(f"{name}={v:g}" for name, v in fixed.items()) or "time column")
         targets.append([tuple(r if k is None else k for k in cell) + pad for r in range(len(times))])
-    components = _RateComponents.build(spec.base, cfgs, rho0)
+    components = _RateComponents.build(spec.base, rho0)
     observables = {name: op for name, op in standard_observables(spec.base).items() if name in RECORDED}
     tasks = [(components, cfg, times, rho0, settings, observables, label) for cfg, label in zip(cfgs, labels)]
 
@@ -329,8 +325,7 @@ def preset_spec(name: str, base: SystemConfig, points: int = 31) -> SweepSpec:
         raise ValueError(f"unknown preset {name!r}; choose from {', '.join(PRESETS)}")
     parameter, values = PRESETS[name]
     noise, second = SweepAxis("n_thermal", _linspace(0.0, 3.0, points)), SweepAxis(parameter, values(points))
-    time = 0.0 if parameter == "time" else bright_mode_half_period(base)
-    return SweepSpec(base=base, axis1=noise, axis2=second, evaluation_time=time)
+    return SweepSpec(base=base, axis1=noise, axis2=second)
 
 
 def product_spread(rows: list[SummaryRow]) -> tuple[float, float] | None:

@@ -50,7 +50,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=rf"line 1: value for {line.split()[0]} is not an integer"):
             parse_config(line)
 
-    @pytest.mark.parametrize("key", ["g_a", "kappa", "gamma", "n_thermal", "dt", "t_max", "tolerance"])
+    @pytest.mark.parametrize("key", ["g_a", "kappa", "gamma", "n_thermal", "dt", "t_max"])
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
     def test_non_finite_value_names_key(self, key, raw):
         with pytest.raises(ConfigError, match=f"{key} must be finite"):
@@ -147,6 +147,16 @@ class TestEvolveCommand:
         assert "Hermiticity drift nan" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("args,label", [
+        (["sweep", "--axis1", "n_thermal:0:1:2", "--at-time", "1e308"], "n_thermal=0: "),
+        (["sweep", "--axis1", "time:0:1e308:2"], "time column: "),
+    ])
+    def test_uncountable_step_count_is_exit_3(self, args, label, tmp_path, capsys):
+        assert main([*args, "--cutoff", "1", "--out", str(tmp_path / "out.csv")]) == 3
+        err = capsys.readouterr().err
+        assert f"integrator failure: {label}record time t=1e+308 is too many steps of dt=0.002" in err
+        assert not list(tmp_path.iterdir())
+
     def test_mode_b_column_empty_without_coupling(self, tmp_path):
         out = tmp_path / "e.csv"
         args = ["evolve", "--out", str(out), "--set", "g_a=0", "--set", "g_b=0",
@@ -208,6 +218,17 @@ class TestSteadyCommand:
 
     def test_no_dissipation_is_exit_4(self):
         assert main(["steady", "--set", "kappa=0", "--set", "gamma=0"]) == 4
+
+    @pytest.mark.parametrize("args", [
+        ["--set", "n_thermal=1e308"],
+        ["--set", "gamma=1e308"],  # a finite rate, but the jump's sqrt(2 rate) overflows
+        ["--cavity-only", "--set", "n_thermal=1e308"],
+    ])
+    def test_overflowing_rate_is_exit_4(self, args, tmp_path, capsys):
+        with pytest.warns(RuntimeWarning, match="encountered"):
+            assert main(["steady", *args, "--cutoff", "1", "--out", str(tmp_path / "s.csv")]) == 4
+        assert "the Liouvillian has non-finite entries" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestSweepCommand:
@@ -386,6 +407,7 @@ class TestSweepCommand:
         ["evolve", "--set", "omega=7"],
         ["sweep", "--preset", "fig3", "--points", "-2"],
         ["sweep", "--axis1", "n_thermal:0:1:2", "--at-time", "0.05", "--cutoff", "2", "--points", "3"],
+        ["evolve", "--set", "t_max=1e308", "--cutoff", "1"],  # the step count overflows
     ],
 )
 def test_invalid_values_are_exit_2(args, tmp_path, monkeypatch, capsys, recwarn):

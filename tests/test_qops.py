@@ -13,7 +13,6 @@ from noisycav.qops import (
     embed,
     excitation_numbers,
     excited_projector,
-    hermitian_eigensystem,
     number_operator,
     partial_trace,
     pauli_z,
@@ -205,30 +204,6 @@ class TestPartialTrace:
         rho = np.kron(np.kron(parts[0], parts[1]), parts[2])
         red = partial_trace(rho, layout, (0, 2))
         assert np.abs(red - np.kron(parts[0], parts[2])).max() < 1e-13
-
-
-class TestHermitianEigensystem:
-    def test_pauli_z(self):
-        w, _ = hermitian_eigensystem(pauli_z())
-        assert np.allclose(w, [-1.0, 1.0], atol=1e-14)
-
-    def test_identity(self):
-        w, _ = hermitian_eigensystem(np.eye(4, dtype=complex))
-        assert np.allclose(w, np.ones(4), atol=1e-14)
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_reconstruction(self, seed):
-        rng = np.random.default_rng(seed)
-        h = random_hermitian(rng, 6)
-        w, v = hermitian_eigensystem(h)
-        assert np.all(np.diff(w) >= -1e-14)
-        assert np.abs((v * w) @ v.conj().T - h).max() < 1e-10
-        assert np.abs(v.conj().T @ v - np.eye(6)).max() < 1e-10
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            hermitian_eigensystem(annihilation(2))
 
 
 class TestDensityMatrixGates:

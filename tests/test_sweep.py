@@ -68,12 +68,17 @@ class TestSpecValidation:
             SweepSpec(base=SystemConfig(), axis1=SweepAxis("kappa", (1.0,)), evaluation_time=bad)
 
     def test_evaluation_time_required_without_time_axis(self):
-        with pytest.raises(ValueError, match="evaluation_time"):
-            SweepSpec(
-                base=SystemConfig(),
-                axis1=SweepAxis("n_thermal", (0.0, 1.0)),
-                axis2=SweepAxis("kappa", (1.0, 2.0)),
-            )
+        # required, and 1/(2g) when not given; with a time axis none may be given
+        spec = SweepSpec(
+            base=SystemConfig(g_a=0.6, g_b=0.8),
+            axis1=SweepAxis("n_thermal", (0.0, 1.0)),
+            axis2=SweepAxis("kappa", (1.0, 2.0)),
+        )
+        assert spec.evaluation_time == spec.times[0] == 0.5
+        assert small_spec().evaluation_time is None
+        assert small_spec().times == [0.1, 0.3]
+        with pytest.raises(ValueError, match="evaluation time does not apply"):
+            small_spec(evaluation_time=0.2)
 
     def test_half_period(self):
         assert bright_mode_half_period(SystemConfig()) == pytest.approx(1.0 / (2.0 * np.sqrt(2.0)))
@@ -191,8 +196,8 @@ class TestRunSweep:
     def test_custom_initial_state_validated(self):
         with pytest.raises(ValueError):
             small_spec(initial_state=np.eye(24, dtype=complex))  # trace 24
-        with pytest.raises(ValueError, match="initial state"):
-            small_spec(initial_state="excited")
+        with pytest.raises(ValueError, match=r"initial_state shape \(\) does not match"):
+            small_spec(initial_state="excited")  # a name, not a matrix
 
     @pytest.mark.parametrize("cutoff", [4, 6])
     def test_initial_state_shape_must_match_the_base_layout(self, cutoff):
@@ -216,7 +221,7 @@ def synthetic_result(grid, axis1_values, axis2_values, params=("n_thermal", "kap
         base=SystemConfig(),
         axis1=SweepAxis(params[0], tuple(axis1_values)),
         axis2=SweepAxis(params[1], tuple(axis2_values)),
-        evaluation_time=1.0,
+        evaluation_time=None if "time" in params else 1.0,
     )
     cells = [
         [
@@ -274,7 +279,7 @@ class TestRateComponents:
         cells = [replace(base, **{parameter: v}) for v in values]
         starts = {"ground": ground_state, "excited": _excited_state, "superposition": _superposition_state}
         rho0 = starts[start](base)
-        components = _RateComponents.build(base, cells, rho0)
+        components = _RateComponents.build(base, rho0)
         # the entries `evolve` picks from rho0 for a model of the sweep's own
         rows, cols = _evolved_entries(build_model(base), rho0)
         assert np.array_equal(components.rows, rows) and np.array_equal(components.cols, cols)
@@ -282,19 +287,6 @@ class TestRateComponents:
             got = components.at(cfg)
             expected = _superoperator_block(build_model(cfg), got.rows, got.cols)
             assert np.abs(got.block - expected).max() <= 1e-13 * np.abs(expected).max()
-
-    def test_channels_with_equal_rates_in_every_cell_share_a_block(self):
-        # cavity loss, thermal pumping, and both atoms' emission at the one rate gamma
-        base = SystemConfig(cutoff=2)
-        cells = [replace(base, n_thermal=v) for v in (0.0, 1.0)]
-        rho0 = ground_state(base)
-        assert _RateComponents.build(base, cells, rho0).groups == [[0], [1], [2, 3]]
-        # a single cell where pumping and emission are both off: one group fewer, still exact
-        cell = replace(base, gamma=0.0)
-        components = _RateComponents.build(base, [cell], rho0)
-        assert components.groups == [[0], [1, 2, 3]]
-        expected = _superoperator_block(build_model(cell), components.rows, components.cols)
-        assert np.abs(components.at(cell).block - expected).max() <= 1e-13 * np.abs(expected).max()
 
     @staticmethod
     def assert_cells_match_independent_evolutions(spec, workers):
