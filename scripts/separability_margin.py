@@ -1,42 +1,24 @@
 #!/usr/bin/env python3
 """Map the separability margin of the thermally driven two-atom system.
 
-For each (noise intensity, time) cell this records l1 - l2 - l3 - l4, the
-unclamped spin-flip eigenvalue combination of the reduced two-atom state
-(concurrence is its positive part). Starting from |g,g,0> the margin stays
-negative across the whole grid: the symmetric coherence built through the
-bus is always outmatched by the bunching-fed double excitation, so the atoms
-never cross the separability boundary. The CSV makes that margin and its
-distance to zero inspectable.
+For each (noise intensity, time) cell of one `run_sweep` grid this records
+`ConcurrenceResult.margin`, the unclamped l1 - l2 - l3 - l4 of the reduced
+two-atom state (concurrence is its positive part). Starting from |g,g,0> the
+margin stays negative across the whole grid: the symmetric coherence built
+through the bus is always outmatched by the bunching-fed double excitation,
+so the atoms never cross the separability boundary. The CSV makes that
+margin and its distance to zero inspectable.
 """
 
 import argparse
-import dataclasses
 import math
 from pathlib import Path
 
 import numpy as np
 
-from noisycav.dynamics import IntegratorSettings, evolve
-from noisycav.entanglement import concurrence
-from noisycav.model import ATOM_A, ATOM_B, SystemConfig, build_model, ground_state
-
-
-def margin_map(n_thermal_values, times, base, settings):
-    rows = []
-    for n_t in n_thermal_values:
-        cfg = dataclasses.replace(base, n_thermal=float(n_t))
-        traj = evolve(
-            build_model(cfg),
-            ground_state(cfg),
-            settings,
-            record_times=list(times),
-            reduce_to=(ATOM_A, ATOM_B),
-        )
-        for t, state in zip(traj.times, traj.states):
-            l1, l2, l3, l4 = concurrence(state).lambdas
-            rows.append((float(n_t), float(t), l1 - l2 - l3 - l4))
-    return rows
+from noisycav.dynamics import IntegratorSettings
+from noisycav.model import SystemConfig
+from noisycav.sweep import SweepAxis, SweepSpec, run_sweep
 
 
 def run(argv=None):
@@ -62,7 +44,9 @@ def run(argv=None):
 
     n_ts = np.linspace(0.0, args.nt_max, args.nt_points)
     times = np.linspace(args.t_max / args.t_points, args.t_max, args.t_points)
-    rows = margin_map(n_ts, times, SystemConfig(), settings)
+    spec = SweepSpec(SystemConfig(), SweepAxis("n_thermal", n_ts), SweepAxis("time", times))
+    rows = [(cell.axis1_value, cell.axis2_value, cell.margin) for row in run_sweep(spec, settings).cells
+            for cell in row]
 
     lines = ["n_thermal,t,margin"]
     lines += [f"{n_t:.12g},{t:.12g},{m:.12g}" for n_t, t, m in rows]

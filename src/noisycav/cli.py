@@ -137,13 +137,14 @@ def _cell(column: str, value) -> str:
 
 
 def _write_table(path: str, fmt: str, header: str, records: list[dict], key: str = "records") -> None:
-    """Records as CSV with `header` naming their columns, or as the JSON object {key: records}."""
+    """The `header` columns of each record, in its order: as CSV, or as the JSON object {key: rows}."""
+    columns = header.split(",")
+    rows = [{col: rec[col] for col in columns} for rec in records]
     if fmt == "csv":
-        columns = header.split(",")
-        lines = [header] + [",".join(_cell(col, rec[col]) for col in columns) for rec in records]
+        lines = [header] + [",".join(_cell(col, row[col]) for col in columns) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps({key: records}, indent=2, allow_nan=False) + "\n"
+        text = json.dumps({key: rows}, indent=2, allow_nan=False) + "\n"
     _write_text(path, text)
 
 
@@ -167,31 +168,22 @@ def _report_truncation_tail(cfg: SystemConfig, n_thermal_max: float | None = Non
 
 def cmd_evolve(run_cfg: RunConfig) -> int:
     cfg = run_cfg.system
-    model = build_model(cfg)
-    obs = standard_observables(cfg)
     traj = evolve(
-        model,
+        build_model(cfg),
         ground_state(cfg),
         run_cfg.integrator,
-        observables=obs,
+        observables=standard_observables(cfg),
         reduce_to=(ATOM_A, ATOM_B),
     )
-    n = len(traj.times)
-    conc = [concurrence(traj.states[i]).value for i in range(n)]
-    mode_b = traj.observables.get("mode_b_pop")  # absent without a collective mode
-
-    records = [
-        {
-            "t": float(traj.times[i]),
-            "concurrence": conc[i],
-            "p_ee_a": float(traj.observables["p_ee_a"][i]),
-            "p_ee_b": float(traj.observables["p_ee_b"][i]),
-            "mean_photon": float(traj.observables["mean_photon"][i]),
-            "mode_b_pop": None if mode_b is None else float(mode_b[i]),
-            "trace_residual": float(traj.trace_residuals[i]),
-        }
-        for i in range(n)
-    ]
+    series = {
+        "t": traj.times,
+        "concurrence": [concurrence(state).value for state in traj.states],
+        "mode_b_pop": [None] * len(traj.times),  # absent from the observables without a collective mode
+        **traj.observables,
+        "trace_residual": traj.trace_residuals,
+    }
+    records = [{name: None if v is None else float(v) for name, v in zip(series, row)}
+               for row in zip(*series.values())]
     _write_table(run_cfg.out or f"evolve.{run_cfg.fmt}", run_cfg.fmt, EVOLVE_HEADER, records)
     _report_truncation_tail(cfg)
     return 0
@@ -236,20 +228,8 @@ def cmd_steady(run_cfg: RunConfig, cavity_only: bool = False) -> int:
 def cmd_sweep(run_cfg: RunConfig, spec: SweepSpec, workers: int = 1) -> int:
     result = run_sweep(spec, run_cfg.integrator, workers=workers)
     a1, a2 = spec.axis1, spec.axis2
-
-    records = [
-        {
-            "axis1_name": a1.parameter,
-            "axis1_value": cell.axis1_value,
-            "axis2_name": a2.parameter if a2 is not None else None,
-            "axis2_value": cell.axis2_value,
-            "concurrence": cell.concurrence,
-            "mean_photon": cell.mean_photon,
-            "trace_residual": cell.trace_residual,
-        }
-        for row in result.cells
-        for cell in row
-    ]
+    names = {"axis1_name": a1.parameter, "axis2_name": a2.parameter if a2 is not None else None}
+    records = [{**names, **asdict(cell)} for row in result.cells for cell in row]
     out = run_cfg.out or f"sweep.{run_cfg.fmt}"
     _write_table(out, run_cfg.fmt, SWEEP_HEADER, records)
 

@@ -67,6 +67,9 @@ from .qops import (
 # Bound on the per-step Hermiticity and trace drift of `evolve`, the residual of
 # `steady_state` and the dark-mode population of `verify_mode_b_decoupling`.
 TOLERANCE = 1e-8
+# Most RK4 steps `evolve` takes to reach one record time, and most t_max / dt
+# may ask for, so a huge but finite time fails at once instead of running on.
+MAX_STEPS = 10**7
 
 
 class IntegratorError(RuntimeError):
@@ -107,6 +110,8 @@ class IntegratorSettings:
             raise ValueError(f"dt={self.dt} exceeds t_max={self.t_max}")
         if not math.isfinite(self.t_max / self.dt + self.record_stride * self.dt):
             raise ValueError(f"t_max / dt or record_stride * dt overflows, with dt={self.dt}")
+        if self.t_max / self.dt > MAX_STEPS:
+            raise ValueError(f"t_max={self.t_max:g} is more than MAX_STEPS={MAX_STEPS:g} steps of dt={self.dt:g}")
         if int(self.record_stride) != self.record_stride or self.record_stride < 1:
             raise ValueError(f"record_stride must be a positive integer, got {self.record_stride}")
 
@@ -244,8 +249,9 @@ def evolve(
         span = t_rec - t_prev
         if span > 1e-12 * max(1.0, t_rec):
             steps = span / settings.dt
-            if not math.isfinite(steps):
-                raise IntegratorError(f"record time t={t_rec:g} is too many steps of dt={settings.dt:g} away")
+            if not steps <= MAX_STEPS:  # also an overflow to inf
+                raise IntegratorError(f"record time t={t_rec:g} is too many steps of dt={settings.dt:g} away "
+                                      f"(more than MAX_STEPS={MAX_STEPS:g})")
             n_steps = max(1, math.ceil(steps - 1e-9))
             h = span / n_steps
             for k in range(1, n_steps + 1):
@@ -394,7 +400,7 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     on the q = 0 sector, with its first row (entry rho[0, 0]) replaced by the
     trace functional. Degenerate stationary manifolds (extra null directions,
     e.g. undamped atoms) raise RankDeficientError rather than returning an
-    arbitrary representative, as does a Liouvillian that an overflowing rate made non-finite.
+    arbitrary representative, as does a Liouvillian whose entries or singular values overflow.
     """
     if not any(rate > 0 for rate, _ in model.collapse_terms):
         raise RankDeficientError("no dissipation: every density matrix commuting with H is stationary")
@@ -402,12 +408,12 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     sectors = _coherence_sectors(model)
     blocks = [_superoperator_block(model, rows, cols) for rows, cols in sectors]
 
-    try:
+    svals = None
+    if all(np.isfinite(block).all() for block in blocks):
         svals = np.concatenate([np.linalg.svd(block, compute_uv=False) for block in blocks])
-    except np.linalg.LinAlgError:
-        if all(np.isfinite(block).all() for block in blocks):
-            raise
-        raise RankDeficientError("the Liouvillian has non-finite entries: a rate overflows") from None
+    if svals is None or not np.isfinite(svals).all():  # else the relative nullity threshold is inf
+        raise RankDeficientError("the Liouvillian has non-finite entries or singular values: "
+                                 "a rate or coupling overflows")
     nullity = int(np.sum(svals < svals.max() * 1e-10))
     if nullity != 1:
         raise RankDeficientError(

@@ -30,9 +30,10 @@ _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 @dataclass(frozen=True)
 class ConcurrenceResult:
-    """Concurrence value with the four lambdas and numerical diagnostics."""
+    """Concurrence value, the unclamped margin l1 - l2 - l3 - l4 it clamps, the lambdas and diagnostics."""
 
     value: float
+    margin: float
     lambdas: tuple[float, float, float, float]
     max_imag_residue: float
     min_eig_clipped: float
@@ -68,10 +69,10 @@ def concurrence(rho: np.ndarray) -> ConcurrenceResult:
     clipped = min(clipped, float(min(mu.min(), 0.0)))
     lambdas = np.sqrt(np.clip(mu, 0.0, None))[::-1]
 
-    value = float(lambdas[0] - lambdas[1] - lambdas[2] - lambdas[3])
-    value = min(max(value, 0.0), 1.0)
+    margin = float(lambdas[0] - lambdas[1] - lambdas[2] - lambdas[3])
     return ConcurrenceResult(
-        value=value,
+        value=min(max(margin, 0.0), 1.0),
+        margin=margin,
         lambdas=tuple(float(x) for x in lambdas),
         max_imag_residue=max_imag,
         min_eig_clipped=clipped,

@@ -22,6 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .qops import (
+    HERMITICITY_TOL,
     SpaceLayout,
     annihilation,
     basis_state,
@@ -90,7 +91,7 @@ class LindbladModel:
         if self.hamiltonian.shape != (d, d):
             raise ValueError(f"Hamiltonian shape {self.hamiltonian.shape} does not match layout dim {d}")
         defect = float(np.abs(self.hamiltonian - self.hamiltonian.conj().T).max())
-        if defect > 1e-10:
+        if defect > HERMITICITY_TOL:
             raise ValueError(f"Hamiltonian not Hermitian: defect {defect:.3e}")
         for rate, op in self.collapse_terms:
             if rate < 0:

@@ -23,7 +23,6 @@ built by `preset_spec`.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -139,6 +138,7 @@ class SweepCell:
     axis1_value: float
     axis2_value: float | None
     concurrence: float
+    margin: float
     mean_photon: float
     p_ee_a: float
     p_ee_b: float
@@ -183,8 +183,7 @@ class _RateComponents:
         model = build_model(base)
         layout = model.layout
         units = [(1.0, embed(op, slot, layout)) for slot, _, op in _channels(base)]
-        # every channel present, so the entries hold for any rates
-        rows, cols = _evolved_entries(LindbladModel(model.hamiltonian, tuple(units), layout), rho0)
+        rows, cols = _evolved_entries(model, rho0)
         zero = np.zeros_like(model.hamiltonian)
         parts = [LindbladModel(model.hamiltonian, (), layout)]
         parts += [LindbladModel(zero, (unit,), layout) for unit in units]
@@ -200,9 +199,9 @@ def _run_trajectory_task(task):
     """One trajectory, sampled at the requested times.
 
     Returns one record per time: the `SweepCell` fields after the two axis
-    values, in field order. Module-level so process pools can pickle it.
-    Integrator failures are re-raised with the offending cell coordinates
-    prepended.
+    values, in field order, one `concurrence` call giving the first two.
+    Module-level so process pools can pickle it. Integrator failures are
+    re-raised with the offending cell coordinates prepended.
     """
     components, cfg, times, rho0, settings, observables, label = task
     try:
@@ -212,9 +211,9 @@ def _run_trajectory_task(task):
         raise type(err)(f"{label}: {err}") from None
     series = traj.observables
     return [
-        (concurrence(atoms).value, *(float(series[name][i]) for name in RECORDED),
+        (c.value, c.margin, *(float(series[name][i]) for name in RECORDED),
          float(traj.trace_residuals[i]), float(traj.min_eigenvalues[i]))
-        for i, atoms in enumerate(traj.states)
+        for i, c in enumerate(map(concurrence, traj.states))
     ]
 
 
@@ -242,6 +241,8 @@ def run_sweep(spec: SweepSpec, settings: IntegratorSettings, workers: int = 1) -
 
     workers = min(workers, len(tasks))  # the pool starts all its processes up front
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, so a serial run never loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # one chunk per worker, pickled as one object: the shared components travel once per worker
             results = list(pool.map(_run_trajectory_task, tasks, chunksize=math.ceil(len(tasks) / workers)))

@@ -1,9 +1,9 @@
+import concurrent.futures
 import dataclasses
 
 import numpy as np
 import pytest
 
-import noisycav.sweep
 from noisycav.model import ATOM_A, ATOM_B, CAVITY, build_interaction_hamiltonian, build_model
 from noisycav.qops import embed, number_operator, pauli_z
 
@@ -89,5 +89,5 @@ def recording_pool(monkeypatch):
             chunks.append(chunksize)
             return map(fn, tasks)
 
-    monkeypatch.setattr(noisycav.sweep, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     return sizes, chunks

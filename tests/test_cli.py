@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import noisycav.cli
+import noisycav.dynamics
 from noisycav.cli import (
     EVOLVE_HEADER,
     SUMMARY_HEADER,
@@ -111,8 +112,6 @@ class TestEvolveCommand:
                 "--set", "n_thermal=0.4"]
         assert main(args) == 0
         payload = json.loads(out.read_text())
-        records = payload["records"]
-        assert list(records[0]) == EVOLVE_HEADER.split(",")
         # values survive re-serialization exactly
         assert json.dumps(payload, indent=2) + "\n" == out.read_text()
 
@@ -155,6 +154,25 @@ class TestEvolveCommand:
         assert main([*args, "--cutoff", "1", "--out", str(tmp_path / "out.csv")]) == 3
         err = capsys.readouterr().err
         assert f"integrator failure: {label}record time t=1e+308 is too many steps of dt=0.002" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args,code,message", [
+        (["sweep", "--axis1", "n_thermal:0:1:2", "--at-time", "1e300"], 3,
+         "integrator failure: n_thermal=0: record time t=1e+300 is too many steps of dt=0.002 away"),
+        (["sweep", "--axis1", "time:0:1e300:2"], 3,
+         "integrator failure: time column: record time t=1e+300 is too many steps of dt=0.002 away"),
+        (["evolve", "--set", "t_max=1e300", "--set", "dt=1e-3"], 2,
+         "config error: t_max=1e+300 is more than MAX_STEPS=1e+07 steps of dt=0.001"),
+    ])
+    def test_huge_finite_time_fails_at_once(self, args, code, message, tmp_path, monkeypatch, capsys):
+        # a finite step count is not enough: without the cap these would step (or list times) for ever
+        def never(*_, **__):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(noisycav.dynamics, "_rk4_step", never)
+        monkeypatch.setattr(noisycav.cli, "evolve", never)
+        assert main([*args, "--cutoff", "1", "--out", str(tmp_path / "out.csv")]) == code
+        assert capsys.readouterr().err.startswith(message)
         assert not list(tmp_path.iterdir())
 
     def test_mode_b_column_empty_without_coupling(self, tmp_path):
@@ -228,6 +246,13 @@ class TestSteadyCommand:
         with pytest.warns(RuntimeWarning, match="encountered"):
             assert main(["steady", *args, "--cutoff", "1", "--out", str(tmp_path / "s.csv")]) == 4
         assert "the Liouvillian has non-finite entries" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_overflowing_singular_values_are_exit_4(self, tmp_path, capsys):
+        # every block is finite, but the SVD overflows inside it and returns inf; a relative
+        # nullity threshold of inf would call every direction null
+        assert main(["steady", "--set", "g_a=1e308", "--cutoff", "1", "--out", str(tmp_path / "s.csv")]) == 4
+        assert "singular values: a rate or coupling overflows" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
 
@@ -384,6 +409,22 @@ class TestSweepCommand:
         assert main(["sweep", "--out", str(a), "--workers", "1", *args]) == 0
         assert main(["sweep", "--out", str(b), "--workers", "2", *args]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+SMALL_GRID = ["--axis1", "n_thermal:0:1:2", "--axis2", "kappa:1:2:2", "--at-time", "0.05"]
+
+
+@pytest.mark.parametrize("args,table,key,header,hidden", [
+    (["evolve", "--set", "t_max=0.2", "--set", "n_thermal=0.4"], "", "records", EVOLVE_HEADER, set()),
+    # a `SweepCell` carries more fields than the table shows
+    (["sweep", *SMALL_GRID], "", "records", SWEEP_HEADER, {"margin", "p_ee_a", "min_eigenvalue"}),
+    (["sweep", *SMALL_GRID], ".summary.json", "rows", SUMMARY_HEADER, set()),
+], ids=["evolve", "sweep", "summary"])
+def test_json_keys_are_the_header(args, table, key, header, hidden, tmp_path):
+    out = tmp_path / "t.json"
+    assert main([*args, "--cutoff", "2", "--format", "json", "--out", str(out)]) == 0
+    records = json.loads((tmp_path / f"t.json{table}").read_text())[key]
+    assert records and all(list(rec) == header.split(",") and not hidden & set(rec) for rec in records)
 
 
 @pytest.mark.parametrize(

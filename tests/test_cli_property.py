@@ -2,12 +2,13 @@
 
 Argument lists are drawn from the real subcommands, flags and configuration
 keys. Each value is either an ordinary one or one from a pool of hostile
-strings: NaN, infinities, signed zero, a negative, an overflowing 1e308, an
-empty string and a non-number; a --set may come twice. Values that only scale
-the work are left out: the cutoff is at most 2, a preset always gets --points,
-point counts are at most 3 and the worker count at most 2. No ordinary dt is
-drawn and no ordinary time above 1, so the only large time is 1e308, whose
-step count overflows before a step is taken.
+strings: NaN, infinities, signed zero, a negative, an overflowing 1e308, a
+huge but finite 1e300, an empty string and a non-number; a --set may come
+twice. Values that only scale the work are left out: the cutoff is at most 2,
+a preset always gets --points, point counts are at most 3 and the worker count
+at most 2. No ordinary dt is drawn and no ordinary time above 1, so the only
+large times are 1e308, whose step count overflows, and 1e300, whose step count
+is beyond `dynamics.MAX_STEPS`; both are rejected before a step is taken.
 """
 
 import os
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from noisycav.cli import _KEY_TYPES, main
 from noisycav.sweep import PRESETS, SWEEPABLE
 
-HOSTILE = st.sampled_from(("nan", "inf", "-inf", "-0", "0", "-1", "1e308", "", "x"))
+HOSTILE = st.sampled_from(("nan", "inf", "-inf", "-0", "0", "-1", "1e308", "1e300", "", "x"))
 ORDINARY = {"dt": (), "t_max": ("0", "0.5"), "cutoff": ("1", "2"), "record_stride": ("1", "3"),
             "format": ("csv", "json"), "g_a": ("0", "1"), "g_b": ("0.5", "1")}
 COUNTS = ("1", "2", "3")

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import noisycav.dynamics
 from noisycav.dynamics import (
+    MAX_STEPS,
     HermiticityDriftError,
     IntegratorError,
     IntegratorSettings,
@@ -125,6 +127,7 @@ class TestIntegratorSettings:
             (dict(t_max=math.inf), "t_max must be finite"),
             (dict(dt=1e300, t_max=1e300, record_stride=10**9), "dt overflows"),
             (dict(record_stride=math.inf), "record_stride must be finite"),
+            (dict(dt=0.5, t_max=0.5 * (MAX_STEPS + 1)), "is more than MAX_STEPS"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -133,6 +136,10 @@ class TestIntegratorSettings:
 
     def test_zero_t_max_allowed(self):
         assert IntegratorSettings(t_max=0.0).t_max == 0.0
+
+    def test_step_cap_is_inclusive(self):
+        # one step beyond the cap is a `test_validation` row
+        assert IntegratorSettings(dt=0.5, t_max=0.5 * MAX_STEPS).t_max == 0.5 * MAX_STEPS
 
 
 class TestLindbladRHS:
@@ -364,6 +371,22 @@ class TestEvolve:
         with pytest.warns(RuntimeWarning, match="invalid value"):
             with pytest.raises(HermiticityDriftError, match=r"drift nan .* near t=0\.002$"):
                 evolve(build_model(cfg), ground_state(cfg), IntegratorSettings(t_max=0.004))
+
+    def test_step_cap_is_checked_before_stepping(self, monkeypatch):
+        # a stepping run raises `Stepped` at once, so a missing cap fails the test instead of hanging
+        class Stepped(Exception):
+            pass
+
+        def stepped(*args):
+            raise Stepped
+
+        monkeypatch.setattr(noisycav.dynamics, "_rk4_step", stepped)
+        cfg = SystemConfig(cutoff=1)
+        settings = IntegratorSettings(dt=0.5, t_max=1.0)
+        for t, error in ((0.5 * MAX_STEPS, Stepped), (0.5 * (MAX_STEPS + 1), IntegratorError),
+                         (1e300, IntegratorError)):
+            with pytest.raises(error, match=None if error is Stepped else r"^record time .* too many steps"):
+                evolve(build_model(cfg), ground_state(cfg), settings, record_times=[t])
 
     def test_rejects_invalid_initial_state(self):
         cfg = SystemConfig()

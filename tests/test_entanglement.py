@@ -75,6 +75,13 @@ class TestConcurrence:
         expected = max(0.0, (3.0 * p - 1.0) / 2.0)
         assert abs(concurrence(werner(p)).value - expected) < 1e-10
 
+    @pytest.mark.parametrize("p", [0.0, 1.0 / 3.0, 0.6, 1.0])
+    def test_werner_margin_is_unclamped(self, p):
+        # the same lambdas give l1 - l2 - l3 - l4 = (3p-1)/2, negative below p = 1/3
+        result = concurrence(werner(p))
+        assert abs(result.margin - (3.0 * p - 1.0) / 2.0) < 1e-10
+        assert result.value == min(max(result.margin, 0.0), 1.0)
+
     def test_symmetric_mixture(self):
         s = np.zeros(4, dtype=complex)
         s[1] = s[2] = 1 / np.sqrt(2)

@@ -1,6 +1,9 @@
 """Every module-level import is used: a name removed from the package must not linger as an import."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,21 @@ def test_no_unused_imports(path):
 ])
 def test_checker_on_small_sources(source, expected):
     assert unused_imports(source) == expected
+
+
+def test_serial_sweep_loads_no_process_pool():
+    # the pool's modules are imported only by a sweep with workers > 1
+    code = (
+        "import sys\n"
+        "import noisycav.cli\n"
+        "from noisycav.dynamics import IntegratorSettings\n"
+        "from noisycav.model import SystemConfig\n"
+        "from noisycav.sweep import SweepAxis, SweepSpec, run_sweep\n"
+        "spec = SweepSpec(SystemConfig(cutoff=1), SweepAxis('n_thermal', (0.0, 0.5)), evaluation_time=0.02)\n"
+        "run_sweep(spec, IntegratorSettings(dt=0.01, t_max=1.0))\n"
+        "print(sorted(set(sys.modules) & {'concurrent.futures', 'multiprocessing'}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          cwd=ROOT, env=env, timeout=120)
+    assert done.stdout == "[]\n"

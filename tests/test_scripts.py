@@ -4,9 +4,15 @@ import importlib.util
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import noisycav.model
+import noisycav.sweep
 from noisycav.cli import main
+from noisycav.dynamics import IntegratorSettings, evolve
+from noisycav.entanglement import concurrence
+from noisycav.model import ATOM_A, ATOM_B, SystemConfig, build_model, ground_state
 from noisycav.sweep import PRESETS
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -52,6 +58,32 @@ def test_separability_margin_map(tmp_path, capsys):
     assert all(len(cell) == 3 and all(map(math.isfinite, cell)) for cell in cells)
     assert [cell[:2] for cell in cells] == [[0.0, 0.1], [0.0, 0.2], [1.0, 0.1], [1.0, 0.2]]
     assert f"wrote {out}" in capsys.readouterr().out
+
+
+def test_separability_margin_is_one_sweep(tmp_path, monkeypatch):
+    # one model for the whole grid, and the margins of an evolution per noise value
+    built = []
+
+    def counted(cfg):
+        built.append(cfg)
+        return build_model(cfg)
+
+    monkeypatch.setattr(noisycav.sweep, "build_model", counted)
+    monkeypatch.setattr(noisycav.model, "build_model", counted)
+    out = tmp_path / "margin.csv"
+    args = ["--out", str(out), "--nt-max", "1.5", "--nt-points", "2", "--t-max", "0.4", "--t-points", "2",
+            "--dt", "0.01"]
+    assert load("separability_margin").run(args) == 0
+    assert len(built) == 1
+    rows = [[float(x) for x in line.split(",")] for line in out.read_text().splitlines()[1:]]
+    for n_t in (0.0, 1.5):
+        cfg = SystemConfig(n_thermal=n_t)
+        traj = evolve(build_model(cfg), ground_state(cfg), IntegratorSettings(dt=0.01, t_max=0.4),
+                      record_times=[0.2, 0.4], reduce_to=(ATOM_A, ATOM_B))
+        expected = [(n_t, t, concurrence(state).margin) for t, state in zip(traj.times, traj.states)]
+        got = [row for row in rows if row[0] == n_t]
+        assert np.abs(np.subtract(got, expected)).max() <= 1e-12
+    assert min(row[2] for row in rows) < 0  # the unclamped margin, not the concurrence
 
 
 @pytest.mark.parametrize("flag,value,message", [

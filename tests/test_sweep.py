@@ -113,6 +113,11 @@ class TestRunSweep:
             assert cell.concurrence <= 1e-10
             assert cell.mean_photon <= 1e-10
 
+    def test_concurrence_is_the_clamped_margin(self):
+        cells = [cell for row in run_sweep(small_spec(), FAST).cells for cell in row]
+        assert all(cell.concurrence == min(max(cell.margin, 0.0), 1.0) for cell in cells)
+        assert any(cell.margin < 0 for cell in cells)  # unclamped: it says how far from entangled
+
     def test_deterministic(self):
         r1 = run_sweep(small_spec(), FAST)
         r2 = run_sweep(small_spec(), FAST)
@@ -225,7 +230,7 @@ def synthetic_result(grid, axis1_values, axis2_values, params=("n_thermal", "kap
     )
     cells = [
         [
-            SweepCell(a1, a2, grid[i][j], 0.0, 0.0, 0.0, 0.0, 0.0)
+            SweepCell(a1, a2, grid[i][j], grid[i][j], 0.0, 0.0, 0.0, 0.0, 0.0)
             for j, a2 in enumerate(axis2_values)
         ]
         for i, a1 in enumerate(axis1_values)
@@ -350,7 +355,7 @@ class TestResonanceSummary:
             axis2=None,
             evaluation_time=1.0,
         )
-        result = SweepResult(spec=spec, cells=[[SweepCell(0.1, None, 0.0, 0, 0, 0, 0, 0)]])
+        result = SweepResult(spec=spec, cells=[[SweepCell(0.1, None, 0.0, 0.0, 0, 0, 0, 0, 0)]])
         with pytest.raises(ValueError):
             resonance_summary(result)
 
