@@ -27,7 +27,6 @@ from .dynamics import (
     IntegratorError,
     IntegratorSettings,
     RankDeficientError,
-    evolve,
     steady_state,
     steady_state_residual,
 )
@@ -39,8 +38,6 @@ from .model import (
     SystemConfig,
     build_cavity_model,
     build_model,
-    ground_state,
-    standard_observables,
     truncation_tail_mass,
 )
 from .qops import partial_trace
@@ -167,23 +164,9 @@ def _report_truncation_tail(cfg: SystemConfig, n_thermal_max: float | None = Non
 
 
 def cmd_evolve(run_cfg: RunConfig) -> int:
-    cfg = run_cfg.system
-    traj = evolve(
-        build_model(cfg),
-        ground_state(cfg),
-        run_cfg.integrator,
-        observables=standard_observables(cfg),
-        reduce_to=(ATOM_A, ATOM_B),
-    )
-    series = {
-        "t": traj.times,
-        "concurrence": [concurrence(state).value for state in traj.states],
-        "mode_b_pop": [None] * len(traj.times),  # absent from the observables without a collective mode
-        **traj.observables,
-        "trace_residual": traj.trace_residuals,
-    }
-    records = [{name: None if v is None else float(v) for name, v in zip(series, row)}
-               for row in zip(*series.values())]
+    cfg, settings = run_cfg.system, run_cfg.integrator
+    result = run_sweep(SweepSpec(cfg, SweepAxis("time", settings.times)), settings)
+    records = [{"t": cell.axis1_value, **asdict(cell)} for (cell,) in result.cells]
     _write_table(run_cfg.out or f"evolve.{run_cfg.fmt}", run_cfg.fmt, EVOLVE_HEADER, records)
     _report_truncation_tail(cfg)
     return 0

@@ -115,6 +115,16 @@ class IntegratorSettings:
         if int(self.record_stride) != self.record_stride or self.record_stride < 1:
             raise ValueError(f"record_stride must be a positive integer, got {self.record_stride}")
 
+    @property
+    def times(self) -> list[float]:
+        """The default record grid: every `record_stride`-th step from t=0, plus t_max."""
+        stride_dt = self.record_stride * self.dt
+        n_rec = int(math.floor(self.t_max / stride_dt + 1e-9))
+        times = [k * stride_dt for k in range(n_rec + 1)]
+        if times[-1] < self.t_max - 1e-12:
+            times.append(self.t_max)
+        return times
+
 
 @dataclass
 class Trajectory:
@@ -192,12 +202,11 @@ def evolve(
 ) -> Trajectory:
     """Integrate from rho0, recording states, observables and health data.
 
-    By default records every `record_stride`-th step plus t=0 and t_max.
-    Explicit `record_times` (ascending, >= 0) override that grid; steps are
-    shortened where needed so every record time is hit exactly, and never
-    exceed `settings.dt`. With `reduce_to` set (an iterable of layout slots),
-    stored states are partial traces over the complement; diagnostics are
-    always computed on the composite state.
+    Records at `record_times` (ascending, >= 0), by default `settings.times`;
+    steps are shortened where needed so every record time is hit exactly, and
+    never exceed `settings.dt`. With `reduce_to` set (an iterable of layout
+    slots), stored states are partial traces over the complement; diagnostics
+    are always computed on the composite state.
 
     A model is propagated on the entries `_evolved_entries` picks from rho0,
     whose other entries stay exactly 0. Given `SectorBlocks`, their entries
@@ -208,13 +217,7 @@ def evolve(
     if rho0.shape != (d, d):
         raise ValueError(f"initial state shape {rho0.shape} does not match model dimension {d}")
 
-    if record_times is None:
-        stride_dt = settings.record_stride * settings.dt
-        n_rec = int(math.floor(settings.t_max / stride_dt + 1e-9))
-        record_times = [k * stride_dt for k in range(n_rec + 1)]
-        if record_times[-1] < settings.t_max - 1e-12:
-            record_times.append(settings.t_max)
-    record_times = [float(t) for t in record_times]
+    record_times = [float(t) for t in (settings.times if record_times is None else record_times)]
     if not all(map(math.isfinite, record_times)):
         raise ValueError("record times must be finite")
     if any(t < 0 for t in record_times):
@@ -400,7 +403,8 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     on the q = 0 sector, with its first row (entry rho[0, 0]) replaced by the
     trace functional. Degenerate stationary manifolds (extra null directions,
     e.g. undamped atoms) raise RankDeficientError rather than returning an
-    arbitrary representative, as does a Liouvillian whose entries or singular values overflow.
+    arbitrary representative, as does a Liouvillian whose entries or singular values overflow,
+    or whose slowest rate is too small beside its largest scale to tell a null direction.
     """
     if not any(rate > 0 for rate, _ in model.collapse_terms):
         raise RankDeficientError("no dissipation: every density matrix commuting with H is stationary")
@@ -415,6 +419,11 @@ def steady_state(model: LindbladModel) -> np.ndarray:
         raise RankDeficientError("the Liouvillian has non-finite entries or singular values: "
                                  "a rate or coupling overflows")
     nullity = int(np.sum(svals < svals.max() * 1e-10))
+    rates = [rate for rate, _ in model.collapse_terms if rate > 0]
+    scale = max(float(np.abs(model.hamiltonian).max()), *rates)
+    if nullity != 1 and min(rates) < 1e-10 * scale:  # the threshold cannot resolve the slowest rate
+        raise RankDeficientError(f"cannot decide uniqueness: the smallest rate {min(rates):.3g} is below "
+                                 f"1e-10 times the largest coupling or rate, {scale:.3g}")
     if nullity != 1:
         raise RankDeficientError(
             f"steady-state manifold has dimension {nullity}; the stationary state is not unique"

@@ -1,12 +1,12 @@
 """Parameter sweeps over noise intensity, decay rates and time.
 
-A sweep evaluates the reduced two-atom concurrence (plus photon number,
-excited populations and numerical health data) on a rectangular grid of one
-or two parameters. When one axis is time, each grid column comes from
-a single trajectory recorded at the requested times; otherwise every cell is
-an independent evolution to the evaluation time. Cells are independent and
-may be computed by a process pool; results are keyed by grid coordinates, so
-the output does not depend on scheduling order.
+A sweep evaluates the reduced two-atom concurrence (plus every
+`standard_observables` entry and numerical health data) on a grid of one or
+two parameters. When one axis is time, each grid column comes from a single
+trajectory recorded at the requested times, as for the CLI's `evolve`;
+otherwise every cell is an independent evolution to the evaluation time.
+Cells are independent and may be computed by a process pool; results are
+keyed by grid coordinates, so the output does not depend on scheduling order.
 
 No sweepable parameter touches the Hamiltonian or a collapse operator, only
 the rates of `model._channels`, so the model is built once per sweep. A sweep
@@ -50,7 +50,6 @@ from .model import (
 from .qops import SpaceLayout, assert_density_matrix, embed
 
 SWEEPABLE = ("n_thermal", "kappa", "gamma", "time")
-RECORDED = ("mean_photon", "p_ee_a", "p_ee_b")  # the observables a SweepCell holds
 
 
 def bright_mode_half_period(cfg: SystemConfig) -> float:
@@ -144,6 +143,7 @@ class SweepCell:
     p_ee_b: float
     trace_residual: float
     min_eigenvalue: float
+    mode_b_pop: float | None = None  # None without a collective mode (g = 0)
 
 
 @dataclass(eq=False)
@@ -199,7 +199,7 @@ def _run_trajectory_task(task):
     """One trajectory, sampled at the requested times.
 
     Returns one record per time: the `SweepCell` fields after the two axis
-    values, in field order, one `concurrence` call giving the first two.
+    values, keyed by name, one `concurrence` call giving the first two.
     Module-level so process pools can pickle it. Integrator failures are
     re-raised with the offending cell coordinates prepended.
     """
@@ -209,10 +209,10 @@ def _run_trajectory_task(task):
                       reduce_to=(ATOM_A, ATOM_B))
     except IntegratorError as err:
         raise type(err)(f"{label}: {err}") from None
-    series = traj.observables
     return [
-        (c.value, c.margin, *(float(series[name][i]) for name in RECORDED),
-         float(traj.trace_residuals[i]), float(traj.min_eigenvalues[i]))
+        {"concurrence": c.value, "margin": c.margin,
+         **{name: float(series[i]) for name, series in traj.observables.items()},
+         "trace_residual": float(traj.trace_residuals[i]), "min_eigenvalue": float(traj.min_eigenvalues[i])}
         for i, c in enumerate(map(concurrence, traj.states))
     ]
 
@@ -228,16 +228,14 @@ def run_sweep(spec: SweepSpec, settings: IntegratorSettings, workers: int = 1) -
     axes = (a1,) if a2 is None else (a1, a2)
     times = spec.times
     pad = (0,) if a2 is None else ()  # a one-axis grid has a single column
-    cfgs, labels = [], []
-    targets = []  # list of lists of (i, j) aligned with each task's records
+    components = _RateComponents.build(spec.base, rho0)
+    observables = standard_observables(spec.base)
+    tasks, targets = [], []  # targets: the (i, j) of each of a task's records
     for cell in product(*([None] if axis.parameter == "time" else range(len(axis)) for axis in axes)):
         fixed = {axis.parameter: axis.values[k] for axis, k in zip(axes, cell) if k is not None}
-        cfgs.append(replace(spec.base, **fixed))
-        labels.append(", ".join(f"{name}={v:g}" for name, v in fixed.items()) or "time column")
+        label = ", ".join(f"{name}={v:g}" for name, v in fixed.items()) or "time column"
+        tasks.append((components, replace(spec.base, **fixed), times, rho0, settings, observables, label))
         targets.append([tuple(r if k is None else k for k in cell) + pad for r in range(len(times))])
-    components = _RateComponents.build(spec.base, rho0)
-    observables = {name: op for name, op in standard_observables(spec.base).items() if name in RECORDED}
-    tasks = [(components, cfg, times, rho0, settings, observables, label) for cfg, label in zip(cfgs, labels)]
 
     workers = min(workers, len(tasks))  # the pool starts all its processes up front
     if workers > 1:
@@ -254,7 +252,7 @@ def run_sweep(spec: SweepSpec, settings: IntegratorSettings, workers: int = 1) -
     grid: list[list[SweepCell | None]] = [[None] * n2 for _ in range(n1)]
     for task_targets, records in zip(targets, results):
         for (i, j), rec in zip(task_targets, records):
-            grid[i][j] = SweepCell(a1.values[i], a2.values[j] if a2 is not None else None, *rec)
+            grid[i][j] = SweepCell(a1.values[i], a2.values[j] if a2 is not None else None, **rec)
     return SweepResult(spec=spec, cells=grid)
 
 

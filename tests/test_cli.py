@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -13,6 +14,9 @@ from noisycav.cli import (
     main,
     parse_config,
 )
+from noisycav.dynamics import IntegratorSettings, evolve
+from noisycav.entanglement import concurrence
+from noisycav.model import ATOM_A, ATOM_B, SystemConfig, build_model, ground_state, standard_observables
 from noisycav.sweep import SummaryRow
 
 
@@ -91,6 +95,26 @@ class TestEvolveCommand:
         assert max(float(r[4]) for r in rows) > 0.1  # mean photon
         assert all(float(r[1]) == 0.0 for r in rows)  # concurrence
 
+    @pytest.mark.parametrize("n_thermal", [0.3, 3.0])
+    def test_rows_match_an_independent_evolution(self, n_thermal, tmp_path):
+        # the command runs as a one-axis time sweep; check it against `evolve` on a model of its own
+        cfg = SystemConfig(g_a=0.8, g_b=1.3, n_thermal=n_thermal, cutoff=3)
+        settings = IntegratorSettings(dt=0.004, t_max=0.6, record_stride=7)
+        out = tmp_path / "e.csv"
+        assert main(["evolve", "--out", str(out), "--set", "g_a=0.8", "--set", "g_b=1.3",
+                     "--set", f"n_thermal={n_thermal}", "--cutoff", "3", "--set", "dt=0.004",
+                     "--set", "t_max=0.6", "--set", "record_stride=7"]) == 0
+        traj = evolve(build_model(cfg), ground_state(cfg), settings, observables=standard_observables(cfg),
+                      reduce_to=(ATOM_A, ATOM_B))
+        expected = {"t": traj.times, "concurrence": [concurrence(atoms).value for atoms in traj.states],
+                    **traj.observables, "trace_residual": traj.trace_residuals}
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == len(traj.times) == 23  # 0.6 / (7 * 0.004) = 21.4 strides, plus t = 0 and t_max
+        for name in EVOLVE_HEADER.split(","):
+            got = np.array([float(row[name]) for row in rows])
+            # 1e-12 plus the rounding of a 12-significant-digit cell
+            assert np.all(np.abs(got - expected[name]) <= 1e-12 + 5e-12 * np.abs(expected[name])), name
+
     def test_zero_t_max_single_row(self, tmp_path):
         out = tmp_path / "e.csv"
         assert main(["evolve", "--out", str(out), "--set", "t_max=0"]) == 0
@@ -129,11 +153,14 @@ class TestEvolveCommand:
         assert main(["evolve", "--set", "gama=1"]) == 2
         assert main(["evolve", "--set", "kappa=-2"]) == 2
 
-    def test_unstable_step_is_exit_3(self, tmp_path):
+    def test_unstable_step_is_exit_3(self, tmp_path, capsys):
         out = tmp_path / "e.csv"
         args = ["evolve", "--out", str(out), "--set", "dt=0.5", "--set", "t_max=5",
                 "--set", "n_thermal=2"]
         assert main(args) == 3
+        err = capsys.readouterr().err  # the trajectory is the sweep's time column
+        assert err.startswith("integrator failure: time column: trace drift ") and err.endswith("; reduce dt\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("args", [
         ["evolve", "--set", "n_thermal=1e308", "--set", "t_max=0.004"],
@@ -170,7 +197,7 @@ class TestEvolveCommand:
             raise AssertionError("the run started")
 
         monkeypatch.setattr(noisycav.dynamics, "_rk4_step", never)
-        monkeypatch.setattr(noisycav.cli, "evolve", never)
+        monkeypatch.setattr(IntegratorSettings, "times", property(never))  # evolve's record grid
         assert main([*args, "--cutoff", "1", "--out", str(tmp_path / "out.csv")]) == code
         assert capsys.readouterr().err.startswith(message)
         assert not list(tmp_path.iterdir())
@@ -246,6 +273,22 @@ class TestSteadyCommand:
         with pytest.warns(RuntimeWarning, match="encountered"):
             assert main(["steady", *args, "--cutoff", "1", "--out", str(tmp_path / "s.csv")]) == 4
         assert "the Liouvillian has non-finite entries" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args,message", [
+        # a rate more than 1e10 below the largest coupling or rate: the nullity threshold cannot see it
+        (["--cutoff", "3", "--set", "g_a=1e12"], "cannot decide uniqueness: the smallest rate 0.2 "),
+        (["--cutoff", "3", "--set", "kappa=1e9", "--set", "n_thermal=3"], "cannot decide uniqueness: "),
+        (["--cutoff", "1", "--set", "g_a=1e200"], "cannot decide uniqueness: "),
+        (["--cutoff", "3", "--set", "gamma=1e-12"], "cannot decide uniqueness: the smallest rate 1e-12 "),
+        # genuinely degenerate: undamped atoms, with and without a coupling to the damped cavity
+        (["--cutoff", "3", "--set", "gamma=0", "--set", "n_thermal=3"], "steady-state manifold has dimension 2;"),
+        (["--cutoff", "3", "--set", "g_a=0", "--set", "g_b=0", "--set", "gamma=0"],
+         "steady-state manifold has dimension 16;"),
+    ])
+    def test_unresolvable_and_degenerate_manifolds_are_exit_4(self, args, message, tmp_path, capsys):
+        assert main(["steady", *args, "--out", str(tmp_path / "s.csv")]) == 4
+        assert capsys.readouterr().err.startswith(f"degenerate steady state: {message}")
         assert not list(tmp_path.iterdir())
 
     def test_overflowing_singular_values_are_exit_4(self, tmp_path, capsys):
@@ -417,7 +460,7 @@ SMALL_GRID = ["--axis1", "n_thermal:0:1:2", "--axis2", "kappa:1:2:2", "--at-time
 @pytest.mark.parametrize("args,table,key,header,hidden", [
     (["evolve", "--set", "t_max=0.2", "--set", "n_thermal=0.4"], "", "records", EVOLVE_HEADER, set()),
     # a `SweepCell` carries more fields than the table shows
-    (["sweep", *SMALL_GRID], "", "records", SWEEP_HEADER, {"margin", "p_ee_a", "min_eigenvalue"}),
+    (["sweep", *SMALL_GRID], "", "records", SWEEP_HEADER, {"margin", "p_ee_a", "min_eigenvalue", "mode_b_pop"}),
     (["sweep", *SMALL_GRID], ".summary.json", "rows", SUMMARY_HEADER, set()),
 ], ids=["evolve", "sweep", "summary"])
 def test_json_keys_are_the_header(args, table, key, header, hidden, tmp_path):

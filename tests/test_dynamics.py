@@ -141,6 +141,19 @@ class TestIntegratorSettings:
         # one step beyond the cap is a `test_validation` row
         assert IntegratorSettings(dt=0.5, t_max=0.5 * MAX_STEPS).t_max == 0.5 * MAX_STEPS
 
+    @pytest.mark.parametrize("kwargs,expected", [
+        (dict(t_max=0.0), [0.0]),
+        # t_max off the stride grid: every stride, then t_max itself
+        (dict(dt=0.01, t_max=0.25, record_stride=10), [0.0, 0.1, 0.2, 0.25]),
+        # one stride overshoots t_max: the start and t_max
+        (dict(dt=0.01, t_max=0.05, record_stride=10), [0.0, 0.05]),
+        # t_max on the grid up to round-off: no extra point just below it
+        (dict(dt=0.01, t_max=0.3, record_stride=10), [0.0, 0.1, 0.2, 0.3]),
+    ])
+    def test_record_grid(self, kwargs, expected):
+        times = IntegratorSettings(**kwargs).times
+        assert times == pytest.approx(expected, rel=0, abs=1e-15)
+
 
 class TestLindbladRHS:
     def test_vacuum_under_thermal_cavity(self):
@@ -287,11 +300,9 @@ class TestEvolve:
             assert np.abs(state - state.conj().T).max() == 0.0
 
     def test_default_record_grid(self):
-        traj = evolve(
-            build_model(SystemConfig()),
-            ground_state(SystemConfig()),
-            IntegratorSettings(dt=0.01, t_max=0.25, record_stride=5),
-        )
+        settings = IntegratorSettings(dt=0.01, t_max=0.25, record_stride=5)
+        traj = evolve(build_model(SystemConfig()), ground_state(SystemConfig()), settings)
+        assert list(traj.times) == settings.times
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(0.25)
         assert np.allclose(np.diff(traj.times), 0.05)

@@ -16,7 +16,6 @@ from noisycav.entanglement import concurrence
 from noisycav.model import ATOM_A, ATOM_B, SystemConfig, build_model, ground_state, standard_observables
 from noisycav.qops import basis_state
 from noisycav.sweep import (
-    RECORDED,
     SweepAxis,
     SweepCell,
     SweepResult,
@@ -187,6 +186,12 @@ class TestRunSweep:
         assert result.cells[0][0].p_ee_a == pytest.approx(1.0, abs=1e-9)
         assert result.cells[1][0].p_ee_a == pytest.approx(np.exp(-0.6), rel=1e-6)
 
+    def test_no_dark_mode_population_without_coupling(self):
+        # g = 0 has no collective modes, so `standard_observables` has no mode_b_pop to record
+        cells = run_sweep(small_spec(base=SystemConfig(g_a=0.0, g_b=0.0, cutoff=2)), FAST).cells
+        assert all(cell.mode_b_pop is None for row in cells for cell in row)
+        assert all(cell.mode_b_pop is not None for row in run_sweep(small_spec(), FAST).cells for cell in row)
+
     def test_integrator_errors_carry_cell_coordinates(self):
         spec = SweepSpec(
             base=SystemConfig(n_thermal=2.0),
@@ -244,13 +249,15 @@ def _superposition_state(cfg):
     return np.outer(ket, ket.conj())
 
 
+OBSERVED = ("mean_photon", "p_ee_a", "p_ee_b", "mode_b_pop")  # the observables `_independent_cell` compares
+
+
 def _independent_cell(cfg, rho0, times):
-    """A trajectory's records from a model of its own, in the order of `_run_trajectory_task`."""
-    observables = {name: op for name, op in standard_observables(cfg).items() if name in RECORDED}
-    traj = evolve(build_model(cfg), rho0, FAST, record_times=times, observables=observables,
+    """A trajectory's concurrence, `OBSERVED` values, trace residual and smallest eigenvalue per time."""
+    traj = evolve(build_model(cfg), rho0, FAST, record_times=times, observables=standard_observables(cfg),
                   reduce_to=(ATOM_A, ATOM_B))
     return [
-        (concurrence(atoms).value, *(traj.observables[name][i] for name in RECORDED),
+        (concurrence(atoms).value, *(traj.observables[name][i] for name in OBSERVED),
          traj.trace_residuals[i], traj.min_eigenvalues[i])
         for i, atoms in enumerate(traj.states)
     ]
@@ -305,7 +312,7 @@ class TestRateComponents:
             cfg = replace(spec.base, **{name: axis.values[k] for name, (axis, k) in index.items()})
             expected = _independent_cell(cfg, rho0, times)[r]
             cell = result.cells[i][j]
-            got = (cell.concurrence, cell.mean_photon, cell.p_ee_a, cell.p_ee_b, cell.trace_residual,
+            got = (cell.concurrence, *(getattr(cell, name) for name in OBSERVED), cell.trace_residual,
                    cell.min_eigenvalue)
             assert np.abs(np.subtract(got, expected)).max() <= 1e-12, (i, j)
 
