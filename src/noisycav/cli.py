@@ -3,7 +3,8 @@
 Configuration is a plain key=value document ('#' comments allowed). The keys
 are the fields of SystemConfig and IntegratorSettings plus `out` and `format`;
 any other key is an error, so a typo like "gama" is not a silently ignored
-default; `--out`, `--format` and `--cutoff` override their keys. Output is
+default, and so is a key the command does not read (`_UNREAD_KEYS`);
+`--out`, `--format` and `--cutoff` override their keys. Output is
 CSV, every file written by `_write_table`, or JSON, with deterministic
 formatting: repeated runs on the same platform produce byte-identical files.
 A sweep runs in this process unless `--workers` asks for a process pool.
@@ -60,6 +61,9 @@ STEADY_HEADER = "field,value"
 # fields take the type of their default.
 _KEY_TYPES = {f.name: type(f.default) for cls in (SystemConfig, IntegratorSettings) for f in fields(cls)}
 _KEY_TYPES.update(out=str, format=str)
+# The keys each command does not read: `steady` takes no integrator setting and
+# `sweep` only dt, its times coming from its axes. Setting one is an error.
+_UNREAD_KEYS = {"evolve": (), "steady": ("dt", "t_max", "record_stride"), "sweep": ("t_max", "record_stride")}
 
 
 class ConfigError(ValueError):
@@ -324,6 +328,9 @@ def _load_run_config(args) -> RunConfig:
     for key, value in (("cutoff", args.cutoff), ("out", args.out or None), ("format", args.format)):
         if value is not None:
             values[key] = value
+    unread = [key for key in _UNREAD_KEYS[args.command] if key in values]
+    if unread:
+        raise ConfigError(f"{args.command} does not read {', '.join(unread)}")
     return _build_run_config(values)
 
 

@@ -21,15 +21,20 @@ of all d^2 entries. Only those blocks are built.
 every other entry staying exactly 0. From |g,g,0> that is the q = 0 sector
 (84 of the 576 entries at cutoff 5); a q = +-1 coherence adds those sectors;
 a model without the symmetry evolves all d^2 entries, at the cost of a
-d^2 x d^2 block. Each of the four stages is one call of the evaluator
-`make_rhs`, one matvec with the block of the `SectorBlocks`. In place of a
-model, `evolve` also takes `SectorBlocks` built elsewhere: a sweep builds its
-generator once and re-weights it per cell (see `sweep`).
+d^2 x d^2 block. The evaluator `make_rhs` is one product with the block B of
+the `SectorBlocks`. For this linear equation an RK4 step of size h is the
+matrix S = p(hB), p(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, which `_step_map`
+builds with four `make_rhs` calls on the identity, once per distinct h in an
+evolution; each step is then one matvec S @ x. In place of a model, `evolve`
+also takes `SectorBlocks` built elsewhere: a sweep builds its generator once
+and re-weights it per cell (see `sweep`).
 After every step the vector is re-Hermitized as (x + conj(x[mirror]))/2,
 where mirror maps rho[i, j] to rho[j, i]; the pre-enforcement Hermiticity
-drift and the trace drift are checked against the per-step tolerance, and
-recorded states, scattered back into d x d matrices, must pass the
-density-matrix gates.
+drift and the trace drift, max(|tr rho - 1|, max |rho_ij| - 1), are checked
+against the per-step tolerance, and recorded states, scattered back into
+d x d matrices, must pass the density-matrix gates. RK4 keeps the trace and
+Hermiticity up to round-off, so it is the |rho_ij| <= 1 term that stops a
+step too large for the rates, on the step where an entry first grows past 1.
 Accuracy is certified by step halving, not by an embedded error estimator.
 
 `steady_state` solves on the q = 0 block and checks uniqueness on all of
@@ -77,7 +82,7 @@ class IntegratorError(RuntimeError):
 
 
 class TraceDriftError(IntegratorError):
-    """Trace left 1 by more than the tolerance; the step size is too large."""
+    """Trace, or an entry's modulus, left 1 (a bound on the trace norm) by more than the tolerance; reduce dt."""
 
 
 class HermiticityDriftError(IntegratorError):
@@ -247,6 +252,7 @@ def evolve(
     trace_res: list[float] = []
     min_eigs: list[float] = []
 
+    step_maps: dict[float, np.ndarray] = {}  # keyed by the exact step size
     t_prev = 0.0
     for t_rec in record_times:
         span = t_rec - t_prev
@@ -257,8 +263,11 @@ def evolve(
                                       f"(more than MAX_STEPS={MAX_STEPS:g})")
             n_steps = max(1, math.ceil(steps - 1e-9))
             h = span / n_steps
+            if h not in step_maps:
+                step_maps[h] = _step_map(rhs, len(x), h)
+            step = step_maps[h]
             for k in range(1, n_steps + 1):
-                raw = _rk4_step(rhs, x, h)
+                raw = step @ x
                 mirrored = raw[mirror].conj()
                 herm_drift = float(np.abs(raw - mirrored).max())
                 # `not <=` so that a NaN drift fails the gate too
@@ -268,7 +277,9 @@ def evolve(
                         f"near t={t_prev + k * h:.6g}"
                     )
                 x = 0.5 * (raw + mirrored)
-                drift = float(abs(x[diagonal].sum().real - 1.0))
+                # a lower bound on the trace-norm drift: any density matrix has |rho_ij| <= 1;
+                # `np.maximum` keeps a NaN
+                drift = float(np.maximum(abs(x[diagonal].sum().real - 1.0), np.abs(x).max() - 1.0))
                 if not drift <= TOLERANCE:
                     raise TraceDriftError(
                         f"trace drift {drift:.3e} exceeds tolerance {TOLERANCE:.1e} "
@@ -300,12 +311,22 @@ def evolve(
     )
 
 
+def _step_map(rhs, n: int, h: float) -> np.ndarray:
+    """The matrix S of one step of size h on n entries, so that a step is x -> S @ x.
+
+    This is classical RK4: S = `_rk4_step(rhs, I, h)`, four calls of `rhs` on
+    the identity.
+    """
+    return _rk4_step(rhs, np.eye(n, dtype=complex), h)
+
+
 def _rk4_step(rhs, x: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of the linear equation dx/dt = rhs(x).
+    """One classical RK4 step of the linear equation dx/dt = rhs(x), for x a vector or a matrix of columns.
 
     For a linear autonomous equation the four stages combine into the
     polynomial x + hL(x + hL/2(x + hL/3(x + hL/4 x))), evaluated here with one
-    `rhs` call per stage and fewer vector operations than the stage form.
+    `rhs` call per stage and fewer operations than the stage form. On the
+    identity it gives the step matrix p(hL) of `_step_map`.
     """
     y = x + (h / 4) * rhs(x)
     y = x + (h / 3) * rhs(y)

@@ -1,5 +1,8 @@
 """Hostile command lines end in a named exit code (0, 2, 3 or 4), never in a traceback.
 
+A command line that sets a key its command does not read (`UNREAD`, listed
+here apart from the program's own table) is a configuration error, exit 2.
+
 Argument lists are drawn from the real subcommands, flags and configuration
 keys. Each value is either an ordinary one or one from a pool of hostile
 strings: NaN, infinities, signed zero, a negative, an overflowing 1e308, a
@@ -25,6 +28,7 @@ HOSTILE = st.sampled_from(("nan", "inf", "-inf", "-0", "0", "-1", "1e308", "1e30
 ORDINARY = {"dt": (), "t_max": ("0", "0.5"), "cutoff": ("1", "2"), "record_stride": ("1", "3"),
             "format": ("csv", "json"), "g_a": ("0", "1"), "g_b": ("0.5", "1")}
 COUNTS = ("1", "2", "3")
+UNREAD = {"evolve": set(), "steady": {"dt", "t_max", "record_stride"}, "sweep": {"t_max", "record_stride"}}
 
 
 def value(*ordinary):
@@ -47,8 +51,8 @@ FLAGS = {
 
 
 @st.composite
-def command_lines(draw):
-    command = draw(st.sampled_from(sorted(FLAGS)))
+def command_lines(draw, commands=sorted(FLAGS)):
+    command = draw(st.sampled_from(commands))
     args = [command, "--cutoff", draw(value("1", "2"))]
     for key in draw(st.lists(st.sampled_from(sorted(_KEY_TYPES) + ["gama"]), max_size=3)):
         args += ["--set", f"{key}={draw(value(*ORDINARY.get(key, ('0', '0.5', '2'))))}"]
@@ -64,19 +68,36 @@ def command_lines(draw):
     return args
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(command_lines())
-def test_every_command_line_ends_in_a_named_exit_code(args):
+def exit_code(args):
+    """`main(args)`'s exit code, run in a temporary directory."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True):
         # an overflowing input warns before a gate stops it; here the exit code is what counts
         warnings.simplefilter("always", RuntimeWarning)
         os.chdir(tmp)  # outputs land here, named by --out or by default
         try:
-            code = main(args)
+            return main(args)
         except SystemExit as exit_:  # argparse rejects a malformed list with exit 2
-            code = exit_.code
+            return exit_.code
         finally:
             os.chdir(cwd)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(command_lines())
+def test_every_command_line_ends_in_a_named_exit_code(args):
+    code = exit_code(args)
     assert code in (0, 2, 3, 4)
+    keys = {assignment.split("=", 1)[0] for flag, assignment in zip(args, args[1:]) if flag == "--set"}
+    if keys & UNREAD[args[0]]:
+        assert code == 2
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(command_lines(commands=sorted(command for command, keys in UNREAD.items() if keys)), st.data())
+def test_a_key_the_command_does_not_read_is_exit_2(args, data):
+    # the same lines, each given one more --set of an unread key with an ordinary value
+    key = data.draw(st.sampled_from(sorted(UNREAD[args[0]])))
+    raw = data.draw(st.sampled_from(ORDINARY[key] or ("0.001",)))
+    assert exit_code([*args, "--set", f"{key}={raw}"]) == 2

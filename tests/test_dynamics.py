@@ -14,6 +14,7 @@ from noisycav.dynamics import (
     PositivityLossError,
     RankDeficientError,
     SectorBlocks,
+    TraceDriftError,
     Trajectory,
     _coherence_sectors,
     _evolved_entries,
@@ -365,14 +366,15 @@ class TestEvolve:
             evolve(build_model(cfg), ground_state(cfg), IntegratorSettings(dt=0.5, t_max=5.0))
 
     def test_drift_error_names_the_failing_step(self):
-        # one record span of ten steps: the step ending at t = 0.3 passes both
-        # drift gates (only its record fails, on positivity) and the next one
-        # fails, so the error names t = 0.6, not the span's start t = 0
+        # one record span of 500 steps just above the stable step size: the
+        # step ending at t = 0.144 passes both drift gates (only its record
+        # fails, on positivity) and a later one fails, so the error names
+        # t = 0.15, not the span's start t = 0
         cfg = SystemConfig(n_thermal=3.0, kappa=5.0, cutoff=5)
-        model, settings = build_model(cfg), IntegratorSettings(dt=0.3, t_max=3.0)
-        with pytest.raises(PositivityLossError, match="at t=0.3 "):
-            evolve(model, ground_state(cfg), settings, record_times=[0.0, 0.3])
-        with pytest.raises(HermiticityDriftError, match=r"near t=0\.6$"):
+        model, settings = build_model(cfg), IntegratorSettings(dt=0.006, t_max=3.0)
+        with pytest.raises(PositivityLossError, match="at t=0.144 "):
+            evolve(model, ground_state(cfg), settings, record_times=[0.0, 0.144])
+        with pytest.raises(TraceDriftError, match=r"near t=0\.15; reduce dt$"):
             evolve(model, ground_state(cfg), settings, record_times=[0.0, 3.0])
 
     def test_nan_drift_fails_the_gates(self):
@@ -619,6 +621,79 @@ class TestSectorEvolve:
             assert np.array_equal(evolved(model, rho0), np.flatnonzero(np.isin(orders, (-1, 0, 1))))
         rows, cols = _evolved_entries(with_atom_a_sigma_x(model), excited)
         assert np.array_equal(rows, np.arange(d * d) % d) and np.array_equal(cols, np.arange(d * d) // d)
+
+
+def stage_rk4(block, rows, cols, x, record_times, dt):
+    """Classical RK4 in stage form, four `block @ x` stages a step, with `evolve`'s schedule and re-Hermitization.
+
+    Returns the state vector on the entries rho[rows, cols] at each record time.
+    """
+    index = {(i, j): k for k, (i, j) in enumerate(zip(rows, cols))}
+    mirror = np.array([index[j, i] for i, j in zip(rows, cols)])
+    out = []
+    t_prev = 0.0
+    for t in record_times:
+        span = t - t_prev
+        if span > 1e-12 * max(1.0, t):
+            n_steps = max(1, math.ceil(span / dt - 1e-9))
+            h = span / n_steps
+            for _ in range(n_steps):
+                k1 = block @ x
+                k2 = block @ (x + 0.5 * h * k1)
+                k3 = block @ (x + 0.5 * h * k2)
+                k4 = block @ (x + h * k3)
+                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                x = 0.5 * (x + x[mirror].conj())
+            t_prev = t
+        out.append(x)
+    return out
+
+
+class TestStepMap:
+    """Each step as one matrix, built once per step size, against RK4 in stage form."""
+
+    @pytest.mark.parametrize("params,start,times", [
+        (dict(n_thermal=1.0, kappa=2.0), ground_state, [0.0, 1.0 / (2.0 * math.sqrt(2.0))]),  # a fig3 cell
+        (dict(n_thermal=1.8), ground_state, list(np.linspace(0.0, 5.0, 6))),  # a fig2 trajectory
+        (dict(n_thermal=0.3), superposition_start, RECORD_TIMES + [1.0]),  # q = 0 and +-1
+    ], ids=["fig3_cell", "fig2_trajectory", "superposition"])
+    def test_matches_stage_form(self, params, start, times):
+        cfg = SystemConfig(cutoff=5, **params)
+        model, rho0 = build_model(cfg), start(cfg)
+        rows, cols = _evolved_entries(model, rho0)
+        block = _superoperator_block(model, rows, cols)
+        settings = IntegratorSettings()
+        traj = evolve(model, rho0, settings, record_times=times)
+        reference = stage_rk4(block, rows, cols, rho0[rows, cols].astype(complex), times, settings.dt)
+        for state, x in zip(traj.states, reference):
+            expected = np.zeros_like(state)
+            expected[rows, cols] = x
+            assert np.abs(state - expected).max() <= 1e-13
+        assert np.abs(traj.states[-1] - rho0).max() > 1e-3  # the state moved
+
+    @pytest.mark.parametrize("times,calls", [
+        (None, 40),  # the default grid: 250 spans of ten steps, in 10 distinct step sizes
+        ([1.0 / (2.0 * math.sqrt(2.0))], 4),  # a fig3 cell: one span
+        # spans 0.125, 0.125, 0, 0.0625 (exact in binary): two step sizes, and a repeated time takes no step
+        ([0.0, 0.125, 0.25, 0.25, 0.3125], 8),
+    ])
+    def test_four_rhs_calls_per_step_size(self, times, calls, monkeypatch):
+        count = 0
+
+        def counting_make_rhs(generator):
+            rhs = make_rhs(generator)
+
+            def counted(x):
+                nonlocal count
+                count += 1
+                return rhs(x)
+
+            return counted
+
+        monkeypatch.setattr(noisycav.dynamics, "make_rhs", counting_make_rhs)
+        cfg = SystemConfig(n_thermal=0.5, cutoff=2)
+        evolve(build_model(cfg), ground_state(cfg), IntegratorSettings(), record_times=times)
+        assert count == calls
 
 
 class TestSectorSteadyState:
