@@ -64,6 +64,9 @@ _KEY_TYPES.update(out=str, format=str)
 # The keys each command does not read: `steady` takes no integrator setting and
 # `sweep` only dt, its times coming from its axes. Setting one is an error.
 _UNREAD_KEYS = {"evolve": (), "steady": ("dt", "t_max", "record_stride"), "sweep": ("t_max", "record_stride")}
+# The value an unread integrator key takes, so that it checks nothing against dt:
+# t_max = 0 asks for no step and record_stride = 1 for one step a record.
+_UNREAD_VALUES = {"t_max": 0.0, "record_stride": 1}
 
 
 class ConfigError(ValueError):
@@ -331,6 +334,7 @@ def _load_run_config(args) -> RunConfig:
     unread = [key for key in _UNREAD_KEYS[args.command] if key in values]
     if unread:
         raise ConfigError(f"{args.command} does not read {', '.join(unread)}")
+    values.update((key, _UNREAD_VALUES[key]) for key in _UNREAD_KEYS[args.command] if key in _UNREAD_VALUES)
     return _build_run_config(values)
 
 

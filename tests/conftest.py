@@ -1,11 +1,23 @@
 import concurrent.futures
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from noisycav.dynamics import (
+    TOLERANCE,
+    HermiticityDriftError,
+    PositivityLossError,
+    SectorBlocks,
+    TraceDriftError,
+    _evolved_entries,
+    _step_map,
+    _superoperator_block,
+    make_rhs,
+)
 from noisycav.model import ATOM_A, ATOM_B, CAVITY, build_interaction_hamiltonian, build_model
-from noisycav.qops import embed, number_operator, pauli_z
+from noisycav.qops import POSITIVITY_TOL, embed, number_operator, pauli_z
 
 
 def random_density_matrix(rng, dim, rank=None):
@@ -41,6 +53,49 @@ def vec(mat):
 
 def unvec(v, dim):
     return v.reshape(dim, dim, order="F")
+
+
+def stepwise_evolve(model, rho0, dt, record_times):
+    """`evolve`'s schedule and step matrices, with its drift gates run after every single step.
+
+    The loop steps one matvec at a time, checks the Hermiticity drift and then
+    the trace drift max(|tr rho - 1|, max |rho_ij| - 1) of each step's state,
+    re-Hermitizes after every step and checks each recorded state's smallest
+    eigenvalue. It raises the error `evolve` raises, naming the same time, and
+    returns the recorded d x d states.
+    """
+    d = model.dim
+    rows, cols = _evolved_entries(model, rho0)
+    rhs = make_rhs(SectorBlocks(model.layout, rows, cols, _superoperator_block(model, rows, cols)))
+    pos = np.full((d, d), -1)
+    pos[rows, cols] = np.arange(len(rows))
+    mirror, diagonal = pos[cols, rows], np.flatnonzero(rows == cols)
+    x = rho0[rows, cols].astype(complex)
+    states, t_prev = [], 0.0
+    for t_rec in record_times:
+        span = t_rec - t_prev
+        if span > 1e-12 * max(1.0, t_rec):
+            n_steps = max(1, math.ceil(span / dt - 1e-9))
+            h = span / n_steps
+            step = _step_map(rhs, len(x), h)
+            for k in range(1, n_steps + 1):
+                raw = step @ x
+                mirrored = raw[mirror].conj()
+                herm_drift = float(np.abs(raw - mirrored).max())
+                if not herm_drift <= TOLERANCE:
+                    raise HermiticityDriftError(f"Hermiticity drift {herm_drift:.3e} near t={t_prev + k * h:.6g}")
+                x = 0.5 * (raw + mirrored)
+                drift = float(np.maximum(abs(x[diagonal].sum().real - 1.0), np.abs(x).max() - 1.0))
+                if not drift <= TOLERANCE:
+                    raise TraceDriftError(f"trace drift {drift:.3e} near t={t_prev + k * h:.6g}; reduce dt")
+            t_prev = t_rec
+        rho = np.zeros((d, d), dtype=complex)
+        rho[rows, cols] = x
+        min_eig = float(np.linalg.eigvalsh(rho)[0])
+        if min_eig < -POSITIVITY_TOL:
+            raise PositivityLossError(f"smallest eigenvalue {min_eig:.3e} at t={t_rec:.6g}")
+        states.append(rho)
+    return states
 
 
 def lab_hamiltonian(cfg, omega, omega_f):

@@ -221,6 +221,22 @@ class TestEvolveCommand:
         assert capsys.readouterr().err.startswith(message)
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("args,code,message", [
+        # dt above the default t_max: the one step of the evaluation time 1/(2g) is too large at n_T = 1
+        (["--set", "dt=6"], 3,
+         "integrator failure: n_thermal=1: trace drift 1.764e+00 exceeds tolerance 1.0e-08 near t=0.353553; reduce dt"),
+        (["--at-time", "0.05", "--set", "dt=6"], 0, ""),
+        # the step cap is the one each record time meets, not one computed from an unread t_max
+        (["--at-time", "2", "--set", "dt=1e-7"], 3,
+         "integrator failure: n_thermal=0: record time t=2 is too many steps of dt=1e-07 away"),
+    ])
+    def test_sweep_checks_dt_against_no_unread_key(self, args, code, message, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--axis1", "n_thermal:0:1:2", "--cutoff", "1", "--out", str(out), *args]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "config error" not in err
+        assert out.exists() == (code == 0)
+
     def test_mode_b_column_empty_without_coupling(self, tmp_path):
         out = tmp_path / "e.csv"
         args = ["evolve", "--out", str(out), "--set", "g_a=0", "--set", "g_b=0",

@@ -1,4 +1,7 @@
 import math
+import re
+import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -39,7 +42,7 @@ from noisycav.model import (
 )
 from noisycav.qops import SpaceLayout, basis_state, embed, excitation_numbers, partial_trace
 
-from conftest import lab_model, random_density_matrix, random_trace_one_hermitian, unvec, vec
+from conftest import lab_model, random_density_matrix, random_trace_one_hermitian, stepwise_evolve, unvec, vec
 
 
 def cavity_thermal_state(n_thermal, cutoff):
@@ -624,7 +627,9 @@ class TestSectorEvolve:
 
 
 def stage_rk4(block, rows, cols, x, record_times, dt):
-    """Classical RK4 in stage form, four `block @ x` stages a step, with `evolve`'s schedule and re-Hermitization.
+    """Classical RK4 in stage form, four `block @ x` stages a step, with `evolve`'s schedule.
+
+    The state is re-Hermitized at each record, as `evolve` does.
 
     Returns the state vector on the entries rho[rows, cols] at each record time.
     """
@@ -643,7 +648,7 @@ def stage_rk4(block, rows, cols, x, record_times, dt):
                 k3 = block @ (x + 0.5 * h * k2)
                 k4 = block @ (x + h * k3)
                 x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                x = 0.5 * (x + x[mirror].conj())
+            x = 0.5 * (x + x[mirror].conj())
             t_prev = t
         out.append(x)
     return out
@@ -694,6 +699,63 @@ class TestStepMap:
         cfg = SystemConfig(n_thermal=0.5, cutoff=2)
         evolve(build_model(cfg), ground_state(cfg), IntegratorSettings(), record_times=times)
         assert count == calls
+
+
+def gate_outcome(run):
+    """(error class, the time its message names) of an integrator failure in `run()`, or (None, None)."""
+    try:
+        run()
+    except IntegratorError as err:
+        return type(err), re.search(r"(near|at) t=[^ ;]+", str(err)).group()
+    return None, None
+
+
+class TestChunkedGates:
+    """`evolve` runs its drift gates once per chunk of steps: against `stepwise_evolve`, which runs them every step."""
+
+    @staticmethod
+    def both(n_thermal, kappa, dt, t_max, record_times=None):
+        """The outcomes of `evolve`, with every warning an error, and of `stepwise_evolve` on one trajectory."""
+        cfg = SystemConfig(n_thermal=n_thermal, kappa=kappa, cutoff=5)
+        model, rho0, settings = build_model(cfg), ground_state(cfg), IntegratorSettings(dt=dt, t_max=t_max)
+        times = settings.times if record_times is None else record_times
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # so an overflow in a step past the failing one fails the test
+            chunked = gate_outcome(lambda: evolve(model, rho0, settings, record_times=times))
+        return chunked, gate_outcome(lambda: stepwise_evolve(model, rho0, dt, times))
+
+    @pytest.mark.parametrize("n_thermal,kappa,dt", [
+        *product((0.5, 1.0, 2.0, 3.0), (1.0, 2.0, 4.0), (0.3, 0.4, 0.5, 0.7, 1.0)),  # steps just too large
+        *product((3.0, 1e3, 1e6), (5.0, 1e3, 1e6), (0.01, 0.5, 5.0)),  # hostile growth: rates up to 1e12
+    ])
+    def test_unstable_run_fails_as_stepwise_without_overflow(self, n_thermal, kappa, dt):
+        chunked, stepwise = self.both(n_thermal, kappa, dt, 5.0)
+        assert chunked == stepwise
+        assert chunked[0] is TraceDriftError
+
+    @pytest.mark.parametrize("kappa,dt,record_times,near", [
+        (4.0, 1.0, [0.0, 3.0], "near t=1"),  # the first step, a chunk of one step
+        (5.0, 0.006, [0.0, 3.0], "near t=0.15"),  # step 25, inside the chunk of steps 16-31
+        (5.0, 0.0057, [0.0, 3.0], "near t=0.614801"),  # step 108, in the third chunk at the cap (steps 96-127)
+        (5.0, 0.006, [0.0, 0.15], "near t=0.15"),  # step 25, the last of the span's 25 steps
+    ], ids=["first_step", "later_chunk", "capped_chunk", "last_step_of_span"])
+    def test_failure_names_the_stepwise_step(self, kappa, dt, record_times, near):
+        chunked, stepwise = self.both(3.0, kappa, dt, record_times[-1], record_times)
+        assert chunked == stepwise == (TraceDriftError, near)
+
+    def test_stable_run_records_the_stepwise_states(self):
+        cfg = SystemConfig(n_thermal=1.8, cutoff=5)
+        model, rho0, times = build_model(cfg), ground_state(cfg), list(np.linspace(0.0, 5.0, 6))
+        traj = evolve(model, rho0, IntegratorSettings(), record_times=times)
+        for state, expected in zip(traj.states, stepwise_evolve(model, rho0, 0.002, times)):
+            assert np.abs(state - expected).max() <= 1e-13
+
+    @pytest.mark.parametrize("start", [ground_state, superposition_start], ids=["q0", "q0_and_pm1"])
+    def test_recorded_states_are_exactly_hermitian(self, start):
+        cfg = SystemConfig(n_thermal=1.8, cutoff=4)
+        traj = evolve(build_model(cfg), start(cfg), IntegratorSettings(), record_times=[0.0, 0.3, 0.3, 1.7])
+        for state in traj.states:
+            assert np.array_equal(state, state.conj().T)
 
 
 class TestSectorSteadyState:
