@@ -24,10 +24,10 @@ a model without the symmetry evolves all d^2 entries, at the cost of a
 d^2 x d^2 block. The evaluator `make_rhs` is one product with the block B of
 the `SectorBlocks`. For this linear equation an RK4 step of size h is the
 matrix S = p(hB), p(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, which `_step_map`
-builds with four `make_rhs` calls on the identity, once per distinct h in an
-evolution; each step is then one matvec S @ x. In place of a model, `evolve`
-also takes `SectorBlocks` built elsewhere: a sweep builds its generator once
-and re-weights it per cell (see `sweep`).
+builds by Horner's rule with three `make_rhs` products, once per distinct h
+in an evolution; each step is then one matvec S @ x. In place of a model,
+`evolve` also takes `SectorBlocks` built elsewhere: a sweep builds its
+generator once and re-weights it per cell (see `sweep`).
 The drift gates run on every step's state, once per chunk of steps: a record
 span is stepped in chunks of 1, 2, 4, ... up to CHUNK_STEPS steps, each step a
 matvec into one reused buffer, and after each chunk the Hermiticity drift
@@ -251,7 +251,6 @@ def evolve(
         entries = _evolved_entries(model, rho0)
         generator = SectorBlocks(model.layout, *entries, _superoperator_block(model, *entries))
     rows, cols = generator.rows, generator.cols
-    rhs = make_rhs(generator)
     pos = np.full((d, d), -1)
     pos[rows, cols] = np.arange(len(rows))
     if np.any(rho0[pos < 0]):
@@ -281,7 +280,7 @@ def evolve(
             n_steps = max(1, math.ceil(steps - 1e-9))
             h = span / n_steps
             if h not in step_maps:
-                step_maps[h] = _step_map(rhs, len(x), h)
+                step_maps[h] = _step_map(generator, h)
             step = step_maps[h]
             done, length = 0, 1
             while done < n_steps:
@@ -335,27 +334,23 @@ def evolve(
     )
 
 
-def _step_map(rhs, n: int, h: float) -> np.ndarray:
-    """The matrix S of one step of size h on n entries, so that a step is x -> S @ x.
+def _step_map(generator: SectorBlocks, h: float) -> np.ndarray:
+    """The matrix S of one classical RK4 step of size h on the entries of `generator`: a step is x -> S @ x.
 
-    This is classical RK4: S = `_rk4_step(rhs, I, h)`, four calls of `rhs` on
-    the identity.
+    For the linear autonomous equation dx/dt = Bx the four stages combine into
+    S = p(hB) = I + hB(I + hB/2(I + hB/3(I + hB/4))), evaluated from the inside
+    out: the innermost factor needs no product, the other three are one
+    `make_rhs` evaluation each.
     """
-    return _rk4_step(rhs, np.eye(n, dtype=complex), h)
-
-
-def _rk4_step(rhs, x: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of the linear equation dx/dt = rhs(x), for x a vector or a matrix of columns.
-
-    For a linear autonomous equation the four stages combine into the
-    polynomial x + hL(x + hL/2(x + hL/3(x + hL/4 x))), evaluated here with one
-    `rhs` call per stage and fewer operations than the stage form. On the
-    identity it gives the step matrix p(hL) of `_step_map`.
-    """
-    y = x + (h / 4) * rhs(x)
-    y = x + (h / 3) * rhs(y)
-    y = x + (h / 2) * rhs(y)
-    return x + h * rhs(y)
+    rhs = make_rhs(generator)
+    eye = np.eye(len(generator.rows), dtype=complex)
+    # a step too large for the rates overflows S to inf or NaN; stepping with it gives a
+    # state that is not finite, which fails the drift gates
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = eye + (h / 4) * generator.block
+        y = eye + (h / 3) * rhs(y)
+        y = eye + (h / 2) * rhs(y)
+        return eye + h * rhs(y)
 
 
 def _superoperator_block(model: LindbladModel, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

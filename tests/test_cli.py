@@ -192,6 +192,14 @@ class TestEvolveCommand:
         assert "Hermiticity drift nan" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_overflowing_step_map_is_exit_3_without_warning(self, tmp_path, capsys):
+        # one step of 1e308 overflows the step matrix; a warning raised while it is built fails this test
+        args = ["sweep", "--axis1", "n_thermal:0:1:2", "--cutoff", "1", "--set", "dt=1e308", "--at-time", "1e308"]
+        assert main([*args, "--out", str(tmp_path / "out.csv")]) == 3
+        assert capsys.readouterr().err == ("integrator failure: n_thermal=0: Hermiticity drift nan exceeds "
+                                           "tolerance 1.0e-08 near t=1e+308\n")
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("args,label", [
         (["sweep", "--axis1", "n_thermal:0:1:2", "--at-time", "1e308"], "n_thermal=0: "),
         (["sweep", "--axis1", "time:0:1e308:2"], "time column: "),
@@ -215,7 +223,7 @@ class TestEvolveCommand:
         def never(*_, **__):
             raise AssertionError("the run started")
 
-        monkeypatch.setattr(noisycav.dynamics, "_rk4_step", never)
+        monkeypatch.setattr(noisycav.dynamics, "_step_map", never)
         monkeypatch.setattr(IntegratorSettings, "times", property(never))  # evolve's record grid
         assert main([*args, "--cutoff", "1", "--out", str(tmp_path / "out.csv")]) == code
         assert capsys.readouterr().err.startswith(message)
