@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from argparse import ArgumentParser
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -173,7 +173,7 @@ def _report_truncation_tail(cfg: SystemConfig, n_thermal_max: float | None = Non
 def cmd_evolve(run_cfg: RunConfig) -> int:
     cfg, settings = run_cfg.system, run_cfg.integrator
     result = run_sweep(SweepSpec(cfg, SweepAxis("time", settings.times)), settings)
-    records = [{"t": cell.axis1_value, **asdict(cell)} for (cell,) in result.cells]
+    records = [{"t": cell.axis1_value, **vars(cell)} for (cell,) in result.cells]
     _write_table(run_cfg.out or f"evolve.{run_cfg.fmt}", run_cfg.fmt, EVOLVE_HEADER, records)
     _report_truncation_tail(cfg)
     return 0
@@ -219,13 +219,13 @@ def cmd_sweep(run_cfg: RunConfig, spec: SweepSpec, workers: int = 1) -> int:
     result = run_sweep(spec, run_cfg.integrator, workers=workers)
     a1, a2 = spec.axis1, spec.axis2
     names = {"axis1_name": a1.parameter, "axis2_name": a2.parameter if a2 is not None else None}
-    records = [{**names, **asdict(cell)} for row in result.cells for cell in row]
+    records = [{**names, **vars(cell)} for row in result.cells for cell in row]
     out = run_cfg.out or f"sweep.{run_cfg.fmt}"
     _write_table(out, run_cfg.fmt, SWEEP_HEADER, records)
 
     if a2 is not None:
         rows = resonance_summary(result)
-        summary = [asdict(r) for r in rows]
+        summary = [vars(r) for r in rows]
         _write_table(f"{out}.summary.{run_cfg.fmt}", run_cfg.fmt, SUMMARY_HEADER, summary, key="rows")
         spread = product_spread(rows)
         if spread is not None:

@@ -261,7 +261,6 @@ def evolve(
     observables = observables or {}
 
     x = np.asarray(rho0, dtype=complex)[rows, cols]
-    times_out: list[float] = []
     states: list[np.ndarray] = []
     obs_out: dict[str, list[float]] = {name: [] for name in observables}
     trace_res: list[float] = []
@@ -318,7 +317,6 @@ def evolve(
             raise PositivityLossError(
                 f"smallest eigenvalue {min_eig:.3e} at t={t_rec:.6g} violates the positivity gate"
             )
-        times_out.append(t_rec)
         states.append(partial_trace(rho, model.layout, reduce_to) if reduce_to is not None else rho)
         trace_res.append(residual)
         min_eigs.append(min_eig)
@@ -326,7 +324,7 @@ def evolve(
             obs_out[name].append(expectation(op, rho))
 
     return Trajectory(
-        times=np.array(times_out),
+        times=np.array(record_times),
         states=states,
         observables={name: np.array(vals) for name, vals in obs_out.items()},
         trace_residuals=np.array(trace_res),

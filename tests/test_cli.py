@@ -1,5 +1,10 @@
 import csv
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +22,9 @@ from noisycav.cli import (
 from noisycav.dynamics import IntegratorSettings, evolve
 from noisycav.entanglement import concurrence
 from noisycav.model import ATOM_A, ATOM_B, SystemConfig, build_model, ground_state, standard_observables
-from noisycav.sweep import SummaryRow
+from noisycav.sweep import PRESETS, SummaryRow
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestParseConfig:
@@ -543,6 +550,41 @@ def test_invalid_values_are_exit_2(args, tmp_path, monkeypatch, capsys, recwarn)
     assert capsys.readouterr().err.startswith("config error: ")
     assert not list(tmp_path.iterdir())
     assert not recwarn.list  # rejected before numpy sees the value
+
+
+@pytest.mark.parametrize("args,message", [
+    (["steady", "--set", "kappa"], "--set expects KEY=VALUE, got 'kappa'"),
+    (["sweep", "--axis1", "n_thermal:0:1:2", "--at-time", "0"],
+     "evaluation_time must be positive when time is not a sweep axis"),
+], ids=["set-without-value", "zero-evaluation-time"])
+def test_rejections_name_the_fault(args, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_readme_figure_commands(tmp_path, monkeypatch, capsys):
+    # README's "Reproduce the figures" commands, one per preset, run through `python -m noisycav`
+    # on a small grid, give the files and notes of `main` run in this process with the same arguments
+    commands = [shlex.split(line) for line in (ROOT / "README.md").read_text().splitlines()
+                if line.startswith("python -m noisycav sweep --preset ")]
+    assert [cmd[5] for cmd in commands] == list(PRESETS)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    small = ["--points", "2", "--cutoff", "2"]
+    monkeypatch.chdir(tmp_path)
+    Path("results").mkdir()
+    for cmd in commands:
+        run = subprocess.run([sys.executable, *cmd[1:], *small], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        args = cmd[3:]
+        out = args[args.index("--out") + 1]
+        args[args.index("--out") + 1] = "in_process.csv"
+        assert main([*args, *small]) == 0
+        assert (run.stdout, run.stderr) == capsys.readouterr()
+        for tail in ("", ".summary.csv"):
+            assert Path(f"{out}{tail}").read_bytes() == Path(f"in_process.csv{tail}").read_bytes()
 
 
 @pytest.mark.parametrize("command", [

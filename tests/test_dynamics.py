@@ -318,11 +318,16 @@ class TestEvolve:
         assert np.allclose(traj.times, times)
         assert len(traj.states) == 3
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_record_times_must_be_finite(self, bad):
+    @pytest.mark.parametrize("times,message", [
+        ([0.0, math.nan], "record times must be finite"),
+        ([0.0, math.inf], "record times must be finite"),
+        ([-0.1, 0.2], "record times must be nonnegative"),
+        ([0.0, 0.3, 0.2], "record times must be ascending"),
+    ], ids=["nan", "inf", "negative", "descending"])
+    def test_record_times_must_be_finite(self, times, message):
         cfg = SystemConfig(cutoff=1)
-        with pytest.raises(ValueError, match="record times must be finite"):
-            evolve(build_model(cfg), ground_state(cfg), IntegratorSettings(), record_times=[0.0, bad])
+        with pytest.raises(ValueError, match=message):
+            evolve(build_model(cfg), ground_state(cfg), IntegratorSettings(), record_times=times)
 
     def test_zero_t_max_records_initial_state_only(self):
         cfg = SystemConfig()
@@ -409,10 +414,16 @@ class TestEvolve:
         bad = np.eye(cfg.layout.dim, dtype=complex)  # trace 24
         with pytest.raises(ValueError):
             evolve(build_model(cfg), bad, IntegratorSettings())
+        other = SystemConfig(cutoff=cfg.cutoff - 1)  # a valid state of another dimension
+        with pytest.raises(ValueError, match=r"initial state shape \(20, 20\) does not match model dimension 24"):
+            evolve(build_model(cfg), ground_state(other), IntegratorSettings())
 
     def test_trajectory_length_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="times and states lengths disagree"):
             Trajectory(times=np.array([0.0, 1.0]), states=[np.eye(2, dtype=complex)])
+        states = [np.eye(2, dtype=complex)] * 2
+        with pytest.raises(ValueError, match="observable series length disagrees with times"):
+            Trajectory(times=np.array([0.0, 1.0]), states=states, observables={"p": np.zeros(3)})
 
 
 class TestSteadyState:

@@ -193,6 +193,10 @@ class TestBuildModel:
             LindbladModel(np.array([[0, 1], [0, 0]], dtype=complex), (), layout)
         with pytest.raises(ValueError, match="rate"):
             LindbladModel(np.zeros((2, 2), dtype=complex), ((-1.0, np.eye(2, dtype=complex)),), layout)
+        with pytest.raises(ValueError, match=r"Hamiltonian shape \(3, 3\) does not match layout dim 2"):
+            LindbladModel(np.zeros((3, 3), dtype=complex), (), layout)
+        with pytest.raises(ValueError, match=r"collapse operator shape \(3, 3\) does not match layout dim 2"):
+            LindbladModel(np.zeros((2, 2), dtype=complex), ((1.0, np.eye(3, dtype=complex)),), layout)
 
 
 class TestCollectiveModes:

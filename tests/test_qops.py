@@ -37,6 +37,8 @@ class TestAnnihilation:
     def test_rejects_zero_cutoff(self):
         with pytest.raises(ValueError):
             annihilation(0)
+        with pytest.raises(ValueError, match="cutoff must be at least 1, got 0"):
+            number_operator(0)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_truncated_commutator(self, n):
@@ -78,6 +80,11 @@ class TestQubitOperators:
     def test_anticommutator_identity(self):
         acomm = sigma_minus() @ sigma_plus() + sigma_plus() @ sigma_minus()
         assert np.array_equal(acomm, np.eye(2))
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_basis_index_out_of_range(self, index):
+        with pytest.raises(ValueError, match=f"basis index {index} out of range for dim 2"):
+            basis_state(2, index)
 
     def test_pauli_z_convention(self):
         # sigma_z|e> = +|e> in the |g>=0, |e>=1 ordering
@@ -197,6 +204,8 @@ class TestPartialTrace:
             partial_trace(rho, SpaceLayout((2, 2)), (2,))
         with pytest.raises(ValueError):
             partial_trace(rho, SpaceLayout((2, 2)), ())
+        with pytest.raises(ValueError, match=r"state of shape \(4, 4\) does not match layout dimension 6"):
+            partial_trace(rho, SpaceLayout((2, 3)), (0,))
 
     def test_keep_order_preserved(self, rng):
         layout = SpaceLayout((2, 3, 2))
@@ -224,6 +233,11 @@ class TestDensityMatrixGates:
         rho = np.diag([1.1, -0.1]).astype(complex)
         with pytest.raises(ValueError, match="positive"):
             assert_density_matrix(rho)
+
+    @pytest.mark.parametrize("shape,shown", [((2, 3), r"\(2, 3\)"), ((4,), r"\(4,\)")])
+    def test_rejects_non_square(self, shape, shown):
+        with pytest.raises(ValueError, match=f"density matrix must be square, got shape {shown}"):
+            assert_density_matrix(np.zeros(shape, dtype=complex))
 
     def test_defects_values(self):
         herm, trace, min_eig = density_matrix_defects(np.diag([0.5, 0.5]).astype(complex))

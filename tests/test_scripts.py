@@ -9,11 +9,9 @@ import pytest
 
 import noisycav.model
 import noisycav.sweep
-from noisycav.cli import main
 from noisycav.dynamics import IntegratorSettings, evolve
 from noisycav.entanglement import concurrence
 from noisycav.model import ATOM_A, ATOM_B, SystemConfig, build_model, ground_state
-from noisycav.sweep import PRESETS
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -28,23 +26,6 @@ def load(name):
 @pytest.fixture(autouse=True)
 def in_tmp(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # a script that ignored its output option would write here
-
-
-def test_reproduce_figures_writes_the_cli_presets(tmp_path, capsys):
-    outdir = tmp_path / "figures"
-    assert load("reproduce_figures").run(["--outdir", str(outdir), "--points", "2", "--cutoff", "2"]) == 0
-    written = sorted(path.name for path in outdir.iterdir())
-    assert written == sorted(f"{name}{tail}" for name in PRESETS for tail in (".csv", ".csv.summary.csv"))
-    for name in PRESETS:
-        out = tmp_path / f"{name}.csv"
-        assert main(["sweep", "--preset", name, "--points", "2", "--cutoff", "2", "--out", str(out)]) == 0
-        for tail in ("", ".summary.csv"):
-            assert (outdir / f"{name}.csv{tail}").read_bytes() == Path(f"{out}{tail}").read_bytes()
-
-
-def test_reproduce_figures_stops_at_a_failing_preset(tmp_path, capsys):
-    assert load("reproduce_figures").run(["--outdir", str(tmp_path), "--points", "0"]) == 2
-    assert "failed with exit code 2" in capsys.readouterr().err
 
 
 def test_separability_margin_map(tmp_path, capsys):

@@ -51,6 +51,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="ascending"):
             SweepAxis("kappa", (1.0, 0.5))
 
+    @pytest.mark.parametrize("values,message", [
+        ((), "axis gamma has no values"),
+        ((-0.5, 1.0), "axis gamma values must be nonnegative"),
+    ], ids=["empty", "negative"])
+    def test_values_must_be_given_and_nonnegative(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            SweepAxis("gamma", values)
+
     def test_axes_must_differ(self):
         with pytest.raises(ValueError, match="distinct"):
             small_spec(axis2=SweepAxis("n_thermal", (0.0, 1.0)))
@@ -354,6 +362,11 @@ class TestResonanceSummary:
         mean, rel = product_spread(rows)
         assert mean == pytest.approx(4.0)
         assert rel == 0.0
+
+    def test_zero_products_have_no_spread(self):
+        # maxima on the n_T = 0 row only: every product is 0, and the spread is 0 rather than 0/0
+        result = synthetic_result([[0.0, 0.5, 0.1]], (0.0,), (1.0, 2.0, 3.0))
+        assert product_spread(resonance_summary(result)) == (0.0, 0.0)
 
     def test_requires_two_axes(self):
         spec = SweepSpec(
