@@ -66,19 +66,17 @@ from .model import (
     require_finite,
 )
 from .qops import (
-    POSITIVITY_TOL,
+    TOLERANCE,
     SpaceLayout,
     assert_density_matrix,
     dagger,
+    density_matrix_defects,
     excitation_numbers,
     expectation,
     partial_trace,
 )
 
 
-# Bound on the Hermiticity and trace drift of each `evolve` step, the residual of
-# `steady_state` and the dark-mode population of `verify_mode_b_decoupling`.
-TOLERANCE = 1e-8
 # Most RK4 steps `evolve` takes to reach one record time, and most t_max / dt
 # may ask for, so a huge but finite time fails at once instead of running on.
 MAX_STEPS = 10**7
@@ -311,9 +309,8 @@ def evolve(
 
         rho = np.zeros((d, d), dtype=complex)
         rho[rows, cols] = x
-        residual = float(abs(rho.trace().real - 1.0))
-        min_eig = float(np.linalg.eigvalsh(rho)[0])
-        if min_eig < -POSITIVITY_TOL:
+        _, residual, min_eig = density_matrix_defects(rho)
+        if not min_eig >= -TOLERANCE:
             raise PositivityLossError(
                 f"smallest eigenvalue {min_eig:.3e} at t={t_rec:.6g} violates the positivity gate"
             )
@@ -442,7 +439,8 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     trace functional. Degenerate stationary manifolds (extra null directions,
     e.g. undamped atoms) raise RankDeficientError rather than returning an
     arbitrary representative, as does a Liouvillian whose entries or singular values overflow,
-    or whose slowest rate is too small beside its largest scale to tell a null direction.
+    or whose slowest rate is below TOLERANCE times its largest singular value, too small to
+    tell a null direction; so does a residual above TOLERANCE times the largest |H| entry or rate.
     """
     if not any(rate > 0 for rate, _ in model.collapse_terms):
         raise RankDeficientError("no dissipation: every density matrix commuting with H is stationary")
@@ -458,10 +456,9 @@ def steady_state(model: LindbladModel) -> np.ndarray:
                                  "a rate or coupling overflows")
     nullity = int(np.sum(svals < svals.max() * 1e-10))
     rates = [rate for rate, _ in model.collapse_terms if rate > 0]
-    scale = max(float(np.abs(model.hamiltonian).max()), *rates)
-    if nullity != 1 and min(rates) < 1e-10 * scale:  # the threshold cannot resolve the slowest rate
+    if nullity != 1 and not min(rates) >= TOLERANCE * svals.max():  # the threshold may not resolve it
         raise RankDeficientError(f"cannot decide uniqueness: the smallest rate {min(rates):.3g} is below "
-                                 f"1e-10 times the largest coupling or rate, {scale:.3g}")
+                                 f"{TOLERANCE:.1e} times the largest singular value, {svals.max():.3g}")
     if nullity != 1:
         raise RankDeficientError(
             f"steady-state manifold has dimension {nullity}; the stationary state is not unique"
@@ -478,10 +475,10 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     rho = 0.5 * (rho + rho.conj().T)
 
     residual = steady_state_residual(model, rho)
-    if residual > TOLERANCE:
-        raise RankDeficientError(
-            f"steady-state residual {residual:.3e} exceeds {TOLERANCE:.1e}; system is near-degenerate"
-        )
+    scale = max(float(np.abs(model.hamiltonian).max()), *rates)
+    if not residual <= TOLERANCE * scale:  # round-off in L rho grows with the model's scale
+        raise RankDeficientError(f"steady-state residual {residual:.3e} exceeds {TOLERANCE * scale:.1e} "
+                                 f"({TOLERANCE:.1e} times the largest coupling or rate); system is near-degenerate")
     assert_density_matrix(rho)
     return rho
 

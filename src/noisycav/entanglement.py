@@ -19,11 +19,6 @@ import numpy as np
 
 from .qops import assert_density_matrix
 
-# Negative eigenvalue residues within the density-matrix gate are projected
-# out before the spin flip; residues of the Hermitian product beyond this
-# bound indicate an invalid input and raise instead of being clipped.
-CLIP_TOL = 1e-10
-
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
@@ -52,6 +47,7 @@ def concurrence(rho: np.ndarray) -> ConcurrenceResult:
         raise ValueError(f"concurrence needs a 4x4 density matrix, got shape {rho.shape}")
     assert_density_matrix(rho)
 
+    # negative eigenvalues within the gate are clipped; the product below is then PSD up to round-off
     w, v = np.linalg.eigh(0.5 * (rho + rho.conj().T))
     clipped = float(min(w.min(), 0.0))
     w = np.clip(w, 0.0, None)
@@ -61,11 +57,6 @@ def concurrence(rho: np.ndarray) -> ConcurrenceResult:
     product = sqrt_rho @ spin_flip(rho_psd) @ sqrt_rho
     max_imag = float(np.abs(product - product.conj().T).max())
     mu = np.linalg.eigvalsh(0.5 * (product + product.conj().T))
-    if mu.min() < -CLIP_TOL:
-        raise ValueError(
-            f"spectrum of the spin-flip product has eigenvalue {mu.min():.3e} below -{CLIP_TOL:.1e}; "
-            "input is not a valid density matrix"
-        )
     clipped = min(clipped, float(min(mu.min(), 0.0)))
     lambdas = np.sqrt(np.clip(mu, 0.0, None))[::-1]
 

@@ -91,10 +91,10 @@ class LindbladModel:
         if self.hamiltonian.shape != (d, d):
             raise ValueError(f"Hamiltonian shape {self.hamiltonian.shape} does not match layout dim {d}")
         defect = float(np.abs(self.hamiltonian - self.hamiltonian.conj().T).max())
-        if defect > HERMITICITY_TOL:
+        if not defect <= HERMITICITY_TOL:
             raise ValueError(f"Hamiltonian not Hermitian: defect {defect:.3e}")
         for rate, op in self.collapse_terms:
-            if rate < 0:
+            if not rate >= 0:
                 raise ValueError(f"collapse rate must be nonnegative, got {rate}")
             if op.shape != (d, d):
                 raise ValueError(f"collapse operator shape {op.shape} does not match layout dim {d}")

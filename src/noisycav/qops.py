@@ -7,8 +7,9 @@ conventions are fixed here and consumed everywhere else:
   * composite legs ordered [atom a, atom b, cavity], left factor slowest
     (standard Kronecker ordering), encoded by SpaceLayout.
 
-Density matrices are operators that pass ``assert_density_matrix``:
-Hermitian to 1e-10, unit trace to 1e-8, smallest eigenvalue >= -1e-8.
+Density matrices are operators that pass ``assert_density_matrix``: finite,
+Hermitian to HERMITICITY_TOL = 1e-10, unit trace to TOLERANCE = 1e-8 and smallest
+eigenvalue >= -TOLERANCE. Every gate is written so that NaN fails it (`not x <= tol`).
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-8
-POSITIVITY_TOL = 1e-8
+# also the bound on each `evolve` step's drift, on `steady_state`'s residual relative to
+# the model's scale and on the dark-mode population of `verify_mode_b_decoupling`
+TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -156,10 +158,12 @@ def density_matrix_defects(rho: np.ndarray) -> tuple[float, float, float]:
 def assert_density_matrix(rho: np.ndarray) -> None:
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    if not np.isfinite(rho).all():  # before the eigensolve, which fails on NaN with LinAlgError
+        raise ValueError("density matrix has non-finite entries")
     herm, trace, min_eig = density_matrix_defects(rho)
-    if herm > HERMITICITY_TOL:
+    if not herm <= HERMITICITY_TOL:
         raise ValueError(f"not Hermitian: defect {herm:.3e} exceeds {HERMITICITY_TOL:.1e}")
-    if trace > TRACE_TOL:
-        raise ValueError(f"trace deviates from 1 by {trace:.3e} (tolerance {TRACE_TOL:.1e})")
-    if min_eig < -POSITIVITY_TOL:
-        raise ValueError(f"not positive: smallest eigenvalue {min_eig:.3e} below -{POSITIVITY_TOL:.1e}")
+    if not trace <= TOLERANCE:
+        raise ValueError(f"trace deviates from 1 by {trace:.3e} (tolerance {TOLERANCE:.1e})")
+    if not min_eig >= -TOLERANCE:
+        raise ValueError(f"not positive: smallest eigenvalue {min_eig:.3e} below -{TOLERANCE:.1e}")

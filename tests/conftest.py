@@ -14,7 +14,7 @@ from noisycav.dynamics import (
     _superoperator_block,
 )
 from noisycav.model import ATOM_A, ATOM_B, CAVITY, build_interaction_hamiltonian, build_model
-from noisycav.qops import POSITIVITY_TOL, embed, number_operator, pauli_z
+from noisycav.qops import embed, number_operator, pauli_z
 
 
 def random_density_matrix(rng, dim, rank=None):
@@ -103,7 +103,7 @@ def stepwise_evolve(model, rho0, dt, record_times):
         rho = np.zeros((d, d), dtype=complex)
         rho[rows, cols] = x
         min_eig = float(np.linalg.eigvalsh(rho)[0])
-        if min_eig < -POSITIVITY_TOL:
+        if not min_eig >= -TOLERANCE:
             raise PositivityLossError(f"smallest eigenvalue {min_eig:.3e} at t={t_rec:.6g}")
         states.append(rho)
     return states

@@ -331,6 +331,11 @@ class TestSteadyCommand:
         (["--cutoff", "3", "--set", "kappa=1e9", "--set", "n_thermal=3"], "cannot decide uniqueness: "),
         (["--cutoff", "1", "--set", "g_a=1e200"], "cannot decide uniqueness: "),
         (["--cutoff", "3", "--set", "gamma=1e-12"], "cannot decide uniqueness: the smallest rate 1e-12 "),
+        # every rate is positive, but atomic-decay singular values fall below the nullity threshold
+        *[(["--set", f"kappa={kappa}", "--set", f"n_thermal={n_t}"],
+           "cannot decide uniqueness: the smallest rate 0.2 is below 1.0e-08 times the largest singular value, ")
+          for kappa, n_t in [("1.5e7", 3), ("3e7", 3), ("5e7", 3), ("1e8", 3), ("2e8", 3), ("4e8", 3),
+                             ("1e8", 0.5), ("3e8", 0.5)]],
         # genuinely degenerate: undamped atoms, with and without a coupling to the damped cavity
         (["--cutoff", "3", "--set", "gamma=0", "--set", "n_thermal=3"], "steady-state manifold has dimension 2;"),
         (["--cutoff", "3", "--set", "g_a=0", "--set", "g_b=0", "--set", "gamma=0"],
@@ -340,6 +345,15 @@ class TestSteadyCommand:
         assert main(["steady", *args, "--out", str(tmp_path / "s.csv")]) == 4
         assert capsys.readouterr().err.startswith(f"degenerate steady state: {message}")
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("kappa,n_thermal", [("3e6", "3"), ("1e7", "3"), ("3e7", "0.5")])
+    def test_large_rates_pass_the_residual_gate(self, kappa, n_thermal, tmp_path):
+        # round-off puts the residual above 1e-8 here (2.1e-08, 1.3e-08 and 1.1e-08 with one BLAS
+        # thread), but not above 1e-8 times the largest rate, kappa (n_thermal + 1)
+        out = tmp_path / "s.csv"
+        assert main(["steady", "--set", f"kappa={kappa}", "--set", f"n_thermal={n_thermal}", "--out", str(out)]) == 0
+        fields = dict(line.split(",") for line in out.read_text().splitlines()[1:])
+        assert float(fields["liouvillian_residual"]) <= 1e-8 * float(kappa) * (float(n_thermal) + 1)
 
     def test_overflowing_singular_values_are_exit_4(self, tmp_path, capsys):
         # every block is finite, but the SVD overflows inside it and returns inf; a relative

@@ -453,6 +453,27 @@ class TestSteadyState:
         rho = steady_state(model)
         assert steady_state_residual(model, rho) <= 1e-8
 
+    def test_residual_gate_is_relative_to_the_scale(self):
+        # scaling every coupling and rate by s rescales time and leaves the steady state as it is;
+        # the residual's round-off grows with s (6.9e-08 at s = 1e7), the gate's bound with it
+        cfg = SystemConfig(kappa=2.0, gamma=0.2, n_thermal=3.0)
+        fast = SystemConfig(g_a=1e7, g_b=1e7, kappa=2e7, gamma=2e6, n_thermal=3.0)
+        assert np.abs(steady_state(build_model(fast)) - steady_state(build_model(cfg))).max() <= 1e-9
+
+    def test_residual_gate_names_its_bound(self, monkeypatch):
+        solve = np.linalg.solve
+
+        def perturbed(a, b):
+            x = solve(a, b)
+            x[-1] += 1e-6  # the |e,e,N> population, which decays
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", perturbed)
+        message = ("steady-state residual 2.080e-05 exceeds 2.2e-08 (1.0e-08 times the largest coupling or rate); "
+                   "system is near-degenerate")
+        with pytest.raises(RankDeficientError, match=f"^{re.escape(message)}$"):
+            steady_state(build_model(SystemConfig()))
+
     def test_no_dissipation_is_rank_deficient(self):
         with pytest.raises(RankDeficientError):
             steady_state(build_model(SystemConfig(kappa=0.0, gamma=0.0)))

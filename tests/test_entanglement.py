@@ -135,6 +135,8 @@ class TestConcurrence:
             concurrence(np.eye(4, dtype=complex))  # trace 4
         with pytest.raises(ValueError):
             concurrence(np.eye(2, dtype=complex) / 2)  # wrong dimension
+        with pytest.raises(ValueError, match=r"^density matrix has non-finite entries$"):
+            concurrence(np.full((4, 4), np.nan))  # stopped before the eigensolve
 
     def test_diagnostics_populated(self, rng):
         result = concurrence(random_density_matrix(rng, 4))

@@ -64,3 +64,13 @@ def test_serial_sweep_loads_no_process_pool():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                           cwd=ROOT, env=env, timeout=120)
     assert done.stdout == "[]\n"
+
+
+def test_readme_library_quickstart():
+    # README's "Library quickstart" block, run as written
+    section = (ROOT / "README.md").read_text().split("## Library quickstart\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert len(namespace["c_t"]) == 251 and all(0.0 <= c <= 1.0 for c in namespace["c_t"])
+    assert namespace["rho_ss"].shape == (24, 24)

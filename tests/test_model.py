@@ -197,6 +197,10 @@ class TestBuildModel:
             LindbladModel(np.zeros((3, 3), dtype=complex), (), layout)
         with pytest.raises(ValueError, match=r"collapse operator shape \(3, 3\) does not match layout dim 2"):
             LindbladModel(np.zeros((2, 2), dtype=complex), ((1.0, np.eye(3, dtype=complex)),), layout)
+        with pytest.raises(ValueError, match=r"^Hamiltonian not Hermitian: defect nan$"):
+            LindbladModel(np.diag([np.nan, 0.0]).astype(complex), (), layout)
+        with pytest.raises(ValueError, match=r"^collapse rate must be nonnegative, got nan$"):
+            LindbladModel(np.zeros((2, 2), dtype=complex), ((np.nan, np.eye(2, dtype=complex)),), layout)
 
 
 class TestCollectiveModes:

@@ -239,6 +239,12 @@ class TestDensityMatrixGates:
         with pytest.raises(ValueError, match=f"density matrix must be square, got shape {shown}"):
             assert_density_matrix(np.zeros(shape, dtype=complex))
 
+    @pytest.mark.parametrize("rho", [np.full((2, 2), np.nan), np.diag([np.nan, 1.0]), np.diag([np.inf, 0.0])],
+                             ids=["all-nan", "nan-diagonal", "inf-diagonal"])
+    def test_rejects_non_finite(self, rho):
+        with pytest.raises(ValueError, match=r"^density matrix has non-finite entries$"):
+            assert_density_matrix(rho)
+
     def test_defects_values(self):
         herm, trace, min_eig = density_matrix_defects(np.diag([0.5, 0.5]).astype(complex))
         assert herm == 0.0 and trace < 1e-15 and abs(min_eig - 0.5) < 1e-15

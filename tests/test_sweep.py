@@ -216,6 +216,8 @@ class TestRunSweep:
             small_spec(initial_state=np.eye(24, dtype=complex))  # trace 24
         with pytest.raises(ValueError, match=r"initial_state shape \(\) does not match"):
             small_spec(initial_state="excited")  # a name, not a matrix
+        with pytest.raises(ValueError, match=r"^density matrix has non-finite entries$"):
+            small_spec(initial_state=np.full((24, 24), np.nan, dtype=complex))
 
     @pytest.mark.parametrize("cutoff", [4, 6])
     def test_initial_state_shape_must_match_the_base_layout(self, cutoff):
