@@ -6,7 +6,6 @@ parameter sweeps that map the noise-assisted entanglement resonance.
 """
 
 from .dynamics import (
-    HermiticityDriftError,
     IntegratorError,
     IntegratorSettings,
     ModeBReport,

@@ -21,32 +21,35 @@ of all d^2 entries. Only those blocks are built.
 every other entry staying exactly 0. From |g,g,0> that is the q = 0 sector
 (84 of the 576 entries at cutoff 5); a q = +-1 coherence adds those sectors;
 a model without the symmetry evolves all d^2 entries, at the cost of a
-d^2 x d^2 block. The evaluator `make_rhs` is one product with the block B of
-the `SectorBlocks`. For this linear equation an RK4 step of size h is the
-matrix S = p(hB), p(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, which `_step_map`
-builds by Horner's rule with three `make_rhs` products, once per distinct h
-in an evolution; each step is then one matvec S @ x. In place of a model,
-`evolve` also takes `SectorBlocks` built elsewhere: a sweep builds its
-generator once and re-weights it per cell (see `sweep`).
-The drift gates run on every step's state, once per chunk of steps: a record
+d^2 x d^2 block. Those entries x hold conj(rho[i, j]) = rho[j, i] at
+x[mirror] for each rho[i, j], so `evolve` steps the real coordinates
+y = Re x + Im x, mapped back by the unitary x = ((1+i) y + (1-i) y[mirror])/2.
+The Liouvillian keeps rho Hermitian, so the generator of y is the real
+G = B.real + B.imag[:, mirror] of the block B (`SectorBlocks.of`), and every
+state is exactly Hermitian. The evaluator `make_rhs` is one product with G.
+For this linear equation an RK4 step of size h is the matrix S = p(hG),
+p(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, which `_step_map` builds by Horner's
+rule with three `make_rhs` products, once per distinct h in an evolution;
+each step is then one matvec S @ y. In place of a model, `evolve` also takes
+`SectorBlocks` built elsewhere: a sweep builds its generator once and
+re-weights it per cell (see `sweep`).
+The drift gate runs on every step's state, once per chunk of steps: a record
 span is stepped in chunks of 1, 2, 4, ... up to CHUNK_STEPS steps, each step a
-matvec into one reused buffer, and after each chunk the Hermiticity drift
-max |x - conj(x[mirror])| (mirror maps rho[i, j] to rho[j, i]) and the trace
-drift max(|tr rho - 1|, max |rho_ij| - 1) of all its steps are checked against
-the tolerance; the first failing step raises, Hermiticity first. The vector
-is re-Hermitized as (x + conj(x[mirror]))/2 at each record, so the
-Hermiticity gate bounds the drift accumulated since the last record.
-Recorded states, scattered back into d x d matrices, must pass the
-density-matrix gates. RK4 keeps the trace and Hermiticity up to round-off, so
-it is the |rho_ij| <= 1 term that stops a step too large for the rates, on
-the step where an entry first grows past 1. A chunk is never longer than the
-span's steps before it, so the steps taken past a failing one are at most as
-many as those that passed, and an unstable run stops before it overflows.
-Accuracy is certified by step halving, not by an embedded error estimator.
+matvec into one reused buffer, and after each chunk the trace drift
+max(|tr rho - 1|, max |rho_ij| - 1) of all its steps is checked against the
+tolerance, a NaN failing; the first failing step raises. Recorded states,
+scattered back into d x d matrices, must pass the density-matrix gates. RK4
+keeps the trace up to round-off, so it is the |rho_ij| <= 1 term that stops
+a step too large for the rates, on the step where an entry first grows past
+1. A chunk is never longer than the span's steps before it, so the steps
+taken past a failing one are at most as many as those that passed, and an
+unstable run stops before it overflows. Accuracy is certified by step
+halving, not by an embedded error estimator.
 
-`steady_state` solves on the q = 0 block and checks uniqueness on all of
-them; the residual it reports is the master equation evaluated on the full
-space. `vectorize_superoperator` builds the whole matrix with the same code;
+`steady_state` solves on the q = 0 block, in real coordinates, and checks
+uniqueness on the spectra of all blocks, building only the q >= 0 ones; the
+residual it reports is the master equation evaluated on the full space.
+`vectorize_superoperator` builds the whole matrix with the same code;
 tests check it against `lindblad_rhs`.
 """
 
@@ -92,10 +95,6 @@ class IntegratorError(RuntimeError):
 
 class TraceDriftError(IntegratorError):
     """Trace, or an entry's modulus, left 1 (a bound on the trace norm) by more than the tolerance; reduce dt."""
-
-
-class HermiticityDriftError(IntegratorError):
-    """Hermiticity defect accumulated since the last re-Hermitization exceeded the tolerance."""
 
 
 class PositivityLossError(IntegratorError):
@@ -161,27 +160,46 @@ class Trajectory:
 
 @dataclass(frozen=True, eq=False)
 class SectorBlocks:
-    """A Liouvillian given by its block on one set of entries, for use in place of a model.
+    """A Liouvillian given by its real generator on one set of entries, for use in place of a model.
 
-    `block` is the `_superoperator_block` of the entries rho[rows, cols], the
-    matrix that maps them to their time derivatives; the entries must form a
-    sector the Liouvillian maps into itself. `evolve` takes one in place of a
-    `LindbladModel`, and evolves only its entries; `make_rhs` evaluates it.
+    The entries x = rho[rows, cols] must form a sector the Liouvillian maps into
+    itself, closed under transpose: rho[j, i] is x[mirror] for each rho[i, j].
+    `block` maps their real coordinates y = Re x + Im x to dy/dt (see the module
+    docstring). `evolve` takes one in place of a `LindbladModel`, and evolves
+    only its entries; `make_rhs` evaluates it.
     """
 
     layout: SpaceLayout
     rows: np.ndarray
     cols: np.ndarray
     block: np.ndarray
+    mirror: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        n = len(self.rows)
+        n, d = len(self.rows), self.dim
         if self.block.shape != (n, n):
             raise ValueError(f"block shape {self.block.shape} does not match the {n} entries")
+        pos = np.full((d, d), -1)
+        pos[self.rows, self.cols] = np.arange(n)
+        object.__setattr__(self, "mirror", pos[self.cols, self.rows])
+        if np.any(self.mirror < 0):
+            raise ValueError("the entries are not closed under transpose")
+
+    @classmethod
+    def of(cls, model: LindbladModel, rows: np.ndarray, cols: np.ndarray) -> SectorBlocks:
+        """The generator of `model` on the entries rho[rows, cols]: B.real + B.imag[:, mirror] for their block B."""
+        block = _superoperator_block(model, rows, cols)
+        generator = cls(model.layout, rows, cols, np.ascontiguousarray(block.real))
+        generator.block[:] += block.imag[:, generator.mirror]
+        return generator
 
     @property
     def dim(self) -> int:
         return self.layout.dim
+
+    def entries(self, y: np.ndarray) -> np.ndarray:
+        """The entries x = ((1 + i) y + (1 - i) y[mirror]) / 2 of the real coordinates y, exactly Hermitian."""
+        return 0.5 * (y + y[self.mirror]) + 0.5j * (y - y[self.mirror])
 
 
 def lindblad_rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
@@ -198,12 +216,12 @@ def lindblad_rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
 
 
 def make_rhs(generator: SectorBlocks):
-    """The master equation's right-hand side on the entries of `generator`: its block times their vector.
+    """The master equation's right-hand side on the coordinates of `generator`: its real block times them.
 
     Agreement with `lindblad_rhs` is pinned by tests.
     """
     block = generator.block
-    return lambda x: block @ x
+    return lambda y: block @ y
 
 
 def evolve(
@@ -226,10 +244,10 @@ def evolve(
     whose other entries stay exactly 0. Given `SectorBlocks`, their entries
     are propagated, and they must hold every nonzero entry of rho0.
 
-    Every step's state passes the Hermiticity and trace drift gates, checked
-    once per chunk of steps (see the module docstring); an error names the
-    time its first failing step reached. States are re-Hermitized at records,
-    so the Hermiticity gate bounds the drift since the last record.
+    The state is stepped in real coordinates (see the module docstring), from
+    rho0's Hermitian part. Every step's state passes the trace drift gate,
+    checked once per chunk of steps; an error names the time its first
+    failing step reached.
     """
     assert_density_matrix(rho0)
     d = model.dim
@@ -244,28 +262,24 @@ def evolve(
     if any(t2 < t1 for t1, t2 in zip(record_times, record_times[1:])):
         raise ValueError("record times must be ascending")
 
-    generator = model
-    if not isinstance(model, SectorBlocks):
-        entries = _evolved_entries(model, rho0)
-        generator = SectorBlocks(model.layout, *entries, _superoperator_block(model, *entries))
-    rows, cols = generator.rows, generator.cols
-    pos = np.full((d, d), -1)
-    pos[rows, cols] = np.arange(len(rows))
-    if np.any(rho0[pos < 0]):
+    generator = model if isinstance(model, SectorBlocks) else SectorBlocks.of(model, *_evolved_entries(model, rho0))
+    rows, cols, mirror = generator.rows, generator.cols, generator.mirror
+    if np.count_nonzero(rho0) > np.count_nonzero(rho0[rows, cols]):
         raise ValueError("initial state has nonzero entries outside the sectors evolved")
-    mirror = pos[cols, rows]  # position of rho[j, i] for each entry rho[i, j]
     diagonal = np.flatnonzero(rows == cols)
 
     observables = observables or {}
 
     x = np.asarray(rho0, dtype=complex)[rows, cols]
+    # the coordinates of the Hermitian part (x + conj(x[mirror])) / 2, which are Re x + Im x when x is Hermitian
+    y = 0.5 * ((x.real + x.imag) + (x.real - x.imag)[mirror])
     states: list[np.ndarray] = []
     obs_out: dict[str, list[float]] = {name: [] for name in observables}
     trace_res: list[float] = []
     min_eigs: list[float] = []
 
     step_maps: dict[float, np.ndarray] = {}  # keyed by the exact step size
-    chunk = np.empty((CHUNK_STEPS, len(x)), dtype=complex)  # row i: the state after the chunk's step i
+    chunk = np.empty((CHUNK_STEPS, len(y)))  # row i: the state after the chunk's step i
     t_prev = 0.0
     for t_rec in record_times:
         span = t_rec - t_prev
@@ -282,33 +296,28 @@ def evolve(
             done, length = 0, 1
             while done < n_steps:
                 m = min(length, CHUNK_STEPS, n_steps - done)
-                state = x
+                state = y
                 for i in range(m):
                     state = np.dot(step, state, out=chunk[i])
                 stepped = chunk[:m]
-                herm_drift = np.abs(stepped - stepped[:, mirror].conj()).max(axis=1)
-                # a lower bound on the trace-norm drift: any density matrix has |rho_ij| <= 1;
+                # max |y| bounds every |rho_ij| = sqrt((y_k^2 + y_mirror(k)^2) / 2): pair them only past 1
+                modulus = np.abs(stepped).max(axis=1)
+                if not np.all(modulus <= 1.0 + TOLERANCE):
+                    modulus = np.hypot(stepped, stepped[:, mirror]).max(axis=1) / math.sqrt(2.0)
+                # a lower bound on the trace-norm drift, as any density matrix has |rho_ij| <= 1;
                 # `np.maximum` keeps a NaN
-                drift = np.maximum(np.abs(stepped[:, diagonal].sum(axis=1).real - 1.0),
-                                   np.abs(stepped).max(axis=1) - 1.0)
-                # `not <=` so that a NaN drift fails the gates too
-                failed = ~((herm_drift <= TOLERANCE) & (drift <= TOLERANCE))
+                drift = np.maximum(np.abs(stepped[:, diagonal].sum(axis=1) - 1.0), modulus - 1.0)
+                failed = ~(drift <= TOLERANCE)  # `not <=` so that a NaN drift fails the gate too
                 if failed.any():
-                    i = int(np.argmax(failed))  # the first failing step; Hermiticity is checked first
-                    near = t_prev + (done + i + 1) * h
-                    if not herm_drift[i] <= TOLERANCE:
-                        raise HermiticityDriftError(f"Hermiticity drift {herm_drift[i]:.3e} exceeds tolerance "
-                                                    f"{TOLERANCE:.1e} near t={near:.6g}")
-                    raise TraceDriftError(
-                        f"trace drift {drift[i]:.3e} exceeds tolerance {TOLERANCE:.1e} near t={near:.6g}; reduce dt"
-                    )
-                x = chunk[m - 1].copy()
+                    i = int(np.argmax(failed))  # the first failing step
+                    raise TraceDriftError(f"trace drift {drift[i]:.3e} exceeds tolerance {TOLERANCE:.1e} "
+                                          f"near t={t_prev + (done + i + 1) * h:.6g}; reduce dt")
+                y = chunk[m - 1].copy()
                 done, length = done + m, 2 * length
-            x = 0.5 * (x + x[mirror].conj())
             t_prev = t_rec
 
         rho = np.zeros((d, d), dtype=complex)
-        rho[rows, cols] = x
+        rho[rows, cols] = generator.entries(y)
         _, residual, min_eig = density_matrix_defects(rho)
         if not min_eig >= -TOLERANCE:
             raise PositivityLossError(
@@ -330,22 +339,25 @@ def evolve(
 
 
 def _step_map(generator: SectorBlocks, h: float) -> np.ndarray:
-    """The matrix S of one classical RK4 step of size h on the entries of `generator`: a step is x -> S @ x.
+    """The matrix S of one classical RK4 step of size h on the coordinates of `generator`: a step is y -> S @ y.
 
-    For the linear autonomous equation dx/dt = Bx the four stages combine into
-    S = p(hB) = I + hB(I + hB/2(I + hB/3(I + hB/4))), evaluated from the inside
+    For the linear autonomous equation dy/dt = Gy the four stages combine into
+    S = p(hG) = I + hG(I + hG/2(I + hG/3(I + hG/4))), evaluated from the inside
     out: the innermost factor needs no product, the other three are one
     `make_rhs` evaluation each.
     """
     rhs = make_rhs(generator)
-    eye = np.eye(len(generator.rows), dtype=complex)
+    n = len(generator.rows)
+    eye = np.eye(n)
+    raw = np.empty(n * n + 8)  # S starts on a 64-byte boundary, where a matvec with it is fastest
+    step = raw[(-raw.ctypes.data % 64) // 8:][:n * n].reshape(n, n)
     # a step too large for the rates overflows S to inf or NaN; stepping with it gives a
-    # state that is not finite, which fails the drift gates
+    # state that is not finite, which fails the drift gate
     with np.errstate(over="ignore", invalid="ignore"):
         y = eye + (h / 4) * generator.block
         y = eye + (h / 3) * rhs(y)
         y = eye + (h / 2) * rhs(y)
-        return eye + h * rhs(y)
+        return np.add(eye, h * rhs(y), out=step)
 
 
 def _superoperator_block(model: LindbladModel, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -387,14 +399,14 @@ def vectorize_superoperator(model: LindbladModel) -> np.ndarray:
     return _superoperator_block(model, entries % d, entries // d)
 
 
-def _coherence_sectors(model: LindbladModel) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Entries (rows, cols) of rho grouped into sectors the Liouvillian maps into themselves.
+def _coherence_sectors(model: LindbladModel) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Entries (rows, cols) of rho grouped into sectors the Liouvillian maps into themselves, with their order q.
 
     When H conserves the total excitation N and every collapse operator shifts
     N by one fixed amount, the coherence order q = N_i - N_j of rho[i, j] is
-    conserved, and each q is a sector. Otherwise all entries form one sector.
-    The sector holding rho[0, 0] (q = 0) comes first, and entries keep their
-    vec order within a sector, so rho[0, 0] is the first entry of the first.
+    conserved, and each q is a sector, the transpose of the -q one. Otherwise
+    all entries form one sector, given q = 0. The q = 0 sector comes first, and entries keep
+    their vec order within a sector, so rho[0, 0] is the first entry of the first.
     """
     d = model.dim
     n = excitation_numbers(model.layout)
@@ -407,9 +419,9 @@ def _coherence_sectors(model: LindbladModel) -> list[tuple[np.ndarray, np.ndarra
 
     jumps_graded = all(len(shifts(lop)) <= 1 for _, lop in model.collapse_terms)
     if not (shifts(model.hamiltonian) <= {0} and jumps_graded):
-        return [(rows, cols)]
+        return [(0, rows, cols)]
     order = n[rows] - n[cols]
-    return [(rows[order == q], cols[order == q]) for q in sorted(set(order.tolist()), key=abs)]
+    return [(q, rows[order == q], cols[order == q]) for q in sorted(set(order.tolist()), key=abs)]
 
 
 def _evolved_entries(model: LindbladModel, rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -423,7 +435,7 @@ def _evolved_entries(model: LindbladModel, rho0: np.ndarray) -> tuple[np.ndarray
     d^2 entries in vec order.
     """
     touched = (rho0 != 0) | (rho0.T != 0)
-    sectors = [(rows, cols) for rows, cols in _coherence_sectors(model) if touched[rows, cols].any()]
+    sectors = [(rows, cols) for _, rows, cols in _coherence_sectors(model) if touched[rows, cols].any()]
     return np.concatenate([rows for rows, _ in sectors]), np.concatenate([cols for _, cols in sectors])
 
 
@@ -434,9 +446,10 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     so for an excitation-conserving model the full d^2 x d^2 matrix is never
     formed; otherwise the one sector is the dense solve. Uniqueness pools the singular values of
     every sector, which are those of the full block-diagonal matrix, so a
-    stationary coherence in any sector counts. The state solves L vec(rho) = 0
-    on the q = 0 sector, with its first row (entry rho[0, 0]) replaced by the
-    trace functional. Degenerate stationary manifolds (extra null directions,
+    stationary coherence in any sector counts; each q > 0 spectrum counts
+    twice, for the -q sector, which is not built. The state solves
+    L vec(rho) = 0 on the q = 0 sector in real coordinates, with its first
+    row (entry rho[0, 0]) replaced by the trace functional. Degenerate stationary manifolds (extra null directions,
     e.g. undamped atoms) raise RankDeficientError rather than returning an
     arbitrary representative, as does a Liouvillian whose entries or singular values overflow,
     or whose slowest rate is below TOLERANCE times its largest singular value, too small to
@@ -445,12 +458,14 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     if not any(rate > 0 for rate, _ in model.collapse_terms):
         raise RankDeficientError("no dissipation: every density matrix commuting with H is stationary")
     d = model.dim
-    sectors = _coherence_sectors(model)
-    blocks = [_superoperator_block(model, rows, cols) for rows, cols in sectors]
+    (_, rows, cols), *coherences = [(q, r, c) for q, r, c in _coherence_sectors(model) if q >= 0]
+    populations = SectorBlocks.of(model, rows, cols)  # T^H B T with T unitary: B's singular values
+    blocks = [populations.block] + [_superoperator_block(model, r, c) for _, r, c in coherences]
 
     svals = None
     if all(np.isfinite(block).all() for block in blocks):
-        svals = np.concatenate([np.linalg.svd(block, compute_uv=False) for block in blocks])
+        spectra = [np.linalg.svd(block, compute_uv=False) for block in blocks]
+        svals = np.concatenate(spectra + spectra[1:])  # each q > 0 spectrum is also the -q one
     if svals is None or not np.isfinite(svals).all():  # else the relative nullity threshold is inf
         raise RankDeficientError("the Liouvillian has non-finite entries or singular values: "
                                  "a rate or coupling overflows")
@@ -464,15 +479,13 @@ def steady_state(model: LindbladModel) -> np.ndarray:
             f"steady-state manifold has dimension {nullity}; the stationary state is not unique"
         )
 
-    rows, cols = sectors[0]
-    a = blocks[0]
+    a = populations.block
     a[0, :] = 0.0
-    a[0, rows == cols] = 1.0  # trace functional hits the diagonal entries
-    b = np.zeros(len(rows), dtype=complex)
+    a[0, rows == cols] = 1.0  # trace functional hits the diagonal entries, whose coordinates are themselves
+    b = np.zeros(len(rows))
     b[0] = 1.0
     rho = np.zeros((d, d), dtype=complex)
-    rho[rows, cols] = np.linalg.solve(a, b)
-    rho = 0.5 * (rho + rho.conj().T)
+    rho[rows, cols] = populations.entries(np.linalg.solve(a, b))
 
     residual = steady_state_residual(model, rho)
     scale = max(float(np.abs(model.hamiltonian).max()), *rates)

@@ -90,14 +90,18 @@ class LindbladModel:
         d = self.layout.dim
         if self.hamiltonian.shape != (d, d):
             raise ValueError(f"Hamiltonian shape {self.hamiltonian.shape} does not match layout dim {d}")
+        if not np.isfinite(self.hamiltonian).all():
+            raise ValueError("Hamiltonian has non-finite entries")
         defect = float(np.abs(self.hamiltonian - self.hamiltonian.conj().T).max())
         if not defect <= HERMITICITY_TOL:
             raise ValueError(f"Hamiltonian not Hermitian: defect {defect:.3e}")
-        for rate, op in self.collapse_terms:
+        for k, (rate, op) in enumerate(self.collapse_terms):
             if not rate >= 0:
                 raise ValueError(f"collapse rate must be nonnegative, got {rate}")
             if op.shape != (d, d):
                 raise ValueError(f"collapse operator shape {op.shape} does not match layout dim {d}")
+            if not np.isfinite(op).all():
+                raise ValueError(f"collapse operator {k} has non-finite entries")
 
     @property
     def dim(self) -> int:

@@ -12,9 +12,10 @@ No sweepable parameter touches the Hamiltonian or a collapse operator, only
 the rates of `model._channels`, so the model is built once per sweep. A sweep
 evolves the entries that `evolve` would pick from its start (the q = 0
 sector from |g,g,0>, plus the q = +-1 sectors from a start with such a
-coherence): the generator on them is split into a Hamiltonian block and one
-unit-rate dissipator block per channel (`_RateComponents`), and each cell's
-generator is their rate-weighted sum, handed to `evolve` as `SectorBlocks`.
+coherence): the real generator on them (see `dynamics.SectorBlocks`) is
+split into a Hamiltonian part and one unit-rate dissipator part per channel
+(`_RateComponents`), and each cell's generator is their rate-weighted sum,
+handed to `evolve` as `SectorBlocks`.
 
 The figure grids behind the CLI's --preset are the rows of `PRESETS`, each
 built by `preset_spec`.
@@ -33,7 +34,6 @@ from .dynamics import (
     IntegratorSettings,
     SectorBlocks,
     _evolved_entries,
-    _superoperator_block,
     evolve,
 )
 from .entanglement import concurrence
@@ -163,13 +163,13 @@ class SweepResult:
 class _RateComponents:
     """A sweep's generator on the entries evolved from its start, as a function of the channel rates.
 
-    The block at config cfg is
+    The real generator (see `SectorBlocks`) at config cfg is
 
         stack[0] + sum_k rate_k(cfg) stack[1 + k],
 
-    where stack[0] is the Hamiltonian's block (no collapse terms) and
-    stack[1 + k] the block of row k of `_channels` at unit rate with H = 0:
-    cavity loss, thermal pumping, and the emission of each atom.
+    where stack[0] is the Hamiltonian's (no collapse terms) and stack[1 + k]
+    that of row k of `_channels` at unit rate with H = 0: cavity loss,
+    thermal pumping, and the emission of each atom.
     """
 
     layout: SpaceLayout
@@ -187,7 +187,7 @@ class _RateComponents:
         zero = np.zeros_like(model.hamiltonian)
         parts = [LindbladModel(model.hamiltonian, (), layout)]
         parts += [LindbladModel(zero, (unit,), layout) for unit in units]
-        stack = np.stack([_superoperator_block(part, rows, cols) for part in parts])
+        stack = np.stack([SectorBlocks.of(part, rows, cols).block for part in parts])
         return cls(layout, rows, cols, stack)
 
     def at(self, cfg: SystemConfig) -> SectorBlocks:

@@ -196,15 +196,15 @@ class TestEvolveCommand:
         # the overflowing thermal rate makes every entry NaN on the first step
         with pytest.warns(RuntimeWarning, match="invalid value"):
             assert main([*args, "--cutoff", "1", "--out", str(tmp_path / "out.csv")]) == 3
-        assert "Hermiticity drift nan" in capsys.readouterr().err
+        assert "trace drift nan exceeds tolerance 1.0e-08 near t=0.002; reduce dt\n" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_overflowing_step_map_is_exit_3_without_warning(self, tmp_path, capsys):
         # one step of 1e308 overflows the step matrix; a warning raised while it is built fails this test
         args = ["sweep", "--axis1", "n_thermal:0:1:2", "--cutoff", "1", "--set", "dt=1e308", "--at-time", "1e308"]
         assert main([*args, "--out", str(tmp_path / "out.csv")]) == 3
-        assert capsys.readouterr().err == ("integrator failure: n_thermal=0: Hermiticity drift nan exceeds "
-                                           "tolerance 1.0e-08 near t=1e+308\n")
+        assert capsys.readouterr().err == ("integrator failure: n_thermal=0: trace drift nan exceeds "
+                                           "tolerance 1.0e-08 near t=1e+308; reduce dt\n")
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("args,label", [

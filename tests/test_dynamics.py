@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import noisycav.dynamics
 from noisycav.dynamics import (
     MAX_STEPS,
-    HermiticityDriftError,
     IntegratorError,
     IntegratorSettings,
     PositivityLossError,
@@ -21,6 +20,7 @@ from noisycav.dynamics import (
     Trajectory,
     _coherence_sectors,
     _evolved_entries,
+    _step_map,
     _superoperator_block,
     evolve,
     lindblad_rhs,
@@ -79,6 +79,25 @@ def dense_steady_state(model, liouv):
     b[0] = 1.0
     rho = unvec(np.linalg.solve(a, b), d)
     return 0.5 * (rho + rho.conj().T)
+
+
+def dense_real_generator(block, rows, cols):
+    """T^H B T for the generator B on the entries rho[rows, cols], with T written here as a dense matrix.
+
+    T maps real coordinates y to the entries, x = ((1 + i) y + (1 - i) y[mirror]) / 2,
+    where mirror[k] is the position of rho[j, i] for the entry k = rho[i, j]. T
+    is unitary, and T^H B T is real for a Liouvillian; its imaginary part is
+    checked to vanish and its real part returned.
+    """
+    index = {(i, j): k for k, (i, j) in enumerate(zip(rows, cols))}
+    t = np.zeros((len(rows), len(rows)), dtype=complex)
+    for k, (i, j) in enumerate(zip(rows, cols)):
+        t[k, k] += (1 + 1j) / 2
+        t[k, index[j, i]] += (1 - 1j) / 2
+    assert np.abs(t.conj().T @ t - np.eye(len(rows))).max() == 0.0
+    generator = t.conj().T @ block @ t
+    assert np.abs(generator.imag).max() <= 1e-15 * np.abs(block).max()
+    return generator.real
 
 
 def coherence_orders(model):
@@ -218,16 +237,21 @@ class TestLindbladRHS:
         model = GENERATOR_CASES[case]()
         d = model.dim
         entries = np.arange(d * d)
-        cases = [SectorBlocks(model.layout, rows, cols, _superoperator_block(model, rows, cols))
-                 for rows, cols in _coherence_sectors(model)]
-        cases.append(SectorBlocks(model.layout, entries % d, entries // d, vectorize_superoperator(model)))
+        by_order = {q: (rows, cols) for q, rows, cols in _coherence_sectors(model)}
+        # each q sector with its transpose, the -q sector, so that the entries are closed under transpose
+        cases = [SectorBlocks.of(model, *map(np.concatenate, zip(by_order[q], by_order[-q])))
+                 for q in by_order if q > 0]
+        cases.append(SectorBlocks.of(model, *by_order[0]))
+        rows, cols = entries % d, entries // d
+        cases.append(SectorBlocks(model.layout, rows, cols, dense_real_generator(vectorize_superoperator(model),
+                                                                                 rows, cols)))
         for generator in cases:
             rows, cols = generator.rows, generator.cols
             fast = make_rhs(generator)
             for _ in range(3):
                 rho = random_trace_one_hermitian(rng, d)
-                expected = lindblad_rhs(model, rho)[rows, cols]
-                assert np.abs(fast(rho[rows, cols]) - expected).max() < 1e-13
+                x, expected = rho[rows, cols], lindblad_rhs(model, rho)[rows, cols]
+                assert np.abs(fast(x.real + x.imag) - (expected.real + expected.imag)).max() < 1e-13
 
 
 class TestSuperoperator:
@@ -390,7 +414,7 @@ class TestEvolve:
         # compares False against any tolerance
         cfg = SystemConfig(n_thermal=1e308, cutoff=1)
         with pytest.warns(RuntimeWarning, match="invalid value"):
-            with pytest.raises(HermiticityDriftError, match=r"drift nan .* near t=0\.002$"):
+            with pytest.raises(TraceDriftError, match=r"^trace drift nan .* near t=0\.002; reduce dt$"):
                 evolve(build_model(cfg), ground_state(cfg), IntegratorSettings(t_max=0.004))
 
     def test_step_cap_is_checked_before_stepping(self, monkeypatch):
@@ -611,8 +635,8 @@ class TestSectorEvolve:
 
     def test_prebuilt_blocks_evolve_as_the_model(self):
         model, rho0 = evolve_case("thermal_atoms", 3)
-        rows, cols = _coherence_sectors(model)[0]
-        blocks = SectorBlocks(model.layout, rows, cols, _superoperator_block(model, rows, cols))
+        _, rows, cols = _coherence_sectors(model)[0]
+        blocks = SectorBlocks.of(model, rows, cols)
         settings = IntegratorSettings(dt=0.01, t_max=1.0)
         expected = evolve(model, rho0, settings, record_times=RECORD_TIMES)
         traj = evolve(blocks, rho0, settings, record_times=RECORD_TIMES)
@@ -622,12 +646,19 @@ class TestSectorEvolve:
     def test_prebuilt_blocks_hold_only_their_sectors(self):
         cfg = SystemConfig(n_thermal=0.5, cutoff=3)
         model = build_model(cfg)
-        rows, cols = _coherence_sectors(model)[0]
-        blocks = SectorBlocks(model.layout, rows, cols, _superoperator_block(model, rows, cols))
+        sectors = {q: (rows, cols) for q, rows, cols in _coherence_sectors(model)}
+        rows, cols = sectors[0]
+        blocks = SectorBlocks.of(model, rows, cols)
         with pytest.raises(ValueError, match="outside the sectors"):
             evolve(blocks, superposition_start(cfg), IntegratorSettings(dt=0.01, t_max=0.1))
         with pytest.raises(ValueError, match="block shape"):
             SectorBlocks(model.layout, rows, cols, np.zeros((1, 1)))
+        # the q = 1 sector without its transpose, the q = -1 sector
+        with pytest.raises(ValueError, match=r"^the entries are not closed under transpose"):
+            SectorBlocks.of(model, *sectors[1])
+        rows, cols = map(np.concatenate, zip(sectors[0], sectors[1]))
+        with pytest.raises(ValueError, match=r"^the entries are not closed under transpose"):
+            SectorBlocks(model.layout, rows, cols, np.zeros((len(rows), len(rows))))
 
     def test_population_start_evolves_q0_and_coherent_start_everything(self):
         # the one rule: the sectors that rho0 or its transpose touches. The
@@ -647,7 +678,7 @@ class TestSectorEvolve:
             return np.sort(rows * d + cols)
 
         rows, cols = _evolved_entries(model, excited)
-        q0_rows, q0_cols = _coherence_sectors(model)[0]
+        _, q0_rows, q0_cols = _coherence_sectors(model)[0]
         assert np.array_equal(rows, q0_rows) and np.array_equal(cols, q0_cols)
         assert np.array_equal(evolved(model, excited), np.flatnonzero(orders == 0))
         one_sided = ground_state(cfg)
@@ -656,6 +687,23 @@ class TestSectorEvolve:
             assert np.array_equal(evolved(model, rho0), np.flatnonzero(np.isin(orders, (-1, 0, 1))))
         rows, cols = _evolved_entries(with_atom_a_sigma_x(model), excited)
         assert np.array_equal(rows, np.arange(d * d) % d) and np.array_equal(cols, np.arange(d * d) // d)
+
+
+class TestRealCoordinates:
+    """The generator in the coordinates y = Re x + Im x against T^H B T, with T a dense matrix written in the tests."""
+
+    @pytest.mark.parametrize("start,sigma_x,entries", [
+        (ground_state, False, 52),  # the q = 0 entries
+        (superposition_start, False, 52 + 2 * 46),  # q in {0, +-1}
+        (ground_state, True, 16 ** 2),  # no excitation-number symmetry: all d^2 entries
+    ], ids=["q0", "q0_and_pm1", "all_entries"])
+    def test_generator_is_the_dense_transform(self, start, sigma_x, entries):
+        cfg = SystemConfig(g_a=0.8, g_b=1.3, n_thermal=0.5, cutoff=3)
+        model = with_atom_a_sigma_x(build_model(cfg)) if sigma_x else build_model(cfg)
+        rows, cols = _evolved_entries(model, start(cfg))
+        assert len(rows) == entries
+        expected = dense_real_generator(_superoperator_block(model, rows, cols), rows, cols)
+        assert np.abs(SectorBlocks.of(model, rows, cols).block - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
 def stage_rk4(block, rows, cols, x, record_times, dt):
@@ -731,6 +779,20 @@ class TestStepMap:
         cfg = SystemConfig(n_thermal=0.5, cutoff=2)
         evolve(build_model(cfg), ground_state(cfg), IntegratorSettings(), record_times=times)
         assert count == calls
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 5])
+    def test_step_matrix_is_64_byte_aligned(self, cutoff):
+        # a matvec with S runs faster at a 64-byte boundary than at a 16-byte one
+        cfg = SystemConfig(n_thermal=1.0, cutoff=cutoff)
+        generator = SectorBlocks.of(build_model(cfg), *_coherence_sectors(build_model(cfg))[0][1:])
+        n = len(generator.rows)
+        for h in (0.002, 0.001, 1.0 / 3.0):
+            step = _step_map(generator, h)
+            assert step.ctypes.data % 64 == 0 and step.flags.c_contiguous and step.shape == (n, n)
+            g = h * generator.block
+            eye = np.eye(n)
+            expected = eye + g + g @ g / 2 + g @ g @ g / 6 + g @ g @ g @ g / 24
+            assert np.abs(step - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 def gate_outcome(run):
@@ -817,6 +879,32 @@ class TestSectorSteadyState:
         assert np.abs(rho[coherence_orders(model) != 0]).max() > 1e-6
         assert steady_state_residual(model, rho) <= 1e-8
 
+    @pytest.mark.parametrize("case", sorted(SECTOR_CASES))
+    def test_q_nonnegative_spectra_pool_to_the_full_spectrum(self, case, monkeypatch):
+        # the solver takes the singular values of the q >= 0 sectors only, q = 0
+        # first, and counts each q > 0 spectrum twice, for the -q sector: that
+        # pool must be the singular values of the dense Liouvillian
+        model = SECTOR_CASES[case](4)
+        liouv = dense_liouvillian(model)
+        nullity = dense_null_space(liouv).shape[1]
+        spectra, svd = [], np.linalg.svd
+
+        def recording_svd(a, **kwargs):
+            spectra.append(svd(a, **kwargs))
+            return spectra[-1]
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        if nullity != 1:  # gamma0_dark_mode
+            with pytest.raises(RankDeficientError, match=f"dimension {nullity};"):
+                steady_state(model)
+        else:
+            steady_state(model)
+        monkeypatch.undo()
+        assert len(spectra) == len(np.unique(coherence_orders(model)[coherence_orders(model) >= 0]))
+        pooled = np.sort(np.concatenate(spectra + spectra[1:]))
+        full = np.sort(np.linalg.svd(liouv, compute_uv=False))
+        assert np.abs(pooled - full).max() <= 1e-13 * full.max()
+
     def test_stationary_coherences_count_toward_nullity(self):
         # gamma = 0, n_T = 0: two stationary populations plus a q = +1 and a
         # q = -1 coherence between the dark state and the ground state
@@ -840,7 +928,12 @@ class TestSectorSteadyState:
         assert steady_state_residual(model, rho) <= 1e-8
 
 
-def test_hermiticity_drift_error_is_exported():
-    from noisycav import HermiticityDriftError as exported
+def test_integrator_errors_are_exported():
+    # states are stepped in real coordinates, exactly Hermitian, so no Hermiticity drift error exists
+    import noisycav
 
-    assert exported is HermiticityDriftError
+    errors = {name for name, value in vars(noisycav.dynamics).items()
+              if isinstance(value, type) and issubclass(value, IntegratorError)}
+    assert errors == {"IntegratorError", "TraceDriftError", "PositivityLossError"}
+    assert all(getattr(noisycav, name) is getattr(noisycav.dynamics, name) for name in errors)
+    assert not hasattr(noisycav, "HermiticityDriftError")

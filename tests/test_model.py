@@ -197,8 +197,15 @@ class TestBuildModel:
             LindbladModel(np.zeros((3, 3), dtype=complex), (), layout)
         with pytest.raises(ValueError, match=r"collapse operator shape \(3, 3\) does not match layout dim 2"):
             LindbladModel(np.zeros((2, 2), dtype=complex), ((1.0, np.eye(3, dtype=complex)),), layout)
-        with pytest.raises(ValueError, match=r"^Hamiltonian not Hermitian: defect nan$"):
-            LindbladModel(np.diag([np.nan, 0.0]).astype(complex), (), layout)
+        for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+            with pytest.raises(ValueError, match=r"^Hamiltonian has non-finite entries$"):
+                LindbladModel(np.diag([bad, 0.0]).astype(complex), (), layout)
+        lower = np.array([[0, 1], [0, 0]], dtype=complex)
+        for bad in (np.nan, -np.inf):
+            broken = lower.copy()
+            broken[1, 0] = bad
+            with pytest.raises(ValueError, match=r"^collapse operator 1 has non-finite entries$"):
+                LindbladModel(np.zeros((2, 2), dtype=complex), ((1.0, lower), (0.5, broken)), layout)
         with pytest.raises(ValueError, match=r"^collapse rate must be nonnegative, got nan$"):
             LindbladModel(np.zeros((2, 2), dtype=complex), ((np.nan, np.eye(2, dtype=complex)),), layout)
 

@@ -8,8 +8,8 @@ import pytest
 from noisycav.dynamics import (
     IntegratorError,
     IntegratorSettings,
+    SectorBlocks,
     _evolved_entries,
-    _superoperator_block,
     evolve,
 )
 from noisycav.entanglement import concurrence
@@ -307,7 +307,7 @@ class TestRateComponents:
         assert np.array_equal(components.rows, rows) and np.array_equal(components.cols, cols)
         for cfg in cells:
             got = components.at(cfg)
-            expected = _superoperator_block(build_model(cfg), got.rows, got.cols)
+            expected = SectorBlocks.of(build_model(cfg), got.rows, got.cols).block
             assert np.abs(got.block - expected).max() <= 1e-13 * np.abs(expected).max()
 
     @staticmethod
