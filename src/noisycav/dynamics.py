@@ -29,22 +29,25 @@ G = B.real + B.imag[:, mirror] of the block B (`SectorBlocks.of`), and every
 state is exactly Hermitian. The evaluator `make_rhs` is one product with G.
 For this linear equation an RK4 step of size h is the matrix S = p(hG),
 p(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, which `_step_map` builds by Horner's
-rule with three `make_rhs` products, once per distinct h in an evolution;
-each step is then one matvec S @ y. In place of a model, `evolve` also takes
-`SectorBlocks` built elsewhere: a sweep builds its generator once and
-re-weights it per cell (see `sweep`).
-The drift gate runs on every step's state, once per chunk of steps: a record
-span is stepped in chunks of 1, 2, 4, ... up to CHUNK_STEPS steps, each step a
-matvec into one reused buffer, and after each chunk the trace drift
-max(|tr rho - 1|, max |rho_ij| - 1) of all its steps is checked against the
-tolerance, a NaN failing; the first failing step raises. Recorded states,
-scattered back into d x d matrices, must pass the density-matrix gates. RK4
-keeps the trace up to round-off, so it is the |rho_ij| <= 1 term that stops
-a step too large for the rates, on the step where an entry first grows past
-1. A chunk is never longer than the span's steps before it, so the steps
-taken past a failing one are at most as many as those that passed, and an
-unstable run stops before it overflows. Accuracy is certified by step
-halving, not by an embedded error estimator.
+rule with three `make_rhs` products, once per distinct h in an evolution.
+In place of a model, `evolve` also takes `SectorBlocks` built elsewhere: a
+sweep builds its generator once and re-weights it per cell (see `sweep`).
+A record span is stepped in chunks of 1, 2, 4, ... up to CHUNK_STEPS steps,
+each chunk one matrix product. The state L steps on is S^L times the state
+now, so the chunk of L steps is the span's last L states, its start counted,
+times (S^L)^T. The powers S, S^2, S^4, ... are squared as first needed, once
+every state so far has passed the drift gate, and kept per h for the whole
+evolution. Every step's state is still formed and gated: after each chunk
+the trace drift max(|tr rho - 1|, max |rho_ij| - 1) of each of its states is
+checked against the tolerance, a NaN failing, and the first failing step
+raises. Recorded states, scattered back into d x d matrices, must pass the
+density-matrix gates. RK4 keeps the trace up to round-off, so it is the
+|rho_ij| <= 1 term that stops a step too large for the rates, on the step
+where an entry first grows past 1. A chunk is never longer than the states
+before it, the span's start counted, so the steps taken past a failing one
+are at most as many as those that passed, and an unstable run stops before
+it overflows. Accuracy is certified by step halving, not by an embedded
+error estimator.
 
 `steady_state` solves on the q = 0 block, in real coordinates, and checks
 uniqueness on the spectra of all blocks, building only the q >= 0 ones; the
@@ -55,6 +58,7 @@ tests check it against `lindblad_rhs`.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -83,10 +87,12 @@ from .qops import (
 # Most RK4 steps `evolve` takes to reach one record time, and most t_max / dt
 # may ask for, so a huge but finite time fails at once instead of running on.
 MAX_STEPS = 10**7
-# Most RK4 steps `evolve` takes between two runs of its drift gates. A record
-# span is stepped in chunks of 1, 2, 4, ... steps up to this many, so after a
-# failing step at most as many steps are taken as came before it.
-CHUNK_STEPS = 32
+# Most RK4 steps `evolve` takes between two runs of its drift gates, and the
+# highest power of the step matrix it forms. A record span is stepped in chunks
+# of 1, 2, 4, ... steps up to this many, each one product with a power of the
+# step matrix, so after a failing step at most as many steps are taken as came
+# before it. Longer chunks measured no faster and hold more states at once.
+CHUNK_STEPS = 64
 
 
 class IntegratorError(RuntimeError):
@@ -193,6 +199,14 @@ class SectorBlocks:
         generator.block[:] += block.imag[:, generator.mirror]
         return generator
 
+    def with_block(self, block: np.ndarray) -> SectorBlocks:
+        """The generator `block` on the same entries, sharing their `mirror` rather than recomputing it."""
+        if block.shape != self.block.shape:
+            raise ValueError(f"block shape {block.shape} does not match the {len(self.rows)} entries")
+        generator = copy.copy(self)
+        object.__setattr__(generator, "block", block)
+        return generator
+
     @property
     def dim(self) -> int:
         return self.layout.dim
@@ -278,8 +292,7 @@ def evolve(
     trace_res: list[float] = []
     min_eigs: list[float] = []
 
-    step_maps: dict[float, np.ndarray] = {}  # keyed by the exact step size
-    chunk = np.empty((CHUNK_STEPS, len(y)))  # row i: the state after the chunk's step i
+    powers: dict[float, list[np.ndarray]] = {}  # [S, S^2, S^4, ...], keyed by the exact step size
     t_prev = 0.0
     for t_rec in record_times:
         span = t_rec - t_prev
@@ -290,30 +303,37 @@ def evolve(
                                       f"(more than MAX_STEPS={MAX_STEPS:g})")
             n_steps = max(1, math.ceil(steps - 1e-9))
             h = span / n_steps
-            if h not in step_maps:
-                step_maps[h] = _step_map(generator, h)
-            step = step_maps[h]
-            done, length = 0, 1
+            if h not in powers:
+                powers[h] = [_step_map(generator, h)]
+            step_powers = powers[h]
+            trail = y[np.newaxis]  # the span's last L states, its start first; L = 1, 2, 4, ... CHUNK_STEPS
+            done = 0
             while done < n_steps:
-                m = min(length, CHUNK_STEPS, n_steps - done)
-                state = y
-                for i in range(m):
-                    state = np.dot(step, state, out=chunk[i])
-                stepped = chunk[:m]
-                # max |y| bounds every |rho_ij| = sqrt((y_k^2 + y_mirror(k)^2) / 2): pair them only past 1
-                modulus = np.abs(stepped).max(axis=1)
-                if not np.all(modulus <= 1.0 + TOLERANCE):
-                    modulus = np.hypot(stepped, stepped[:, mirror]).max(axis=1) / math.sqrt(2.0)
-                # a lower bound on the trace-norm drift, as any density matrix has |rho_ij| <= 1;
-                # `np.maximum` keeps a NaN
-                drift = np.maximum(np.abs(stepped[:, diagonal].sum(axis=1) - 1.0), modulus - 1.0)
-                failed = ~(drift <= TOLERANCE)  # `not <=` so that a NaN drift fails the gate too
-                if failed.any():
-                    i = int(np.argmax(failed))  # the first failing step
-                    raise TraceDriftError(f"trace drift {drift[i]:.3e} exceeds tolerance {TOLERANCE:.1e} "
-                                          f"near t={t_prev + (done + i + 1) * h:.6g}; reduce dt")
-                y = chunk[m - 1].copy()
-                done, length = done + m, 2 * length
+                level = len(trail).bit_length() - 1
+                if level == len(step_powers):  # S^L, squared only once every state so far has passed
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        step_powers.append(step_powers[-1] @ step_powers[-1])
+                m = min(len(trail), n_steps - done)
+                stepped = np.dot(trail[:m], step_powers[level].T)  # row i: the state after step done + 1 + i
+                trace = stepped[:, diagonal].sum(axis=1)
+                # max |y| bounds every |rho_ij| = sqrt((y_k^2 + y_mirror(k)^2) / 2), so the chunk passes as a
+                # whole when it and every trace are within the tolerance, only where each row would pass the
+                # row-by-row gate below; `<=` fails on a NaN
+                if not (np.abs(stepped).max() - 1.0 <= TOLERANCE and np.abs(trace - 1.0).max() <= TOLERANCE):
+                    modulus = np.abs(stepped).max(axis=1)
+                    if not np.all(modulus <= 1.0 + TOLERANCE):
+                        modulus = np.hypot(stepped, stepped[:, mirror]).max(axis=1) / math.sqrt(2.0)
+                    # a lower bound on the trace-norm drift, as any density matrix has |rho_ij| <= 1;
+                    # `np.maximum` keeps a NaN
+                    drift = np.maximum(np.abs(trace - 1.0), modulus - 1.0)
+                    failed = ~(drift <= TOLERANCE)  # `not <=` so that a NaN drift fails the gate too
+                    if failed.any():
+                        i = int(np.argmax(failed))  # the first failing step
+                        raise TraceDriftError(f"trace drift {drift[i]:.3e} exceeds tolerance {TOLERANCE:.1e} "
+                                              f"near t={t_prev + (done + i + 1) * h:.6g}; reduce dt")
+                trail = np.concatenate((trail, stepped)) if len(trail) < CHUNK_STEPS else stepped
+                done += m
+            y = trail[-1]
             t_prev = t_rec
 
         rho = np.zeros((d, d), dtype=complex)

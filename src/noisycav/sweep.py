@@ -47,7 +47,7 @@ from .model import (
     ground_state,
     standard_observables,
 )
-from .qops import SpaceLayout, assert_density_matrix, embed
+from .qops import assert_density_matrix, embed
 
 SWEEPABLE = ("n_thermal", "kappa", "gamma", "time")
 
@@ -172,9 +172,7 @@ class _RateComponents:
     thermal pumping, and the emission of each atom.
     """
 
-    layout: SpaceLayout
-    rows: np.ndarray
-    cols: np.ndarray
+    generator: SectorBlocks  # the Hamiltonian's: the entries, and their `mirror`, that every cell shares
     stack: np.ndarray
 
     @classmethod
@@ -187,12 +185,12 @@ class _RateComponents:
         zero = np.zeros_like(model.hamiltonian)
         parts = [LindbladModel(model.hamiltonian, (), layout)]
         parts += [LindbladModel(zero, (unit,), layout) for unit in units]
-        stack = np.stack([SectorBlocks.of(part, rows, cols).block for part in parts])
-        return cls(layout, rows, cols, stack)
+        generators = [SectorBlocks.of(part, rows, cols) for part in parts]
+        return cls(generators[0], np.stack([generator.block for generator in generators]))
 
     def at(self, cfg: SystemConfig) -> SectorBlocks:
         weights = np.array([1.0] + [rate for _, rate, _ in _channels(cfg)])
-        return SectorBlocks(self.layout, self.rows, self.cols, np.tensordot(weights, self.stack, axes=1))
+        return self.generator.with_block(np.tensordot(weights, self.stack, axes=1))
 
 
 def _run_trajectory_task(task):

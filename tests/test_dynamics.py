@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import noisycav.dynamics
 from noisycav.dynamics import (
+    CHUNK_STEPS,
     MAX_STEPS,
     IntegratorError,
     IntegratorSettings,
@@ -653,6 +654,8 @@ class TestSectorEvolve:
             evolve(blocks, superposition_start(cfg), IntegratorSettings(dt=0.01, t_max=0.1))
         with pytest.raises(ValueError, match="block shape"):
             SectorBlocks(model.layout, rows, cols, np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="block shape"):
+            blocks.with_block(np.zeros((1, 1)))
         # the q = 1 sector without its transpose, the q = -1 sector
         with pytest.raises(ValueError, match=r"^the entries are not closed under transpose"):
             SectorBlocks.of(model, *sectors[1])
@@ -830,9 +833,12 @@ class TestChunkedGates:
     @pytest.mark.parametrize("kappa,dt,record_times,near", [
         (4.0, 1.0, [0.0, 3.0], "near t=1"),  # the first step, a chunk of one step
         (5.0, 0.006, [0.0, 3.0], "near t=0.15"),  # step 25, inside the chunk of steps 16-31
-        (5.0, 0.0057, [0.0, 3.0], "near t=0.614801"),  # step 108, in the third chunk at the cap (steps 96-127)
+        (5.0, 0.0057, [0.0, 3.0], "near t=0.614801"),  # step 108, in the first chunk at the cap (steps 64-127)
+        (5.0, 0.00567, [0.0, 3.0], "near t=0.962264"),  # step 170, in the second chunk at the cap (steps 128-191)
+        (5.0, 0.0057, [0.0, 1.05], "near t=0.760541"),  # step 134, in the span's last chunk, steps 128-185
         (5.0, 0.006, [0.0, 0.15], "near t=0.15"),  # step 25, the last of the span's 25 steps
-    ], ids=["first_step", "later_chunk", "capped_chunk", "last_step_of_span"])
+    ], ids=["first_step", "later_chunk", "capped_chunk", "second_capped_chunk", "partial_last_chunk",
+            "last_step_of_span"])
     def test_failure_names_the_stepwise_step(self, kappa, dt, record_times, near):
         chunked, stepwise = self.both(3.0, kappa, dt, record_times[-1], record_times)
         assert chunked == stepwise == (TraceDriftError, near)
@@ -843,6 +849,38 @@ class TestChunkedGates:
         traj = evolve(model, rho0, IntegratorSettings(), record_times=times)
         for state, expected in zip(traj.states, stepwise_evolve(model, rho0, 0.002, times)):
             assert np.abs(state - expected).max() <= 1e-13
+
+    def test_long_spans_record_the_sequential_states(self, monkeypatch):
+        # spans of 300, 300 and 200 steps, each past two chunks at the cap, in two step sizes:
+        # against stepping one S @ y at a time, and against `stepwise_evolve`
+        cfg = SystemConfig(n_thermal=1.8, cutoff=5)
+        model, rho0, times = build_model(cfg), ground_state(cfg), [0.0, 0.6, 1.2, 1.6]
+        generator = SectorBlocks.of(model, *_evolved_entries(model, rho0))
+        y, expected, t_prev = rho0[generator.rows, generator.cols].real, [], 0.0
+        for t in times:
+            if t > t_prev:
+                n_steps = math.ceil((t - t_prev) / 0.002 - 1e-9)
+                assert n_steps > 2 * CHUNK_STEPS
+                step = _step_map(generator, (t - t_prev) / n_steps)
+                for _ in range(n_steps):
+                    y = step @ y
+            rho = np.zeros_like(rho0)
+            rho[generator.rows, generator.cols] = generator.entries(y)
+            expected.append(rho)
+            t_prev = t
+
+        sizes = []
+
+        def recording_step_map(generator, h):
+            sizes.append(h)
+            return _step_map(generator, h)
+
+        monkeypatch.setattr(noisycav.dynamics, "_step_map", recording_step_map)
+        traj = evolve(model, rho0, IntegratorSettings(), record_times=times)
+        assert len(sizes) == len(set(sizes)) == 2  # one power cache per step size, shared by the spans of 0.6
+        for state, sequential, stepwise in zip(traj.states, expected, stepwise_evolve(model, rho0, 0.002, times)):
+            assert np.abs(state - sequential).max() <= 1e-13
+            assert np.abs(state - stepwise).max() <= 1e-13
 
     @pytest.mark.parametrize("start", [ground_state, superposition_start], ids=["q0", "q0_and_pm1"])
     def test_recorded_states_are_exactly_hermitian(self, start):

@@ -304,9 +304,10 @@ class TestRateComponents:
         components = _RateComponents.build(base, rho0)
         # the entries `evolve` picks from rho0 for a model of the sweep's own
         rows, cols = _evolved_entries(build_model(base), rho0)
-        assert np.array_equal(components.rows, rows) and np.array_equal(components.cols, cols)
+        assert np.array_equal(components.generator.rows, rows) and np.array_equal(components.generator.cols, cols)
         for cfg in cells:
             got = components.at(cfg)
+            assert got.mirror is components.generator.mirror  # computed once per sweep, not per cell
             expected = SectorBlocks.of(build_model(cfg), got.rows, got.cols).block
             assert np.abs(got.block - expected).max() <= 1e-13 * np.abs(expected).max()
 
