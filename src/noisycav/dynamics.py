@@ -40,8 +40,14 @@ every state so far has passed the drift gate, and kept per h for the whole
 evolution. Every step's state is still formed and gated: after each chunk
 the trace drift max(|tr rho - 1|, max |rho_ij| - 1) of each of its states is
 checked against the tolerance, a NaN failing, and the first failing step
-raises. Recorded states, scattered back into d x d matrices, must pass the
-density-matrix gates. RK4 keeps the trace up to round-off, so it is the
+raises. Each record's entries x are scattered into a d x d matrix once, for
+its trace and its smallest eigenvalue, which must pass the positivity gate;
+the matrix is exactly Hermitian, so no Hermiticity check or Hermitian part is
+needed. The reduced state and the observables are fixed linear maps of x,
+read off all records by one matrix product per map: `SectorBlocks.reduction`,
+built once per entry set and kept for every cell of a sweep, and the m x n
+map of op[cols, rows] for the m observables. RK4 keeps the trace up to
+round-off, so it is the
 |rho_ij| <= 1 term that stops a step too large for the rates, on the step
 where an entry first grows past 1. A chunk is never longer than the states
 before it, the span's start counted, so the steps taken past a failing one
@@ -77,9 +83,8 @@ from .qops import (
     SpaceLayout,
     assert_density_matrix,
     dagger,
-    density_matrix_defects,
     excitation_numbers,
-    expectation,
+    hermitian_defects,
     partial_trace,
 )
 
@@ -180,6 +185,8 @@ class SectorBlocks:
     cols: np.ndarray
     block: np.ndarray
     mirror: np.ndarray = field(init=False)
+    # the maps of `reduction`, keyed by the kept factors; `with_block` copies share it
+    _reductions: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         n, d = len(self.rows), self.dim
@@ -214,6 +221,24 @@ class SectorBlocks:
     def entries(self, y: np.ndarray) -> np.ndarray:
         """The entries x = ((1 + i) y + (1 - i) y[mirror]) / 2 of the real coordinates y, exactly Hermitian."""
         return 0.5 * (y + y[self.mirror]) + 0.5j * (y - y[self.mirror])
+
+    def reduction(self, keep) -> np.ndarray:
+        """The (k^2, n) map from the entries x to the partial trace onto the factors `keep`, flattened.
+
+        Column j is `partial_trace` of the unit matrix of the entry
+        rho[rows[j], cols[j]]. Built once per set of kept factors and shared by
+        every `with_block` copy, as it depends on the entries alone.
+        """
+        key = tuple(sorted({int(s) for s in keep}))
+        if key not in self._reductions:
+            unit = np.zeros((self.dim, self.dim))
+            columns = []
+            for r, c in zip(self.rows, self.cols):
+                unit[r, c] = 1.0
+                columns.append(partial_trace(unit, self.layout, key).ravel())
+                unit[r, c] = 0.0
+            self._reductions[key] = np.array(columns, dtype=complex).T
+        return self._reductions[key]
 
 
 def lindblad_rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
@@ -252,7 +277,9 @@ def evolve(
     steps are shortened where needed so every record time is hit exactly, and
     never exceed `settings.dt`. With `reduce_to` set (an iterable of layout
     slots), stored states are partial traces over the complement; diagnostics
-    are always computed on the composite state.
+    are always computed on the composite state. Reduced states and observables
+    are read off the recorded entries by fixed linear maps (see the module
+    docstring).
 
     A model is propagated on the entries `_evolved_entries` picks from rho0,
     whose other entries stay exactly 0. Given `SectorBlocks`, their entries
@@ -283,18 +310,21 @@ def evolve(
     diagonal = np.flatnonzero(rows == cols)
 
     observables = observables or {}
+    reduction = None if reduce_to is None else generator.reduction(reduce_to)
+    # Re tr(op rho) = Re sum_j op[cols[j], rows[j]] x_j, as rho is 0 off the entries x
+    expectations = np.array([op[cols, rows] for op in observables.values()]).reshape(len(observables), len(rows))
 
     x = np.asarray(rho0, dtype=complex)[rows, cols]
     # the coordinates of the Hermitian part (x + conj(x[mirror])) / 2, which are Re x + Im x when x is Hermitian
     y = 0.5 * ((x.real + x.imag) + (x.real - x.imag)[mirror])
     states: list[np.ndarray] = []
-    obs_out: dict[str, list[float]] = {name: [] for name in observables}
+    recorded = np.empty((len(record_times), len(rows)), dtype=complex)  # row i: the entries x at record i
     trace_res: list[float] = []
     min_eigs: list[float] = []
 
     powers: dict[float, list[np.ndarray]] = {}  # [S, S^2, S^4, ...], keyed by the exact step size
     t_prev = 0.0
-    for t_rec in record_times:
+    for i_rec, t_rec in enumerate(record_times):
         span = t_rec - t_prev
         if span > 1e-12 * max(1.0, t_rec):
             steps = span / settings.dt
@@ -336,23 +366,27 @@ def evolve(
             y = trail[-1]
             t_prev = t_rec
 
+        recorded[i_rec] = generator.entries(y)
         rho = np.zeros((d, d), dtype=complex)
-        rho[rows, cols] = generator.entries(y)
-        _, residual, min_eig = density_matrix_defects(rho)
+        rho[rows, cols] = recorded[i_rec]
+        residual, min_eig = hermitian_defects(rho)
         if not min_eig >= -TOLERANCE:
             raise PositivityLossError(
                 f"smallest eigenvalue {min_eig:.3e} at t={t_rec:.6g} violates the positivity gate"
             )
-        states.append(partial_trace(rho, model.layout, reduce_to) if reduce_to is not None else rho)
+        if reduction is None:
+            states.append(rho)
         trace_res.append(residual)
         min_eigs.append(min_eig)
-        for name, op in observables.items():
-            obs_out[name].append(expectation(op, rho))
 
+    if reduction is not None:
+        k = math.isqrt(len(reduction))
+        states = list((recorded @ reduction.T).reshape(-1, k, k))
+    values = (recorded @ expectations.T).real
     return Trajectory(
         times=np.array(record_times),
         states=states,
-        observables={name: np.array(vals) for name, vals in obs_out.items()},
+        observables={name: values[:, j] for j, name in enumerate(observables)},
         trace_residuals=np.array(trace_res),
         min_eigenvalues=np.array(min_eigs),
     )
@@ -367,17 +401,14 @@ def _step_map(generator: SectorBlocks, h: float) -> np.ndarray:
     `make_rhs` evaluation each.
     """
     rhs = make_rhs(generator)
-    n = len(generator.rows)
-    eye = np.eye(n)
-    raw = np.empty(n * n + 8)  # S starts on a 64-byte boundary, where a matvec with it is fastest
-    step = raw[(-raw.ctypes.data % 64) // 8:][:n * n].reshape(n, n)
+    eye = np.eye(len(generator.rows))
     # a step too large for the rates overflows S to inf or NaN; stepping with it gives a
     # state that is not finite, which fails the drift gate
     with np.errstate(over="ignore", invalid="ignore"):
         y = eye + (h / 4) * generator.block
         y = eye + (h / 3) * rhs(y)
         y = eye + (h / 2) * rhs(y)
-        return np.add(eye, h * rhs(y), out=step)
+        return eye + h * rhs(y)
 
 
 def _superoperator_block(model: LindbladModel, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -148,11 +148,21 @@ def expectation(op: np.ndarray, rho: np.ndarray) -> float:
 
 
 def density_matrix_defects(rho: np.ndarray) -> tuple[float, float, float]:
-    """(hermiticity defect, |trace - 1|, smallest eigenvalue) of a candidate state."""
+    """(hermiticity defect, |trace - 1|, smallest eigenvalue) of a candidate state.
+
+    The last two are those of its Hermitian part.
+    """
     herm = float(np.abs(rho - rho.conj().T).max())
-    trace = float(abs(rho.trace() - 1.0))
-    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-    return herm, trace, min_eig
+    return (herm, *hermitian_defects(0.5 * (rho + rho.conj().T)))
+
+
+def hermitian_defects(rho: np.ndarray) -> tuple[float, float]:
+    """(|trace - 1|, smallest eigenvalue) of a candidate state that is exactly Hermitian.
+
+    `density_matrix_defects` without the Hermiticity defect, which is 0, and
+    without taking the Hermitian part, which is rho itself.
+    """
+    return float(abs(rho.trace() - 1.0)), float(np.linalg.eigvalsh(rho)[0])
 
 
 def assert_density_matrix(rho: np.ndarray) -> None:

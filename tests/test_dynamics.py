@@ -41,7 +41,15 @@ from noisycav.model import (
     ground_state,
     standard_observables,
 )
-from noisycav.qops import SpaceLayout, basis_state, embed, excitation_numbers, partial_trace
+from noisycav.qops import (
+    SpaceLayout,
+    basis_state,
+    density_matrix_defects,
+    embed,
+    excitation_numbers,
+    expectation,
+    partial_trace,
+)
 
 from conftest import lab_model, random_density_matrix, random_trace_one_hermitian, stepwise_evolve, unvec, vec
 
@@ -402,11 +410,13 @@ class TestEvolve:
         # one record span of 500 steps just above the stable step size: the
         # step ending at t = 0.144 passes both drift gates (only its record
         # fails, on positivity) and a later one fails, so the error names
-        # t = 0.15, not the span's start t = 0
+        # t = 0.15, not the span's start t = 0; the record gate runs before the record maps
         cfg = SystemConfig(n_thermal=3.0, kappa=5.0, cutoff=5)
         model, settings = build_model(cfg), IntegratorSettings(dt=0.006, t_max=3.0)
-        with pytest.raises(PositivityLossError, match="at t=0.144 "):
-            evolve(model, ground_state(cfg), settings, record_times=[0.0, 0.144])
+        positivity = r"^smallest eigenvalue -5\.379e-01 at t=0\.144 violates the positivity gate$"
+        with pytest.raises(PositivityLossError, match=positivity):
+            evolve(model, ground_state(cfg), settings, record_times=[0.0, 0.144],
+                   observables=standard_observables(cfg), reduce_to=(ATOM_A, ATOM_B))
         with pytest.raises(TraceDriftError, match=r"near t=0\.15; reduce dt$"):
             evolve(model, ground_state(cfg), settings, record_times=[0.0, 3.0])
 
@@ -784,14 +794,13 @@ class TestStepMap:
         assert count == calls
 
     @pytest.mark.parametrize("cutoff", [1, 2, 5])
-    def test_step_matrix_is_64_byte_aligned(self, cutoff):
-        # a matvec with S runs faster at a 64-byte boundary than at a 16-byte one
+    def test_step_matrix_is_the_taylor_polynomial(self, cutoff):
         cfg = SystemConfig(n_thermal=1.0, cutoff=cutoff)
         generator = SectorBlocks.of(build_model(cfg), *_coherence_sectors(build_model(cfg))[0][1:])
         n = len(generator.rows)
         for h in (0.002, 0.001, 1.0 / 3.0):
             step = _step_map(generator, h)
-            assert step.ctypes.data % 64 == 0 and step.flags.c_contiguous and step.shape == (n, n)
+            assert step.shape == (n, n)
             g = h * generator.block
             eye = np.eye(n)
             expected = eye + g + g @ g / 2 + g @ g @ g / 6 + g @ g @ g @ g / 24
@@ -888,6 +897,47 @@ class TestChunkedGates:
         traj = evolve(build_model(cfg), start(cfg), IntegratorSettings(), record_times=[0.0, 0.3, 0.3, 1.7])
         for state in traj.states:
             assert np.array_equal(state, state.conj().T)
+
+
+# the entries of a 4x4 matrix off its diagonal and its anti-diagonal, all 0 in an X-state
+OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+
+
+class TestRecordMaps:
+    """Each record's reduced state and observables, read off its entries, against the d x d reference functions."""
+
+    @pytest.mark.parametrize("keep", [(ATOM_A,), (CAVITY,), (ATOM_A, ATOM_B)], ids=["atom_a", "cavity", "atoms"])
+    @pytest.mark.parametrize("start,sigma_x", [
+        (ground_state, False),  # the q = 0 entries: the reduced atoms are an X-state
+        (superposition_start, False),  # q in {0, +-1}: they are not
+        (ground_state, True),  # all d^2 entries of a model without the symmetry
+    ], ids=["q0", "q0_and_pm1", "all_entries"])
+    def test_records_match_the_scattered_state(self, start, sigma_x, keep):
+        cfg = SystemConfig(n_thermal=1.2, kappa=1.5, cutoff=3)
+        model, rho0, observables = build_model(cfg), start(cfg), standard_observables(cfg)
+        if sigma_x:
+            model = with_atom_a_sigma_x(model)
+        times, settings = [0.0, 0.2, 0.2, 0.9], IntegratorSettings()
+        scattered = evolve(model, rho0, settings, record_times=times).states
+        traj = evolve(model, rho0, settings, record_times=times, observables=observables, reduce_to=keep)
+        for i, rho in enumerate(scattered):
+            assert np.abs(traj.states[i] - partial_trace(rho, model.layout, keep)).max() <= 1e-14
+            for name, op in observables.items():
+                assert abs(traj.observables[name][i] - expectation(op, rho)) <= 1e-14
+            _, residual, min_eig = density_matrix_defects(rho)
+            assert traj.trace_residuals[i] == residual and traj.min_eigenvalues[i] == min_eig
+        if keep == (ATOM_A, ATOM_B):
+            # from |g,g,0> every term keeps the parity of q, and the atoms' entries off the X have odd q
+            off_x = [np.count_nonzero(state[OFF_X]) for state in traj.states]
+            assert off_x[-1] > 0 if start is superposition_start else not any(off_x)
+
+    def test_sweep_cells_share_one_reduction_map(self):
+        cfg = SystemConfig(n_thermal=0.5, cutoff=3)
+        model = build_model(cfg)
+        generator = SectorBlocks.of(model, *_evolved_entries(model, ground_state(cfg)))
+        first = generator.with_block(2.0 * generator.block).reduction((ATOM_B, ATOM_A))
+        assert generator.with_block(generator.block).reduction([ATOM_A, ATOM_B]) is first
+        assert first.shape == (16, len(generator.rows))
 
 
 class TestSectorSteadyState:

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from noisycav.dynamics import IntegratorSettings, evolve
-from noisycav.entanglement import concurrence, spin_flip
+from noisycav.entanglement import _wootters, concurrence, spin_flip
 from noisycav.model import ATOM_A, ATOM_B, SystemConfig, build_model, ground_state
 
 from conftest import random_density_matrix, random_unitary
@@ -142,6 +144,94 @@ class TestConcurrence:
         result = concurrence(random_density_matrix(rng, 4))
         assert result.max_imag_residue < 1e-12
         assert result.min_eig_clipped <= 0.0
+
+
+def x_state(populations, outer, inner, phases):
+    """The X-state with diagonal `populations` (normalized) and coherences
+    rho_03 = outer sqrt(p_0 p_3) e^(i phase_0), rho_12 = inner sqrt(p_1 p_2) e^(i phase_1),
+    with the lambdas hand-derived from these: sqrt(p_0 p_3) (1 +- outer) and
+    sqrt(p_1 p_2) (1 +- inner), in decreasing order. Each block is PSD for a
+    fraction `outer`, `inner` <= 1 and singular at 1, the boundary |rho_03|^2 = p_0 p_3.
+    """
+    p = np.asarray(populations, dtype=float) / math.fsum(populations)
+    rho = np.diag(p).astype(complex)
+    roots = (math.sqrt(p[0] * p[3]), math.sqrt(p[1] * p[2]))
+    for (i, j), root, fraction, phase in zip(((0, 3), (1, 2)), roots, (outer, inner), phases):
+        rho[i, j] = fraction * root * np.exp(1j * phase)
+        rho[j, i] = np.conj(rho[i, j])
+    lambdas = sorted([roots[0] * (1 + outer), roots[0] * (1 - outer), roots[1] * (1 + inner), roots[1] * (1 - inner)])
+    return rho, np.array(lambdas[::-1])
+
+
+POPULATIONS = st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4)
+PHASES = st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi))
+INTERIOR = st.floats(0.05, 0.95)  # a nonzero coherence inside the PSD boundary
+
+
+def assert_closed_form_matches(rho, lambdas, tolerance):
+    """The closed form's lambdas and margin against `lambdas` within `tolerance`; its diagnostics."""
+    result = concurrence(rho)
+    assert np.abs(np.array(result.lambdas) - lambdas).max() <= tolerance
+    assert abs(result.margin - (lambdas[0] - lambdas[1] - lambdas[2] - lambdas[3])) <= 2 * tolerance
+    assert result.max_imag_residue == 0.0  # the closed form ran
+    assert -1e-15 <= result.min_eig_clipped <= 0.0
+
+
+class TestXStateClosedForm:
+    """The X-state closed form against Wootters' path, the characteristic-polynomial oracle and hand-derived lambdas.
+
+    Near the PSD boundary the smallest lambda is small, and both references
+    lose digits there: Wootters' path takes the square root of a round-off
+    eigenvalue, and the oracle's Newton sums carry an absolute error of about
+    1e-16 that its smallest roots divide by the product of the others. So the
+    oracle is compared on lambdas at least 1e-2 from 0, Wootters' path up to
+    1e-4 from the boundary, and the states on it with their hand-derived
+    lambdas. The oracle's roots are also good to only about sqrt(1e-16) where
+    two coincide, as they do for equal populations and coherences, so its
+    lambdas are also at least 1e-2 apart.
+    """
+
+    @given(POPULATIONS, INTERIOR, INTERIOR, PHASES)
+    @settings(max_examples=200, deadline=None)
+    def test_full_rank_matches_wootters(self, populations, outer, inner, phases):
+        rho, lambdas = x_state(populations, outer, inner, phases)
+        assert_closed_form_matches(rho, lambdas, 1e-12)
+        assert_closed_form_matches(rho, _wootters(rho)[0], 1e-10)
+
+    @given(POPULATIONS, INTERIOR, INTERIOR, PHASES)
+    @settings(max_examples=200, deadline=None)
+    def test_full_rank_matches_the_oracle(self, populations, outer, inner, phases):
+        rho, lambdas = x_state(populations, outer, inner, phases)
+        assume(np.diff(lambdas).max() <= -1e-2 and lambdas[-1] >= 1e-2)
+        assert_closed_form_matches(rho, charpoly_lambdas(rho), 1e-8)
+
+    @given(POPULATIONS, st.integers(2, 4), INTERIOR, st.booleans(), PHASES)
+    @settings(max_examples=200, deadline=None)
+    def test_near_the_boundary_matches_wootters(self, populations, digits, fraction, outer_near, phases):
+        near = 1.0 - 10.0**-digits
+        rho, lambdas = x_state(populations, *((near, fraction) if outer_near else (fraction, near)), phases)
+        assert_closed_form_matches(rho, lambdas, 1e-12)
+        assert_closed_form_matches(rho, _wootters(rho)[0], 1e-10)
+
+    @given(POPULATIONS, st.one_of(st.just(1.0), INTERIOR), st.booleans(), PHASES)
+    @settings(max_examples=200, deadline=None)
+    def test_on_the_boundary_matches_the_hand_derived_lambdas(self, populations, fraction, outer_on, phases):
+        rho, lambdas = x_state(populations, *((1.0, fraction) if outer_on else (fraction, 1.0)), phases)
+        assert lambdas[-1] == 0.0  # rank deficient
+        assert_closed_form_matches(rho, lambdas, 1e-12)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_one_entry_off_the_x_takes_wootters_path(self, seed):
+        # a full-rank X-state mixed with a pure state on |gg>, |ge>: rho_01 and rho_10 are the only
+        # entries off the X, and the result still matches the oracle
+        rng = np.random.default_rng(seed)
+        rho, _ = x_state(rng.uniform(0.05, 1.0, 4), *rng.uniform(0.05, 0.95, 2), rng.uniform(0, 2 * math.pi, 2))
+        ket = np.array([1.0, np.exp(1j * rng.uniform(0, 2 * math.pi)), 0.0, 0.0]) / math.sqrt(2.0)
+        mixed = 0.7 * rho + 0.3 * np.outer(ket, ket.conj())
+        off_x = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+        assert sorted(zip(*np.nonzero(mixed * off_x))) == [(0, 1), (1, 0)]
+        assert np.abs(np.array(concurrence(mixed).lambdas) - charpoly_lambdas(mixed)).max() <= 1e-8
+        assert np.array_equal(concurrence(mixed).lambdas, tuple(_wootters(mixed)[0]))
 
 
 class TestTrajectoryConcurrence:
