@@ -32,27 +32,24 @@ p(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, which `_step_map` builds by Horner's
 rule with three `make_rhs` products, once per distinct h in an evolution.
 In place of a model, `evolve` also takes `SectorBlocks` built elsewhere: a
 sweep builds its generator once and re-weights it per cell (see `sweep`).
-A record span is stepped in chunks of 1, 2, 4, ... up to CHUNK_STEPS steps,
-each chunk one matrix product. The state L steps on is S^L times the state
-now, so the chunk of L steps is the span's last L states, its start counted,
-times (S^L)^T. The powers S, S^2, S^4, ... are squared as first needed, once
-every state so far has passed the drift gate, and kept per h for the whole
-evolution. Every step's state is still formed and gated: after each chunk
-the trace drift max(|tr rho - 1|, max |rho_ij| - 1) of each of its states is
-checked against the tolerance, a NaN failing, and the first failing step
-raises. Each record's entries x are scattered into a d x d matrix once, for
-its trace and its smallest eigenvalue, which must pass the positivity gate;
-the matrix is exactly Hermitian, so no Hermiticity check or Hermitian part is
-needed. The reduced state and the observables are fixed linear maps of x,
-read off all records by one matrix product per map: `SectorBlocks.reduction`,
-built once per entry set and kept for every cell of a sweep, and the m x n
-map of op[cols, rows] for the m observables. RK4 keeps the trace up to
-round-off, so it is the
-|rho_ij| <= 1 term that stops a step too large for the rates, on the step
-where an entry first grows past 1. A chunk is never longer than the states
-before it, the span's start counted, so the steps taken past a failing one
-are at most as many as those that passed, and an unstable run stops before
-it overflows. Accuracy is certified by step halving, not by an embedded
+A record span of n steps of size h is n products with S, taken as one
+product with S^(2^k) for each set bit k of n. The powers S, S^2, S^4, ... are
+squared as first needed and kept per h for the whole evolution, so a span
+costs at most log2(n) + 1 matrix-vector products once its powers exist, and
+only recorded states are formed. Each record's entries x pass the drift gate
+first: the trace drift max(|tr rho - 1|, max |rho_ij| - 1) must be within the
+tolerance, a NaN failing, and the earliest failing record raises. Its entries
+are then scattered into a d x d matrix once, for its trace and its smallest
+eigenvalue, which must pass the positivity gate; the matrix is exactly
+Hermitian, so no Hermiticity check or Hermitian part is needed. The reduced
+state and the observables are fixed linear maps of x, read off all records
+by one matrix product per map: `SectorBlocks.reduction`, built once per
+entry set and kept for every cell of a sweep, and the m x n map of
+op[cols, rows] for the m observables. RK4 keeps the trace up to round-off,
+so it is the |rho_ij| <= 1 term that stops a step too large for the rates:
+its unstable mode grows geometrically over the span, and the record that
+ends it fails, by an entry past 1 or, once the powers overflow, by a state
+that is not finite. Accuracy is certified by step halving, not by an embedded
 error estimator.
 
 `steady_state` solves on the q = 0 block, in real coordinates, and checks
@@ -90,14 +87,9 @@ from .qops import (
 
 
 # Most RK4 steps `evolve` takes to reach one record time, and most t_max / dt
-# may ask for, so a huge but finite time fails at once instead of running on.
+# may ask for. A span costs only about log2 of its steps, so this is input
+# validation: a huge but finite time is refused at once as a likely mistake.
 MAX_STEPS = 10**7
-# Most RK4 steps `evolve` takes between two runs of its drift gates, and the
-# highest power of the step matrix it forms. A record span is stepped in chunks
-# of 1, 2, 4, ... steps up to this many, each one product with a power of the
-# step matrix, so after a failing step at most as many steps are taken as came
-# before it. Longer chunks measured no faster and hold more states at once.
-CHUNK_STEPS = 64
 
 
 class IntegratorError(RuntimeError):
@@ -105,7 +97,7 @@ class IntegratorError(RuntimeError):
 
 
 class TraceDriftError(IntegratorError):
-    """Trace, or an entry's modulus, left 1 (a bound on the trace norm) by more than the tolerance; reduce dt."""
+    """At a record, the trace or an entry's modulus left 1 (a trace-norm bound) beyond the tolerance; reduce dt."""
 
 
 class PositivityLossError(IntegratorError):
@@ -286,9 +278,10 @@ def evolve(
     are propagated, and they must hold every nonzero entry of rho0.
 
     The state is stepped in real coordinates (see the module docstring), from
-    rho0's Hermitian part. Every step's state passes the trace drift gate,
-    checked once per chunk of steps; an error names the time its first
-    failing step reached.
+    rho0's Hermitian part. Each record span of n equal steps is applied by
+    binary powers of the step matrix, and only recorded states are formed.
+    Every recorded state passes the trace drift gate, then the positivity
+    gate; an error names the time of the earliest failing record.
     """
     assert_density_matrix(rho0)
     d = model.dim
@@ -336,37 +329,25 @@ def evolve(
             if h not in powers:
                 powers[h] = [_step_map(generator, h)]
             step_powers = powers[h]
-            trail = y[np.newaxis]  # the span's last L states, its start first; L = 1, 2, 4, ... CHUNK_STEPS
-            done = 0
-            while done < n_steps:
-                level = len(trail).bit_length() - 1
-                if level == len(step_powers):  # S^L, squared only once every state so far has passed
-                    with np.errstate(over="ignore", invalid="ignore"):
+            # a step too large for the rates overflows the powers or the state to inf or NaN,
+            # which fails the drift gate below
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k in range(n_steps.bit_length()):  # S^n is the product of S^(2^k) over the set bits k of n
+                    if k == len(step_powers):
                         step_powers.append(step_powers[-1] @ step_powers[-1])
-                m = min(len(trail), n_steps - done)
-                stepped = np.dot(trail[:m], step_powers[level].T)  # row i: the state after step done + 1 + i
-                trace = stepped[:, diagonal].sum(axis=1)
-                # max |y| bounds every |rho_ij| = sqrt((y_k^2 + y_mirror(k)^2) / 2), so the chunk passes as a
-                # whole when it and every trace are within the tolerance, only where each row would pass the
-                # row-by-row gate below; `<=` fails on a NaN
-                if not (np.abs(stepped).max() - 1.0 <= TOLERANCE and np.abs(trace - 1.0).max() <= TOLERANCE):
-                    modulus = np.abs(stepped).max(axis=1)
-                    if not np.all(modulus <= 1.0 + TOLERANCE):
-                        modulus = np.hypot(stepped, stepped[:, mirror]).max(axis=1) / math.sqrt(2.0)
-                    # a lower bound on the trace-norm drift, as any density matrix has |rho_ij| <= 1;
-                    # `np.maximum` keeps a NaN
-                    drift = np.maximum(np.abs(trace - 1.0), modulus - 1.0)
-                    failed = ~(drift <= TOLERANCE)  # `not <=` so that a NaN drift fails the gate too
-                    if failed.any():
-                        i = int(np.argmax(failed))  # the first failing step
-                        raise TraceDriftError(f"trace drift {drift[i]:.3e} exceeds tolerance {TOLERANCE:.1e} "
-                                              f"near t={t_prev + (done + i + 1) * h:.6g}; reduce dt")
-                trail = np.concatenate((trail, stepped)) if len(trail) < CHUNK_STEPS else stepped
-                done += m
-            y = trail[-1]
+                    if n_steps >> k & 1:
+                        y = step_powers[k] @ y
             t_prev = t_rec
 
-        recorded[i_rec] = generator.entries(y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = generator.entries(y)
+            # a lower bound on the trace-norm drift, as any density matrix has |rho_ij| <= 1;
+            # `np.maximum` keeps a NaN
+            drift = float(np.maximum(abs(x[diagonal].sum().real - 1.0), np.abs(x).max() - 1.0))
+        if not drift <= TOLERANCE:  # `not <=` so that a NaN drift fails the gate too
+            raise TraceDriftError(f"trace drift {drift:.3e} exceeds tolerance {TOLERANCE:.1e} "
+                                  f"at t={t_rec:.6g}; reduce dt")
+        recorded[i_rec] = x
         rho = np.zeros((d, d), dtype=complex)
         rho[rows, cols] = recorded[i_rec]
         residual, min_eig = hermitian_defects(rho)

@@ -60,8 +60,9 @@ def stepwise_evolve(model, rho0, dt, record_times):
     it is in exact arithmetic, so every state is exactly Hermitian, as
     `evolve`'s are by construction. The loop checks the trace drift
     max(|tr rho - 1|, max |rho_ij| - 1) of each step's state and each
-    recorded state's smallest eigenvalue. It raises the error `evolve`
-    raises, naming the same time, and returns the recorded d x d states.
+    recorded state's smallest eigenvalue. A drift error names the failing
+    step, where `evolve`, which gates recorded states only, names the first
+    record at or after it. Returns the recorded d x d states.
     """
     d = model.dim
     rows, cols = _evolved_entries(model, rho0)

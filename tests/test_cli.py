@@ -193,10 +193,10 @@ class TestEvolveCommand:
         ["sweep", "--axis1", "n_thermal:0:1e308:2", "--at-time", "0.004"],
     ])
     def test_nan_drift_is_exit_3(self, args, tmp_path, capsys):
-        # the overflowing thermal rate makes every entry NaN on the first step
+        # the overflowing thermal rate makes every entry NaN at the first record after t=0
         with pytest.warns(RuntimeWarning, match="invalid value"):
             assert main([*args, "--cutoff", "1", "--out", str(tmp_path / "out.csv")]) == 3
-        assert "trace drift nan exceeds tolerance 1.0e-08 near t=0.002; reduce dt\n" in capsys.readouterr().err
+        assert "trace drift nan exceeds tolerance 1.0e-08 at t=0.004; reduce dt\n" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_overflowing_step_map_is_exit_3_without_warning(self, tmp_path, capsys):
@@ -204,7 +204,7 @@ class TestEvolveCommand:
         args = ["sweep", "--axis1", "n_thermal:0:1:2", "--cutoff", "1", "--set", "dt=1e308", "--at-time", "1e308"]
         assert main([*args, "--out", str(tmp_path / "out.csv")]) == 3
         assert capsys.readouterr().err == ("integrator failure: n_thermal=0: trace drift nan exceeds "
-                                           "tolerance 1.0e-08 near t=1e+308; reduce dt\n")
+                                           "tolerance 1.0e-08 at t=1e+308; reduce dt\n")
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("args,label", [
@@ -239,7 +239,7 @@ class TestEvolveCommand:
     @pytest.mark.parametrize("args,code,message", [
         # dt above the default t_max: the one step of the evaluation time 1/(2g) is too large at n_T = 1
         (["--set", "dt=6"], 3,
-         "integrator failure: n_thermal=1: trace drift 1.764e+00 exceeds tolerance 1.0e-08 near t=0.353553; reduce dt"),
+         "integrator failure: n_thermal=1: trace drift 1.764e+00 exceeds tolerance 1.0e-08 at t=0.353553; reduce dt"),
         (["--at-time", "0.05", "--set", "dt=6"], 0, ""),
         # the step cap is the one each record time meets, not one computed from an unread t_max
         (["--at-time", "2", "--set", "dt=1e-7"], 3,

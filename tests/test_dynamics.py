@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import noisycav.dynamics
 from noisycav.dynamics import (
-    CHUNK_STEPS,
     MAX_STEPS,
     IntegratorError,
     IntegratorSettings,
@@ -407,25 +406,25 @@ class TestEvolve:
             evolve(build_model(cfg), ground_state(cfg), IntegratorSettings(dt=0.5, t_max=5.0))
 
     def test_drift_error_names_the_failing_step(self):
-        # one record span of 500 steps just above the stable step size: the
-        # step ending at t = 0.144 passes both drift gates (only its record
-        # fails, on positivity) and a later one fails, so the error names
-        # t = 0.15, not the span's start t = 0; the record gate runs before the record maps
+        # a step just above the stable step size: the record at t = 0.144
+        # passes the drift gate and fails on positivity, before the record
+        # maps; over one record span of 500 steps the error names the record
+        # that ends it, t = 3, not the span's start t = 0
         cfg = SystemConfig(n_thermal=3.0, kappa=5.0, cutoff=5)
         model, settings = build_model(cfg), IntegratorSettings(dt=0.006, t_max=3.0)
         positivity = r"^smallest eigenvalue -5\.379e-01 at t=0\.144 violates the positivity gate$"
         with pytest.raises(PositivityLossError, match=positivity):
             evolve(model, ground_state(cfg), settings, record_times=[0.0, 0.144],
                    observables=standard_observables(cfg), reduce_to=(ATOM_A, ATOM_B))
-        with pytest.raises(TraceDriftError, match=r"near t=0\.15; reduce dt$"):
+        with pytest.raises(TraceDriftError, match=r"at t=3; reduce dt$"):
             evolve(model, ground_state(cfg), settings, record_times=[0.0, 3.0])
 
     def test_nan_drift_fails_the_gates(self):
-        # the thermal rate overflows to inf, so the first step is NaN, which
-        # compares False against any tolerance
+        # the thermal rate overflows to inf, so the first record after t=0 is NaN,
+        # which compares False against any tolerance
         cfg = SystemConfig(n_thermal=1e308, cutoff=1)
         with pytest.warns(RuntimeWarning, match="invalid value"):
-            with pytest.raises(TraceDriftError, match=r"^trace drift nan .* near t=0\.002; reduce dt$"):
+            with pytest.raises(TraceDriftError, match=r"^trace drift nan .* at t=0\.004; reduce dt$"):
                 evolve(build_model(cfg), ground_state(cfg), IntegratorSettings(t_max=0.004))
 
     def test_step_cap_is_checked_before_stepping(self, monkeypatch):
@@ -807,50 +806,53 @@ class TestStepMap:
             assert np.abs(step - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
-def gate_outcome(run):
+def failure_time(run):
     """(error class, the time its message names) of an integrator failure in `run()`, or (None, None)."""
     try:
         run()
     except IntegratorError as err:
-        return type(err), re.search(r"(near|at) t=[^ ;]+", str(err)).group()
+        return type(err), float(re.search(r"t=([^ ;]+)", str(err)).group(1))
     return None, None
 
 
-class TestChunkedGates:
-    """`evolve` runs its drift gates once per chunk of steps: against `stepwise_evolve`, which runs them every step."""
-
-    @staticmethod
-    def both(n_thermal, kappa, dt, t_max, record_times=None):
-        """The outcomes of `evolve`, with every warning an error, and of `stepwise_evolve` on one trajectory."""
-        cfg = SystemConfig(n_thermal=n_thermal, kappa=kappa, cutoff=5)
-        model, rho0, settings = build_model(cfg), ground_state(cfg), IntegratorSettings(dt=dt, t_max=t_max)
-        times = settings.times if record_times is None else record_times
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # so an overflow in a step past the failing one fails the test
-            chunked = gate_outcome(lambda: evolve(model, rho0, settings, record_times=times))
-        return chunked, gate_outcome(lambda: stepwise_evolve(model, rho0, dt, times))
+class TestRecordGates:
+    """`evolve` gates each recorded state: against `stepwise_evolve`, which gates every step."""
 
     @pytest.mark.parametrize("n_thermal,kappa,dt", [
         *product((0.5, 1.0, 2.0, 3.0), (1.0, 2.0, 4.0), (0.3, 0.4, 0.5, 0.7, 1.0)),  # steps just too large
         *product((3.0, 1e3, 1e6), (5.0, 1e3, 1e6), (0.01, 0.5, 5.0)),  # hostile growth: rates up to 1e12
     ])
-    def test_unstable_run_fails_as_stepwise_without_overflow(self, n_thermal, kappa, dt):
-        chunked, stepwise = self.both(n_thermal, kappa, dt, 5.0)
-        assert chunked == stepwise
-        assert chunked[0] is TraceDriftError
+    def test_unstable_run_fails_at_a_record_without_overflow(self, n_thermal, kappa, dt):
+        # `evolve` names the earliest record at or after the step where the stepwise gate fails,
+        # whose time the message prints to 6 digits
+        cfg = SystemConfig(n_thermal=n_thermal, kappa=kappa, cutoff=5)
+        model, rho0, settings = build_model(cfg), ground_state(cfg), IntegratorSettings(dt=dt, t_max=5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # so an overflow in the powers or the states fails the test
+            error, at = failure_time(lambda: evolve(model, rho0, settings))
+        stepwise_error, step_at = failure_time(lambda: stepwise_evolve(model, rho0, dt, settings.times))
+        assert error is stepwise_error is TraceDriftError
+        assert at == float(f"{min(t for t in settings.times if t >= step_at * (1 - 1e-6)):.6g}")
 
-    @pytest.mark.parametrize("kappa,dt,record_times,near", [
-        (4.0, 1.0, [0.0, 3.0], "near t=1"),  # the first step, a chunk of one step
-        (5.0, 0.006, [0.0, 3.0], "near t=0.15"),  # step 25, inside the chunk of steps 16-31
-        (5.0, 0.0057, [0.0, 3.0], "near t=0.614801"),  # step 108, in the first chunk at the cap (steps 64-127)
-        (5.0, 0.00567, [0.0, 3.0], "near t=0.962264"),  # step 170, in the second chunk at the cap (steps 128-191)
-        (5.0, 0.0057, [0.0, 1.05], "near t=0.760541"),  # step 134, in the span's last chunk, steps 128-185
-        (5.0, 0.006, [0.0, 0.15], "near t=0.15"),  # step 25, the last of the span's 25 steps
+    @pytest.mark.parametrize("kappa,dt,record_times,step_at,record_at", [
+        (4.0, 1.0, [0.0, 3.0], 1.0, 3.0),  # the first step of a 3-step span
+        (5.0, 0.006, [0.0, 3.0], 0.15, 3.0),  # step 25 of 500
+        (5.0, 0.0057, [0.0, 3.0], 0.614801, 3.0),  # step 108 of 527
+        (5.0, 0.00567, [0.0, 3.0], 0.962264, 3.0),  # step 170 of 530
+        (5.0, 0.0057, [0.0, 1.05], 0.760541, 1.05),  # step 134 of 185, the span's last record
+        (5.0, 0.006, [0.0, 0.15], 0.15, 0.15),  # step 25, the last of the span's 25 steps
     ], ids=["first_step", "later_chunk", "capped_chunk", "second_capped_chunk", "partial_last_chunk",
             "last_step_of_span"])
-    def test_failure_names_the_stepwise_step(self, kappa, dt, record_times, near):
-        chunked, stepwise = self.both(3.0, kappa, dt, record_times[-1], record_times)
-        assert chunked == stepwise == (TraceDriftError, near)
+    def test_failure_names_the_stepwise_step(self, kappa, dt, record_times, step_at, record_at):
+        # the stepwise reference names its failing step; `evolve`, which forms only recorded states,
+        # names the record that ends that step's span, with every warning an error
+        cfg = SystemConfig(n_thermal=3.0, kappa=kappa, cutoff=5)
+        model, rho0, settings = build_model(cfg), ground_state(cfg), IntegratorSettings(dt=dt, t_max=record_times[-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert failure_time(lambda: evolve(model, rho0, settings, record_times=record_times)) == (
+                TraceDriftError, record_at)
+        assert failure_time(lambda: stepwise_evolve(model, rho0, dt, record_times)) == (TraceDriftError, step_at)
 
     def test_stable_run_records_the_stepwise_states(self):
         cfg = SystemConfig(n_thermal=1.8, cutoff=5)
@@ -860,16 +862,19 @@ class TestChunkedGates:
             assert np.abs(state - expected).max() <= 1e-13
 
     def test_long_spans_record_the_sequential_states(self, monkeypatch):
-        # spans of 300, 300 and 200 steps, each past two chunks at the cap, in two step sizes:
+        # spans of 1, 2, 3, 64, 127, 128, 177 and 500 steps of the exact binary dt = 1/512, whose powers of
+        # the step matrix are squared as the spans first need them, then 52 steps of a second size:
         # against stepping one S @ y at a time, and against `stepwise_evolve`
         cfg = SystemConfig(n_thermal=1.8, cutoff=5)
-        model, rho0, times = build_model(cfg), ground_state(cfg), [0.0, 0.6, 1.2, 1.6]
+        dt = 1 / 512
+        times = [0.0, *(dt * np.cumsum([1, 2, 3, 64, 127, 128, 177, 500]))]
+        times.append(times[-1] + 0.1)
+        model, rho0, settings = build_model(cfg), ground_state(cfg), IntegratorSettings(dt=dt, t_max=times[-1])
         generator = SectorBlocks.of(model, *_evolved_entries(model, rho0))
         y, expected, t_prev = rho0[generator.rows, generator.cols].real, [], 0.0
         for t in times:
             if t > t_prev:
-                n_steps = math.ceil((t - t_prev) / 0.002 - 1e-9)
-                assert n_steps > 2 * CHUNK_STEPS
+                n_steps = math.ceil((t - t_prev) / dt - 1e-9)
                 step = _step_map(generator, (t - t_prev) / n_steps)
                 for _ in range(n_steps):
                     y = step @ y
@@ -885,9 +890,9 @@ class TestChunkedGates:
             return _step_map(generator, h)
 
         monkeypatch.setattr(noisycav.dynamics, "_step_map", recording_step_map)
-        traj = evolve(model, rho0, IntegratorSettings(), record_times=times)
-        assert len(sizes) == len(set(sizes)) == 2  # one power cache per step size, shared by the spans of 0.6
-        for state, sequential, stepwise in zip(traj.states, expected, stepwise_evolve(model, rho0, 0.002, times)):
+        traj = evolve(model, rho0, settings, record_times=times)
+        assert len(sizes) == len(set(sizes)) == 2  # one power cache per step size, shared by the spans of dt
+        for state, sequential, stepwise in zip(traj.states, expected, stepwise_evolve(model, rho0, dt, times)):
             assert np.abs(state - sequential).max() <= 1e-13
             assert np.abs(state - stepwise).max() <= 1e-13
 
