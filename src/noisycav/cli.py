@@ -39,7 +39,6 @@ from .model import (
     SystemConfig,
     build_cavity_model,
     build_model,
-    truncation_tail_mass,
 )
 from .qops import partial_trace
 from .sweep import (
@@ -52,7 +51,7 @@ from .sweep import (
     run_sweep,
 )
 
-EVOLVE_HEADER = "t,concurrence,p_ee_a,p_ee_b,mean_photon,mode_b_pop,trace_residual"
+EVOLVE_HEADER = "t,concurrence,p_ee_a,p_ee_b,mean_photon,mode_b_pop,trace_residual,margin"
 SWEEP_HEADER = "axis1_name,axis1_value,axis2_name,axis2_value,concurrence,mean_photon,trace_residual"
 SUMMARY_HEADER = "fixed_value,argmax_value,max_concurrence,interior,product_at_argmax"
 STEADY_HEADER = "field,value"
@@ -160,12 +159,11 @@ def _write_text(path: str, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {err}") from None
 
 
-def _report_truncation_tail(cfg: SystemConfig, n_thermal_max: float | None = None) -> None:
-    n_t = cfg.n_thermal if n_thermal_max is None else n_thermal_max
-    if n_t > 0:
-        tail = truncation_tail_mass(n_t, cfg.cutoff)
+def _report_top_fock(n_thermal: float, cutoff: int, top_fock_pop: float) -> None:
+    """The truncation note on stderr when the cavity is thermally driven: the largest population of |N>."""
+    if n_thermal > 0:
         print(
-            f"note: thermal weight beyond the Fock cutoff (n_T={n_t:g}, N={cfg.cutoff}): {tail:.3e}",
+            f"note: largest population of the top Fock state (n_T={n_thermal:g}, N={cutoff}): {top_fock_pop:.3e}",
             file=sys.stderr,
         )
 
@@ -175,7 +173,7 @@ def cmd_evolve(run_cfg: RunConfig) -> int:
     result = run_sweep(SweepSpec(cfg, SweepAxis("time", settings.times)), settings)
     records = [{"t": cell.axis1_value, **vars(cell)} for (cell,) in result.cells]
     _write_table(run_cfg.out or f"evolve.{run_cfg.fmt}", run_cfg.fmt, EVOLVE_HEADER, records)
-    _report_truncation_tail(cfg)
+    _report_top_fock(cfg.n_thermal, cfg.cutoff, max(rec["top_fock_pop"] for rec in records))
     return 0
 
 
@@ -211,7 +209,7 @@ def cmd_steady(run_cfg: RunConfig, cavity_only: bool = False) -> int:
             "liouvillian_residual": residual,
         }
         _write_text(out, json.dumps(payload, indent=2, allow_nan=False) + "\n")
-    _report_truncation_tail(cfg)
+    _report_top_fock(cfg.n_thermal, cfg.cutoff, photons[-1])
     return 0
 
 
@@ -237,7 +235,8 @@ def cmd_sweep(run_cfg: RunConfig, spec: SweepSpec, workers: int = 1) -> int:
             )
 
     noise = [axis for axis in (a1, a2) if axis is not None and axis.parameter == "n_thermal"]
-    _report_truncation_tail(spec.base, n_thermal_max=max(noise[0].values) if noise else None)
+    n_thermal = max(noise[0].values) if noise else spec.base.n_thermal
+    _report_top_fock(n_thermal, spec.base.cutoff, max(rec["top_fock_pop"] for rec in records))
     return 0
 
 

@@ -195,6 +195,8 @@ def standard_observables(cfg: SystemConfig) -> dict[str, np.ndarray]:
     """Named expectation operators recorded along trajectories.
 
     mode_b_pop is present only when the collective modes exist (g > 0).
+    top_fock_pop, the population of the top Fock state |N> (N = cutoff), is
+    the truncation diagnostic: it is small only when the cutoff holds the state.
     """
     layout = cfg.layout
     obs = {
@@ -205,14 +207,7 @@ def standard_observables(cfg: SystemConfig) -> dict[str, np.ndarray]:
     if cfg.coupling > 0:
         _, sigma_b_plus = collective_mode_operators(cfg)
         obs["mode_b_pop"] = sigma_b_plus @ dagger(sigma_b_plus)
+    top = basis_state(cfg.cutoff + 1, cfg.cutoff)
+    obs["top_fock_pop"] = embed(np.outer(top, top), CAVITY, layout)
     return obs
 
-
-def truncation_tail_mass(n_thermal: float, cutoff: int) -> float:
-    """Thermal weight beyond the Fock cutoff, (n_T/(1+n_T))^(cutoff+1).
-
-    Reported as a truncation-quality diagnostic whenever n_thermal > 0.
-    """
-    if n_thermal <= 0:
-        return 0.0
-    return (n_thermal / (1.0 + n_thermal)) ** (cutoff + 1)

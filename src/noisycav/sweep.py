@@ -141,6 +141,7 @@ class SweepCell:
     mean_photon: float
     p_ee_a: float
     p_ee_b: float
+    top_fock_pop: float
     trace_residual: float
     min_eigenvalue: float
     mode_b_pop: float | None = None  # None without a collective mode (g = 0)

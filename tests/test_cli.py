@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -21,7 +22,8 @@ from noisycav.cli import (
 )
 from noisycav.dynamics import IntegratorSettings, evolve
 from noisycav.entanglement import concurrence
-from noisycav.model import ATOM_A, ATOM_B, SystemConfig, build_model, ground_state, standard_observables
+from noisycav.model import ATOM_A, ATOM_B, CAVITY, SystemConfig, build_model, ground_state, standard_observables
+from noisycav.qops import embed
 from noisycav.sweep import PRESETS, SummaryRow
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -87,20 +89,24 @@ class TestEvolveCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == EVOLVE_HEADER
         assert len(lines) > 2
-        for line in lines[1:]:
-            fields = line.split(",")
-            assert float(fields[1]) == 0.0  # concurrence
-            assert float(fields[6]) <= 1e-8  # trace residual
+        for row in csv.DictReader(lines):
+            assert float(row["concurrence"]) == 0.0
+            assert float(row["margin"]) == 0.0  # without noise nothing leaves |g,g,0>
+            assert float(row["trace_residual"]) <= 1e-8
 
-    def test_thermal_drive_populates_bus_but_not_concurrence(self, tmp_path):
+    @pytest.mark.parametrize("n_thermal", [0.5, 3.0])
+    def test_thermal_drive_populates_bus_but_not_concurrence(self, n_thermal, tmp_path):
         # oracle-computed truth: thermal photon bunching feeds the doubly
         # excited state fast enough that the atoms stay separable even while
-        # the bus is demonstrably active (mean photon number grows)
+        # the bus is demonstrably active (mean photon number grows): the
+        # unclamped margin l1 - l2 - l3 - l4 stays at or below 0, and falls below it
         out = tmp_path / "e.csv"
-        assert main(["evolve", "--out", str(out), "--set", "n_thermal=0.5", "--set", "t_max=1"]) == 0
-        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-        assert max(float(r[4]) for r in rows) > 0.1  # mean photon
-        assert all(float(r[1]) == 0.0 for r in rows)  # concurrence
+        assert main(["evolve", "--out", str(out), "--set", f"n_thermal={n_thermal}", "--set", "t_max=5"]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert max(float(row["mean_photon"]) for row in rows) > 0.1
+        assert all(float(row["concurrence"]) == 0.0 for row in rows)
+        margins = [float(row["margin"]) for row in rows]
+        assert max(margins) <= 0.0 and min(margins) < 0.0
 
     @pytest.mark.parametrize("n_thermal", [0.3, 3.0])
     def test_rows_match_an_independent_evolution(self, n_thermal, tmp_path):
@@ -113,8 +119,9 @@ class TestEvolveCommand:
                      "--set", "t_max=0.6", "--set", "record_stride=7"]) == 0
         traj = evolve(build_model(cfg), ground_state(cfg), settings, observables=standard_observables(cfg),
                       reduce_to=(ATOM_A, ATOM_B))
-        expected = {"t": traj.times, "concurrence": [concurrence(atoms).value for atoms in traj.states],
-                    **traj.observables, "trace_residual": traj.trace_residuals}
+        results = [concurrence(atoms) for atoms in traj.states]
+        expected = {"t": traj.times, "concurrence": [c.value for c in results], **traj.observables,
+                    "trace_residual": traj.trace_residuals, "margin": [c.margin for c in results]}
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == len(traj.times) == 23  # 0.6 / (7 * 0.004) = 21.4 strides, plus t = 0 and t_max
         for name in EVOLVE_HEADER.split(","):
@@ -276,6 +283,57 @@ class TestEvolveCommand:
     def test_non_finite_values_fail_to_serialize(self, tmp_path):
         with pytest.raises(ValueError, match="JSON compliant"):
             noisycav.cli._write_table(str(tmp_path / "t.json"), "json", "x", [{"x": float("nan")}])
+
+
+class TestTruncationNote:
+    """At n_T > 0 every command notes the largest population of the top Fock state |N> it found."""
+
+    @staticmethod
+    def note(n_thermal: str, cutoff: int, population: float) -> str:
+        return f"note: largest population of the top Fock state (n_T={n_thermal}, N={cutoff}): {population:.3e}\n"
+
+    @staticmethod
+    def top_projector(cfg: SystemConfig) -> dict[str, np.ndarray]:
+        return {"top": embed(np.diag(np.arange(cfg.cutoff + 1) == cfg.cutoff).astype(complex), CAVITY, cfg.layout)}
+
+    def test_evolve_notes_its_largest_record(self, tmp_path, capsys):
+        cfg = SystemConfig(n_thermal=2.0, cutoff=3)
+        assert main(["evolve", "--out", str(tmp_path / "e.csv"), "--cutoff", "3", "--set", "n_thermal=2",
+                     "--set", "t_max=1"]) == 0
+        traj = evolve(build_model(cfg), ground_state(cfg), IntegratorSettings(t_max=1.0),
+                      observables=self.top_projector(cfg))
+        assert capsys.readouterr().err == self.note("2", 3, traj.observables["top"].max())
+
+    def test_sweep_notes_its_largest_cell(self, tmp_path, capsys):
+        # the note names the largest noise on the axis and the largest population over every cell,
+        # here that of n_T = 2, gamma = 0, not of the last cell
+        assert main(["sweep", "--out", str(tmp_path / "s.csv"), "--axis1", "n_thermal:0.5:2:2",
+                     "--axis2", "gamma:0:1:2", "--at-time", "2", "--cutoff", "2"]) == 0
+        tops = []
+        for n_thermal in (0.5, 2.0):
+            for gamma in (0.0, 1.0):
+                cfg = SystemConfig(n_thermal=n_thermal, gamma=gamma, cutoff=2)
+                traj = evolve(build_model(cfg), ground_state(cfg), IntegratorSettings(t_max=2.0),
+                              record_times=[2.0], observables=self.top_projector(cfg))
+                tops.append(traj.observables["top"][0])
+        assert max(tops) > tops[-1]
+        assert capsys.readouterr().err == self.note("2", 2, max(tops))
+
+    def test_steady_notes_its_top_photon_number(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["steady", "--out", str(out), "--cutoff", "4", "--set", "n_thermal=0.5"]) == 0
+        values = dict(line.split(",") for line in out.read_text().splitlines()[1:])
+        assert capsys.readouterr().err == self.note("0.5", 4, float(values["photon_4"]))
+
+    @pytest.mark.parametrize("args", [
+        ["evolve", "--set", "t_max=0.1"],
+        ["steady"],
+        ["sweep", "--axis1", "kappa:1:2:2", "--at-time", "0.1"],
+        ["sweep", "--axis1", "n_thermal:0:0:2", "--at-time", "0.1"],
+    ], ids=["evolve", "steady", "sweep", "sweep-zero-noise-axis"])
+    def test_no_note_without_noise(self, args, tmp_path, capsys):
+        assert main([*args, "--cutoff", "2", "--out", str(tmp_path / "t.csv")]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestSteadyCommand:
@@ -522,9 +580,11 @@ SMALL_GRID = ["--axis1", "n_thermal:0:1:2", "--axis2", "kappa:1:2:2", "--at-time
 
 
 @pytest.mark.parametrize("args,table,key,header,hidden", [
-    (["evolve", "--set", "t_max=0.2", "--set", "n_thermal=0.4"], "", "records", EVOLVE_HEADER, set()),
     # a `SweepCell` carries more fields than the table shows
-    (["sweep", *SMALL_GRID], "", "records", SWEEP_HEADER, {"margin", "p_ee_a", "min_eigenvalue", "mode_b_pop"}),
+    (["evolve", "--set", "t_max=0.2", "--set", "n_thermal=0.4"], "", "records", EVOLVE_HEADER,
+     {"min_eigenvalue", "top_fock_pop"}),
+    (["sweep", *SMALL_GRID], "", "records", SWEEP_HEADER,
+     {"margin", "p_ee_a", "min_eigenvalue", "mode_b_pop", "top_fock_pop"}),
     (["sweep", *SMALL_GRID], ".summary.json", "rows", SUMMARY_HEADER, set()),
 ], ids=["evolve", "sweep", "summary"])
 def test_json_keys_are_the_header(args, table, key, header, hidden, tmp_path):
@@ -570,12 +630,24 @@ def test_invalid_values_are_exit_2(args, tmp_path, monkeypatch, capsys, recwarn)
     (["steady", "--set", "kappa"], "--set expects KEY=VALUE, got 'kappa'"),
     (["sweep", "--axis1", "n_thermal:0:1:2", "--at-time", "0"],
      "evaluation_time must be positive when time is not a sweep axis"),
-], ids=["set-without-value", "zero-evaluation-time"])
+    (["evolve", "--set", "dt=0"], "dt must be positive, got 0.0"),
+    (["evolve", "--set", "dt=-0.01"], "dt must be positive, got -0.01"),
+    (["evolve", "--set", "dt=10"], "dt=10.0 exceeds t_max=5.0"),
+    (["evolve", "--set", "n_thermal=-1"], "n_thermal must be nonnegative, got -1.0"),
+    (["evolve", "--set", "record_stride=0"], "record_stride must be a positive integer, got 0"),
+], ids=["set-without-value", "zero-evaluation-time", "zero-dt", "negative-dt", "dt-above-t_max",
+        "negative-noise", "zero-record-stride"])
 def test_rejections_name_the_fault(args, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(args) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not list(tmp_path.iterdir())
+
+
+def test_readme_documents_the_table_headers():
+    # README's output schemas name the `evolve`, `sweep` and summary headers in that order
+    readme = (ROOT / "README.md").read_text()
+    assert re.findall(r"CSV header\s+`([^`]+)`", readme) == [EVOLVE_HEADER, SWEEP_HEADER, SUMMARY_HEADER]
 
 
 def test_readme_figure_commands(tmp_path, monkeypatch, capsys):
@@ -599,6 +671,34 @@ def test_readme_figure_commands(tmp_path, monkeypatch, capsys):
         assert (run.stdout, run.stderr) == capsys.readouterr()
         for tail in ("", ".summary.csv"):
             assert Path(f"{out}{tail}").read_bytes() == Path(f"in_process.csv{tail}").read_bytes()
+
+
+def test_readme_margin_map_loop(tmp_path, monkeypatch, capsys):
+    # README's noise x time map, its shell loop over `--set n_thermal=...` run by the shell on a
+    # small grid, writes one `evolve` table per noise value, each that of `main` run in this process;
+    # the margin is 0 without noise and at or below 0, somewhere below, with it
+    loops = [line.strip() for line in (ROOT / "README.md").read_text().splitlines()
+             if line.strip().startswith("for n in ")]
+    assert len(loops) == 1
+    noises = loops[0].removeprefix("for n in ").split(";")[0].split()
+    assert noises[0] == "0" and len(noises) > 2
+    small = ["--cutoff", "2", "--set", "t_max=0.2"]
+    loop = loops[0].replace(" --out ", f" {shlex.join(small)} --out ")
+    monkeypatch.chdir(tmp_path)
+    run = subprocess.run(["bash", "-c", loop], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"margin_{n}.csv" for n in noises)
+    for n in noises:
+        assert main(["evolve", "--set", f"n_thermal={n}", *small, "--out", "in_process.csv"]) == 0
+        table = Path(f"margin_{n}.csv").read_text()
+        assert table == Path("in_process.csv").read_text()
+        margins = [float(row["margin"]) for row in csv.DictReader(table.splitlines())]
+        if n == "0":
+            assert all(m == 0.0 for m in margins)
+        else:
+            assert max(margins) <= 0.0 and min(margins) < 0.0
+    assert run.stderr == capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [

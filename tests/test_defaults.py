@@ -13,7 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFINITIONS = sorted((ROOT / "src" / "noisycav").glob("*.py"))
-CALLERS = sorted(path for folder in ("src", "scripts", "tests", "benchmarks")
+CALLERS = sorted(path for folder in ("src", "tests", "benchmarks")
                  for path in (ROOT / folder).rglob("*.py"))
 
 

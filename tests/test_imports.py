@@ -12,7 +12,6 @@ ROOT = Path(__file__).resolve().parents[1]
 # the package's __init__ imports names in order to export them
 MODULES = sorted(
     [path for path in (ROOT / "src" / "noisycav").glob("*.py") if path.name != "__init__.py"]
-    + list((ROOT / "scripts").glob("*.py"))
     + list((ROOT / "tests").glob("*.py")),
 )
 

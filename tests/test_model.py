@@ -16,7 +16,6 @@ from noisycav.model import (
     collective_mode_operators,
     ground_state,
     standard_observables,
-    truncation_tail_mass,
 )
 from noisycav.qops import (
     SpaceLayout,
@@ -294,12 +293,9 @@ class TestHelpers:
 
     def test_standard_observables_keys(self):
         obs = standard_observables(SystemConfig())
-        assert set(obs) == {"mean_photon", "p_ee_a", "p_ee_b", "mode_b_pop"}
-        assert "mode_b_pop" not in standard_observables(SystemConfig(g_a=0.0, g_b=0.0))
-
-    def test_truncation_tail(self):
-        assert truncation_tail_mass(0.0, 5) == 0.0
-        assert truncation_tail_mass(1.0, 5) == pytest.approx(0.5**6)
+        assert list(obs) == ["mean_photon", "p_ee_a", "p_ee_b", "mode_b_pop", "top_fock_pop"]
+        assert list(standard_observables(SystemConfig(g_a=0.0, g_b=0.0))) == [
+            "mean_photon", "p_ee_a", "p_ee_b", "top_fock_pop"]
 
     def test_cavity_model_layout(self):
         model = build_cavity_model(SystemConfig(kappa=1.0, n_thermal=0.5, cutoff=7))

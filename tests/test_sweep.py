@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import noisycav.sweep
 from noisycav.dynamics import (
     IntegratorError,
     IntegratorSettings,
@@ -245,7 +246,7 @@ def synthetic_result(grid, axis1_values, axis2_values, params=("n_thermal", "kap
     )
     cells = [
         [
-            SweepCell(a1, a2, grid[i][j], grid[i][j], 0.0, 0.0, 0.0, 0.0, 0.0)
+            SweepCell(a1, a2, grid[i][j], grid[i][j], 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
             for j, a2 in enumerate(axis2_values)
         ]
         for i, a1 in enumerate(axis1_values)
@@ -259,7 +260,8 @@ def _superposition_state(cfg):
     return np.outer(ket, ket.conj())
 
 
-OBSERVED = ("mean_photon", "p_ee_a", "p_ee_b", "mode_b_pop")  # the observables `_independent_cell` compares
+# the observables `_independent_cell` compares
+OBSERVED = ("mean_photon", "p_ee_a", "p_ee_b", "mode_b_pop", "top_fock_pop")
 
 
 def _independent_cell(cfg, rho0, times):
@@ -328,9 +330,12 @@ class TestRateComponents:
             assert np.abs(np.subtract(got, expected)).max() <= 1e-12, (i, j)
 
     @pytest.mark.parametrize("case", sorted(GENERATOR_SPECS))
-    def test_cells_match_independent_evolutions(self, case):
+    def test_cells_match_independent_evolutions(self, case, monkeypatch):
+        built = []  # a sweep builds its model once, whatever its grid
+        monkeypatch.setattr(noisycav.sweep, "build_model", lambda cfg: built.append(cfg) or build_model(cfg))
         spec = GENERATOR_SPECS[case](SystemConfig(cutoff=3, gamma=0.3, g_a=0.8, g_b=1.3))
         self.assert_cells_match_independent_evolutions(spec, workers=1)
+        assert built == [spec.base]
 
     def test_pooled_cells_match_independent_evolutions(self):
         spec = GENERATOR_SPECS["fig3"](SystemConfig(cutoff=3, gamma=0.3))
@@ -378,7 +383,7 @@ class TestResonanceSummary:
             axis2=None,
             evaluation_time=1.0,
         )
-        result = SweepResult(spec=spec, cells=[[SweepCell(0.1, None, 0.0, 0.0, 0, 0, 0, 0, 0)]])
+        result = SweepResult(spec=spec, cells=[[SweepCell(0.1, None, 0.0, 0.0, 0, 0, 0, 0, 0, 0)]])
         with pytest.raises(ValueError):
             resonance_summary(result)
 
