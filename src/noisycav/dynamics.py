@@ -22,11 +22,25 @@ every other entry staying exactly 0. From |g,g,0> that is the q = 0 sector
 (84 of the 576 entries at cutoff 5); a q = +-1 coherence adds those sectors;
 a model without the symmetry evolves all d^2 entries, at the cost of a
 d^2 x d^2 block. Those entries x hold conj(rho[i, j]) = rho[j, i] at
-x[mirror] for each rho[i, j], so `evolve` steps the real coordinates
-y = Re x + Im x, mapped back by the unitary x = ((1+i) y + (1-i) y[mirror])/2.
-The Liouvillian keeps rho Hermitian, so the generator of y is the real
-G = B.real + B.imag[:, mirror] of the block B (`SectorBlocks.of`), and every
-state is exactly Hermitian. The evaluator `make_rhs` is one product with G.
+x[mirror] for each rho[i, j], so `evolve` steps real coordinates: s, one per
+pair i <= j, and a, one per pair i < j, read back by index gathers as
+x = phase (s +- i a), the sign + for i < j and - for i > j (s alone on the
+diagonal), so every state is exactly Hermitian.
+
+The phase comes from the frame rho' = D rho D^dag with D = diag(i^n), n the
+photon number: phase = i^-(n_i - n_j). The exchange Hamiltonian changes n by
+one, so D H D^dag is imaginary, and each jump (a, a^dag, sigma_-) becomes a
+unit phase times a real matrix, for any couplings and rates: the Liouvillian
+is a real map there (`_real_frame` checks this exactly, once per model). It
+also keeps rho' Hermitian, so it maps the real symmetric part s and the
+imaginary antisymmetric part a of rho' each to itself: they are separate
+sectors, and a real start such as |g,g,0> has no a. From |g,g,0> `evolve`
+then steps s alone, 54 coordinates for the 84 entries at cutoff 5 (104 for
+164 at cutoff 10). A model without the frame (a free sigma_z term, or a jump
+a + sigma_-) keeps s and a coupled, with phase 1. The generator G of the
+coordinates is gathered from the rows and columns of the complex block B
+(`SectorBlocks.with_model`), and the evaluator `make_rhs` is one product
+with G.
 For this linear equation an RK4 step of size h is the matrix S = p(hG),
 p(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, which `_step_map` builds by Horner's
 rule with three `make_rhs` products, once per distinct h in an evolution.
@@ -52,9 +66,11 @@ ends it fails, by an entry past 1 or, once the powers overflow, by a state
 that is not finite. Accuracy is certified by step halving, not by an embedded
 error estimator.
 
-`steady_state` solves on the q = 0 block, in real coordinates, and checks
-uniqueness on the spectra of all blocks, building only the q >= 0 ones; the
-residual it reports is the master equation evaluated on the full space.
+`steady_state` solves on the s coordinates of the q = 0 sector (on s and a
+without the frame), and checks uniqueness on the pooled singular values of s,
+a and every q > 0 block, building only the q >= 0 ones; in the frame each of
+them is real. The residual it reports is the master equation evaluated on the
+full space.
 `vectorize_superoperator` builds the whole matrix with the same code;
 tests check it against `lindblad_rhs`.
 """
@@ -90,6 +106,9 @@ from .qops import (
 # may ask for. A span costs only about log2 of its steps, so this is input
 # validation: a huge but finite time is refused at once as a likely mistake.
 MAX_STEPS = 10**7
+
+# i^r for r = 0, 1, 2, 3: a product with one of them only swaps and negates parts, so it is exact
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
 class IntegratorError(RuntimeError):
@@ -167,41 +186,115 @@ class SectorBlocks:
 
     The entries x = rho[rows, cols] must form a sector the Liouvillian maps into
     itself, closed under transpose: rho[j, i] is x[mirror] for each rho[i, j].
-    `block` maps their real coordinates y = Re x + Im x to dy/dt (see the module
-    docstring). `evolve` takes one in place of a `LindbladModel`, and evolves
-    only its entries; `make_rhs` evaluates it.
+    Their real coordinates are s, one per pair i <= j, and, when `antisymmetric`,
+    a, one per pair i < j, in that order, read back as
+    x = phase (s + i a) for i < j, phase (s - i a) for i > j and s on the
+    diagonal, with phase = i^-(e_i - e_j) for the exponents e of `frame` and 1
+    without one (see the module docstring). `block` maps the coordinates c to
+    dc/dt; without a block the map alone is given, and `with_model` adds one.
+    `evolve` takes one in place of a `LindbladModel`, and evolves only its
+    coordinates; `make_rhs` evaluates it.
     """
 
     layout: SpaceLayout
     rows: np.ndarray
     cols: np.ndarray
-    block: np.ndarray
+    block: np.ndarray | None = None
+    frame: np.ndarray | None = None  # the exponents `_real_frame` finds, or None
+    antisymmetric: bool = True
     mirror: np.ndarray = field(init=False)
+    phase: np.ndarray = field(init=False)  # per entry; a power of i, so a product with it is exact
+    # the entry each coordinate belongs to: rho[i, j] with i <= j for s, then with i < j for a
+    owners: np.ndarray = field(init=False)
+    # the coordinate ranges the generator keeps apart: s and a in a real frame, else all coordinates
+    halves: list = field(init=False)
+    _upper: np.ndarray = field(init=False, repr=False)  # the entries rho[i, j] with i <= j
+    _strict: np.ndarray = field(init=False, repr=False)  # ... and with i < j
+    # x = weights[0] c[sources[0]] + weights[1] c[sources[1]], where c[len(c)] reads 0: phase (s + i sign a)
+    _sources: np.ndarray = field(init=False, repr=False)
+    _weights: np.ndarray = field(init=False, repr=False)
     # the maps of `reduction`, keyed by the kept factors; `with_block` copies share it
     _reductions: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
-        n, d = len(self.rows), self.dim
-        if self.block.shape != (n, n):
-            raise ValueError(f"block shape {self.block.shape} does not match the {n} entries")
+        rows, cols, n, d = self.rows, self.cols, len(self.rows), self.dim
+        if self.frame is None and not self.antisymmetric:
+            raise ValueError("without a real frame the s and a coordinates are coupled: both are needed")
         pos = np.full((d, d), -1)
-        pos[self.rows, self.cols] = np.arange(n)
-        object.__setattr__(self, "mirror", pos[self.cols, self.rows])
-        if np.any(self.mirror < 0):
+        pos[rows, cols] = np.arange(n)
+        mirror = pos[cols, rows]
+        if np.any(mirror < 0):
             raise ValueError("the entries are not closed under transpose")
+        upper, strict = np.flatnonzero(rows <= cols), np.flatnonzero(rows < cols)
+        n_s, m = len(upper), len(upper) + self.antisymmetric * len(strict)
+        if self.block is not None and self.block.shape != (m, m):
+            raise ValueError(f"block shape {self.block.shape} does not match the {m} coordinates of the {n} entries")
+        # s at `pair`, and a at `anti`, which is m, reading 0, where there is no a
+        pair, anti = np.empty(n, dtype=int), np.full(n, m)
+        pair[upper] = np.arange(n_s)
+        pair[mirror[upper]] = pair[upper]
+        if self.antisymmetric:
+            anti[strict] = anti[mirror[strict]] = n_s + np.arange(len(strict))
+        phase = _I_POWERS[_quarter_turns(self.frame, rows, cols)]
+        halves = [slice(0, n_s), slice(n_s, m)] if self.frame is not None and self.antisymmetric else [slice(0, m)]
+        derived = dict(mirror=mirror, phase=phase, owners=np.concatenate([upper, strict])[:m], halves=halves,
+                       _upper=upper, _strict=strict, _sources=np.array([pair, anti]),
+                       _weights=np.array([phase, 1j * np.sign(cols - rows) * phase]))
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def of(cls, model: LindbladModel, rows: np.ndarray, cols: np.ndarray) -> SectorBlocks:
-        """The generator of `model` on the entries rho[rows, cols]: B.real + B.imag[:, mirror] for their block B."""
-        block = _superoperator_block(model, rows, cols)
-        generator = cls(model.layout, rows, cols, np.ascontiguousarray(block.real))
-        generator.block[:] += block.imag[:, generator.mirror]
-        return generator
+    def of(cls, model: LindbladModel, rows: np.ndarray, cols: np.ndarray,
+           start: np.ndarray | None = None) -> SectorBlocks:
+        """The generator of `model` on the coordinates `frame_for` gives."""
+        return cls.frame_for(model, rows, cols, start).with_model(model)
+
+    @classmethod
+    def frame_for(cls, model: LindbladModel, rows: np.ndarray, cols: np.ndarray,
+                  start: np.ndarray | None = None) -> SectorBlocks:
+        """The coordinates of the entries rho[rows, cols] for `model`, without a generator.
+
+        They are taken in the frame `_real_frame` finds, where s and a are
+        separate sectors; given a `start` (a d x d state) only the halves it
+        touches are kept: s alone from a real start such as |g,g,0>. Without a
+        frame, or without a start, both.
+        """
+        frame = _real_frame(model)
+        antisymmetric = True
+        if frame is not None and start is not None:
+            both = cls(model.layout, rows, cols, frame=frame)
+            antisymmetric = bool(both.coordinates(np.asarray(start)[rows, cols])[both.halves[1]].any())
+        return cls(model.layout, rows, cols, frame=frame, antisymmetric=antisymmetric)
+
+    def with_model(self, model: LindbladModel) -> SectorBlocks:
+        """The generator of `model` on the same coordinates, gathered from the complex block B of the entries.
+
+        The row of each coordinate's entry is read in its phase:
+        Z = conj(phase) B phase, exact, and real in a real frame; an a row
+        takes -i Z, so that every coordinate is the real part of its row times
+        x. A coordinate's column sums the columns of its entry and the mirror,
+        with the signs of +-i a.
+        """
+        n_s, owners, upper, strict = len(self._upper), self.owners, self._upper, self._strict
+        row_phase = self.phase[owners].conj()
+        row_phase[n_s:] *= -1j
+        z = row_phase[:, None] * _superoperator_block(model, self.rows, self.cols, owners) * self.phase
+        lower = self.mirror[strict]
+        generator = np.empty((len(owners), len(owners)))
+        generator[:, :n_s] = z.real[:, upper]
+        # a sum past the largest float leaves inf or NaN, which `steady_state` and the drift gate reject
+        with np.errstate(over="ignore", invalid="ignore"):
+            generator[:, np.searchsorted(upper, strict)] += z.real[:, lower]
+            if self.antisymmetric:
+                generator[:, n_s:] = z.imag[:, lower] - z.imag[:, strict]
+        return self.with_block(generator)
 
     def with_block(self, block: np.ndarray) -> SectorBlocks:
-        """The generator `block` on the same entries, sharing their `mirror` rather than recomputing it."""
-        if block.shape != self.block.shape:
-            raise ValueError(f"block shape {block.shape} does not match the {len(self.rows)} entries")
+        """The generator `block` on the same coordinates, sharing their maps rather than recomputing them."""
+        m = len(self.owners)
+        if block.shape != (m, m):
+            raise ValueError(f"block shape {block.shape} does not match the {m} coordinates "
+                             f"of the {len(self.rows)} entries")
         generator = copy.copy(self)
         object.__setattr__(generator, "block", block)
         return generator
@@ -210,9 +303,23 @@ class SectorBlocks:
     def dim(self) -> int:
         return self.layout.dim
 
-    def entries(self, y: np.ndarray) -> np.ndarray:
-        """The entries x = ((1 + i) y + (1 - i) y[mirror]) / 2 of the real coordinates y, exactly Hermitian."""
-        return 0.5 * (y + y[self.mirror]) + 0.5j * (y - y[self.mirror])
+    def entries(self, c: np.ndarray) -> np.ndarray:
+        """The entries x = phase (s +- i a) of the real coordinates c, exactly Hermitian.
+
+        Every weight is 0, a power of i or i times one, so each product and the
+        sum are exact; adding 0.0 makes a -0.0 part a 0.0, so an exact 0 prints as 0.
+        """
+        return (self._weights * np.append(c, 0.0)[self._sources]).sum(axis=0) + 0.0
+
+    def coordinates(self, x: np.ndarray) -> np.ndarray | None:
+        """The coordinates of the Hermitian part (x + conj(x[mirror])) / 2, or None if it has an a they do not hold."""
+        z = self.phase.conj() * x  # s + i sign a, exactly
+        upper, strict = self._upper, self._strict
+        s = 0.5 * (z.real[upper] + z.real[self.mirror[upper]])
+        a = 0.5 * (z.imag[strict] - z.imag[self.mirror[strict]])
+        if not self.antisymmetric:
+            return None if a.any() else s + 0.0  # + 0.0 makes a -0.0 a 0.0
+        return np.concatenate([s, a]) + 0.0
 
     def reduction(self, keep) -> np.ndarray:
         """The (k^2, n) map from the entries x to the partial trace onto the factors `keep`, flattened.
@@ -274,8 +381,9 @@ def evolve(
     docstring).
 
     A model is propagated on the entries `_evolved_entries` picks from rho0,
-    whose other entries stay exactly 0. Given `SectorBlocks`, their entries
-    are propagated, and they must hold every nonzero entry of rho0.
+    whose other entries stay exactly 0, in the halves of their coordinates
+    that rho0 touches. Given `SectorBlocks`, their coordinates are
+    propagated, and they must hold rho0: every nonzero entry, and its a half.
 
     The state is stepped in real coordinates (see the module docstring), from
     rho0's Hermitian part. Each record span of n equal steps is applied by
@@ -296,9 +404,13 @@ def evolve(
     if any(t2 < t1 for t1, t2 in zip(record_times, record_times[1:])):
         raise ValueError("record times must be ascending")
 
-    generator = model if isinstance(model, SectorBlocks) else SectorBlocks.of(model, *_evolved_entries(model, rho0))
-    rows, cols, mirror = generator.rows, generator.cols, generator.mirror
-    if np.count_nonzero(rho0) > np.count_nonzero(rho0[rows, cols]):
+    if isinstance(model, SectorBlocks):
+        generator = model
+    else:
+        generator = SectorBlocks.of(model, *_evolved_entries(model, rho0), rho0)
+    rows, cols = generator.rows, generator.cols
+    c = generator.coordinates(np.asarray(rho0, dtype=complex)[rows, cols])
+    if c is None or np.count_nonzero(rho0) > np.count_nonzero(rho0[rows, cols]):
         raise ValueError("initial state has nonzero entries outside the sectors evolved")
     diagonal = np.flatnonzero(rows == cols)
 
@@ -307,9 +419,6 @@ def evolve(
     # Re tr(op rho) = Re sum_j op[cols[j], rows[j]] x_j, as rho is 0 off the entries x
     expectations = np.array([op[cols, rows] for op in observables.values()]).reshape(len(observables), len(rows))
 
-    x = np.asarray(rho0, dtype=complex)[rows, cols]
-    # the coordinates of the Hermitian part (x + conj(x[mirror])) / 2, which are Re x + Im x when x is Hermitian
-    y = 0.5 * ((x.real + x.imag) + (x.real - x.imag)[mirror])
     states: list[np.ndarray] = []
     recorded = np.empty((len(record_times), len(rows)), dtype=complex)  # row i: the entries x at record i
     trace_res: list[float] = []
@@ -336,11 +445,11 @@ def evolve(
                     if k == len(step_powers):
                         step_powers.append(step_powers[-1] @ step_powers[-1])
                     if n_steps >> k & 1:
-                        y = step_powers[k] @ y
+                        c = step_powers[k] @ c
             t_prev = t_rec
 
         with np.errstate(over="ignore", invalid="ignore"):
-            x = generator.entries(y)
+            x = generator.entries(c)
             # a lower bound on the trace-norm drift, as any density matrix has |rho_ij| <= 1;
             # `np.maximum` keeps a NaN
             drift = float(np.maximum(abs(x[diagonal].sum().real - 1.0), np.abs(x).max() - 1.0))
@@ -374,15 +483,15 @@ def evolve(
 
 
 def _step_map(generator: SectorBlocks, h: float) -> np.ndarray:
-    """The matrix S of one classical RK4 step of size h on the coordinates of `generator`: a step is y -> S @ y.
+    """The matrix S of one classical RK4 step of size h on the coordinates of `generator`: a step is c -> S @ c.
 
-    For the linear autonomous equation dy/dt = Gy the four stages combine into
+    For the linear autonomous equation dc/dt = Gc the four stages combine into
     S = p(hG) = I + hG(I + hG/2(I + hG/3(I + hG/4))), evaluated from the inside
     out: the innermost factor needs no product, the other three are one
     `make_rhs` evaluation each.
     """
     rhs = make_rhs(generator)
-    eye = np.eye(len(generator.rows))
+    eye = np.eye(len(generator.block))
     # a step too large for the rates overflows S to inf or NaN; stepping with it gives a
     # state that is not finite, which fails the drift gate
     with np.errstate(over="ignore", invalid="ignore"):
@@ -392,8 +501,10 @@ def _step_map(generator: SectorBlocks, h: float) -> np.ndarray:
         return eye + h * rhs(y)
 
 
-def _superoperator_block(model: LindbladModel, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _superoperator_block(model: LindbladModel, rows: np.ndarray, cols: np.ndarray, out=None) -> np.ndarray:
     """Rows and columns of `vectorize_superoperator` for the entries rho[rows[a], cols[a]].
+
+    With `out` (positions among the entries), only the rows of those entries.
 
     With M = iH + sum_k rate_k L_k^dag L_k and J_k = sqrt(2 rate_k) L_k
     (zero-rate terms dropped) the equation reads
@@ -405,7 +516,8 @@ def _superoperator_block(model: LindbladModel, rows: np.ndarray, cols: np.ndarra
     chosen entries only, so a block costs its own size, not d^4.
     """
     eye = np.eye(model.dim, dtype=complex)
-    col_pairs, row_pairs = np.ix_(cols, cols), np.ix_(rows, rows)
+    out = slice(None) if out is None else out
+    col_pairs, row_pairs = np.ix_(cols[out], cols), np.ix_(rows[out], rows)
 
     def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a[col_pairs] * b[row_pairs]
@@ -456,6 +568,30 @@ def _coherence_sectors(model: LindbladModel) -> list[tuple[int, np.ndarray, np.n
     return [(q, rows[order == q], cols[order == q]) for q in sorted(set(order.tolist()), key=abs)]
 
 
+def _real_frame(model: LindbladModel) -> np.ndarray | None:
+    """The exponents e of the frame D = diag(i^e) in which the Liouvillian of `model` is real, or None.
+
+    e is the photon number, the index of the layout's last factor (the
+    cavity). The frame holds when D H D^dag is imaginary (-i D H D^dag real)
+    and each jump D L D^dag is real or imaginary, so that D J rho J^dag D^dag
+    is real for a real rho. Powers of i multiply exactly, so the check is exact.
+    """
+    e = np.indices(model.layout.factor_dims)[-1].reshape(-1)
+    phases = _I_POWERS[(e[:, None] - e[None, :]) % 4]
+    if (phases * model.hamiltonian).real.any():
+        return None
+    for rate, lop in model.collapse_terms:
+        rotated = phases * lop
+        if rate != 0 and rotated.real.any() and rotated.imag.any():
+            return None
+    return e
+
+
+def _quarter_turns(frame: np.ndarray | None, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """r with phase = i^r = i^-(e_i - e_j) for each entry rho[rows, cols] in the frame of exponents e; 0 without one."""
+    return np.zeros(len(rows), dtype=int) if frame is None else (frame[cols] - frame[rows]) % 4
+
+
 def _evolved_entries(model: LindbladModel, rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entries (rows, cols) to propagate from rho0: the sectors of `_coherence_sectors` it touches.
 
@@ -478,10 +614,12 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     so for an excitation-conserving model the full d^2 x d^2 matrix is never
     formed; otherwise the one sector is the dense solve. Uniqueness pools the singular values of
     every sector, which are those of the full block-diagonal matrix, so a
-    stationary coherence in any sector counts; each q > 0 spectrum counts
-    twice, for the -q sector, which is not built. The state solves
-    L vec(rho) = 0 on the q = 0 sector in real coordinates, with its first
-    row (entry rho[0, 0]) replaced by the trace functional. Degenerate stationary manifolds (extra null directions,
+    stationary coherence in any sector counts: in the real frame the q = 0
+    sector is its s and a halves, each scaled by the coordinates' norms to keep
+    the singular values, and each q > 0 spectrum counts twice, for the -q
+    sector, which is not built. The state solves L vec(rho) = 0 on the s half
+    of the q = 0 sector (all of it without the frame), with its first row
+    (entry rho[0, 0]) replaced by the trace functional. Degenerate stationary manifolds (extra null directions,
     e.g. undamped atoms) raise RankDeficientError rather than returning an
     arbitrary representative, as does a Liouvillian whose entries or singular values overflow,
     or whose slowest rate is below TOLERANCE times its largest singular value, too small to
@@ -491,13 +629,24 @@ def steady_state(model: LindbladModel) -> np.ndarray:
         raise RankDeficientError("no dissipation: every density matrix commuting with H is stationary")
     d = model.dim
     (_, rows, cols), *coherences = [(q, r, c) for q, r, c in _coherence_sectors(model) if q >= 0]
-    populations = SectorBlocks.of(model, rows, cols)  # T^H B T with T unitary: B's singular values
-    blocks = [populations.block] + [_superoperator_block(model, r, c) for _, r, c in coherences]
+    populations = SectorBlocks.of(model, rows, cols)
+    diagonal = rows[populations.owners] == cols[populations.owners]  # the coordinates that are a diagonal entry
+    # every other coordinate's image in the entries has length sqrt(2); scaled by these norms the
+    # coordinates map unitarily to the entries, which keeps the complex block's singular values
+    norms = np.where(diagonal, 1.0, math.sqrt(2.0))
+    scaled = populations.block * np.outer(norms, 1.0 / norms)
+    blocks = [scaled[half, half] for half in populations.halves]
+    for _, r, c in coherences:
+        # conj(phase) B phase: B's singular values, and real in a real frame
+        phase = _I_POWERS[_quarter_turns(populations.frame, r, c)]
+        block = phase.conj()[:, None] * _superoperator_block(model, r, c) * phase
+        blocks.append(block if populations.frame is None else block.real)
 
     svals = None
     if all(np.isfinite(block).all() for block in blocks):
         spectra = [np.linalg.svd(block, compute_uv=False) for block in blocks]
-        svals = np.concatenate(spectra + spectra[1:])  # each q > 0 spectrum is also the -q one
+        k = len(populations.halves)
+        svals = np.concatenate(spectra + spectra[k:])  # each q > 0 spectrum is also the -q one
     if svals is None or not np.isfinite(svals).all():  # else the relative nullity threshold is inf
         raise RankDeficientError("the Liouvillian has non-finite entries or singular values: "
                                  "a rate or coupling overflows")
@@ -511,13 +660,16 @@ def steady_state(model: LindbladModel) -> np.ndarray:
             f"steady-state manifold has dimension {nullity}; the stationary state is not unique"
         )
 
-    a = populations.block
+    solved = populations.halves[0]  # s in a real frame, which holds every population
+    a = populations.block[solved, solved].copy()
     a[0, :] = 0.0
-    a[0, rows == cols] = 1.0  # trace functional hits the diagonal entries, whose coordinates are themselves
-    b = np.zeros(len(rows))
+    a[0, diagonal[solved]] = 1.0  # the trace functional
+    b = np.zeros(a.shape[0])
     b[0] = 1.0
+    c = np.zeros(len(populations.owners))
+    c[solved] = np.linalg.solve(a, b)
     rho = np.zeros((d, d), dtype=complex)
-    rho[rows, cols] = populations.entries(np.linalg.solve(a, b))
+    rho[rows, cols] = populations.entries(c)
 
     residual = steady_state_residual(model, rho)
     scale = max(float(np.abs(model.hamiltonian).max()), *rates)

@@ -173,21 +173,26 @@ class _RateComponents:
     thermal pumping, and the emission of each atom.
     """
 
-    generator: SectorBlocks  # the Hamiltonian's: the entries, and their `mirror`, that every cell shares
+    generator: SectorBlocks  # the coordinates, and their maps, that every cell shares
     stack: np.ndarray
 
     @classmethod
     def build(cls, base: SystemConfig, rho0: np.ndarray) -> _RateComponents:
-        """Components of `build_model(base)` on the `_evolved_entries` of rho0."""
+        """Components of `build_model(base)` on the `_evolved_entries` of rho0, in one frame for all of them.
+
+        The frame and the halves of the coordinates are decided once, on the
+        Hamiltonian with every channel at unit rate, so every component and
+        every cell share them.
+        """
         model = build_model(base)
         layout = model.layout
         units = [(1.0, embed(op, slot, layout)) for slot, _, op in _channels(base)]
         rows, cols = _evolved_entries(model, rho0)
         zero = np.zeros_like(model.hamiltonian)
+        generator = SectorBlocks.frame_for(LindbladModel(model.hamiltonian, tuple(units), layout), rows, cols, rho0)
         parts = [LindbladModel(model.hamiltonian, (), layout)]
         parts += [LindbladModel(zero, (unit,), layout) for unit in units]
-        generators = [SectorBlocks.of(part, rows, cols) for part in parts]
-        return cls(generators[0], np.stack([generator.block for generator in generators]))
+        return cls(generator, np.stack([generator.with_model(part).block for part in parts]))
 
     def at(self, cfg: SystemConfig) -> SectorBlocks:
         weights = np.array([1.0] + [rate for _, rate, _ in _channels(cfg)])

@@ -369,6 +369,15 @@ class TestSteadyCommand:
         assert "rho_atoms_re_0_0" in fields and "photon_0" in fields
         assert float(fields["liouvillian_residual"]) <= 1e-8
 
+    def test_steady_atoms_have_exact_zero_imaginary_parts(self, tmp_path):
+        # in the real frame every entry of equal photon number is real, and the atoms' state sums only those
+        out = tmp_path / "s.csv"
+        assert main(["steady", "--out", str(out), "--cutoff", "10", "--set", "n_thermal=0.5"]) == 0
+        fields = dict(line.split(",") for line in out.read_text().splitlines()[1:])
+        imaginary = {k: v for k, v in fields.items() if k.startswith("rho_atoms_im_")}
+        assert len(imaginary) == 16 and set(imaginary.values()) == {"0"}
+        assert float(fields["rho_atoms_re_1_2"]) != 0.0  # the coherence between |ge> and |eg> is there
+
     def test_no_dissipation_is_exit_4(self):
         assert main(["steady", "--set", "kappa=0", "--set", "gamma=0"]) == 4
 

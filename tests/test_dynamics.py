@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import noisycav.dynamics
@@ -20,6 +20,7 @@ from noisycav.dynamics import (
     Trajectory,
     _coherence_sectors,
     _evolved_entries,
+    _real_frame,
     _step_map,
     _superoperator_block,
     evolve,
@@ -42,12 +43,14 @@ from noisycav.model import (
 )
 from noisycav.qops import (
     SpaceLayout,
+    annihilation,
     basis_state,
     density_matrix_defects,
     embed,
     excitation_numbers,
     expectation,
     partial_trace,
+    sigma_minus,
 )
 
 from conftest import lab_model, random_density_matrix, random_trace_one_hermitian, stepwise_evolve, unvec, vec
@@ -89,23 +92,48 @@ def dense_steady_state(model, liouv):
     return 0.5 * (rho + rho.conj().T)
 
 
-def dense_real_generator(block, rows, cols):
-    """T^H B T for the generator B on the entries rho[rows, cols], with T written here as a dense matrix.
+# i^r for r = 0, 1, 2, 3, exactly
+I_POWERS = (1.0, 1.0j, -1.0, -1.0j)
 
-    T maps real coordinates y to the entries, x = ((1 + i) y + (1 - i) y[mirror]) / 2,
-    where mirror[k] is the position of rho[j, i] for the entry k = rho[i, j]. T
-    is unitary, and T^H B T is real for a Liouvillian; its imaginary part is
-    checked to vanish and its real part returned.
+
+def dense_coordinate_map(rows, cols, frame=None, antisymmetric=True):
+    """U with x = U c for the real coordinates c of the entries x = rho[rows, cols], written as a dense matrix.
+
+    c is s, one coordinate per pair i <= j, then (if `antisymmetric`) a, one per
+    pair i < j, each pair in the order of its entry rho[i, j] with i <= j. The
+    entry rho[i, j] reads phase (s + i a) for i < j, phase (s - i a) for i > j and s
+    on the diagonal, with phase = i^-(e_i - e_j) for the exponents e of `frame`,
+    and 1 without one.
     """
     index = {(i, j): k for k, (i, j) in enumerate(zip(rows, cols))}
-    t = np.zeros((len(rows), len(rows)), dtype=complex)
-    for k, (i, j) in enumerate(zip(rows, cols)):
-        t[k, k] += (1 + 1j) / 2
-        t[k, index[j, i]] += (1 - 1j) / 2
-    assert np.abs(t.conj().T @ t - np.eye(len(rows))).max() == 0.0
-    generator = t.conj().T @ block @ t
+    upper = [(i, j) for i, j in zip(rows, cols) if i <= j]
+    pairs = [(i, j, 1.0) for i, j in upper] + [(i, j, 1.0j) for i, j in upper if i < j and antisymmetric]
+    u = np.zeros((len(rows), len(pairs)), dtype=complex)
+    for p, (i, j, weight) in enumerate(pairs):
+        for a, b, w in ((i, j, weight), (j, i, np.conj(weight))):
+            u[index[a, b], p] = (1.0 if frame is None else I_POWERS[(frame[b] - frame[a]) % 4]) * w
+    return u
+
+
+def dense_real_generator(block, u):
+    """U^+ B U for the generator B on the entries x = U c, the real generator of the coordinates c.
+
+    U^H U is diagonal, 1 for the s of a diagonal entry and 2 otherwise; U^+ B U
+    is real for a Liouvillian. Its imaginary part is checked to vanish and its
+    real part returned.
+    """
+    gram = u.conj().T @ u
+    assert np.array_equal(gram, np.diag(np.diag(gram).real))
+    generator = (u.conj().T @ block @ u) / np.diag(gram)[:, None]
     assert np.abs(generator.imag).max() <= 1e-15 * np.abs(block).max()
     return generator.real
+
+
+def dense_coordinates(u, x):
+    """The coordinates c of the Hermitian entries x = U c."""
+    c = (u.conj().T @ x) / np.diag(u.conj().T @ u)
+    assert np.abs(c.imag).max() <= 1e-15 * max(1.0, np.abs(x).max())
+    return c.real
 
 
 def coherence_orders(model):
@@ -240,8 +268,9 @@ class TestLindbladRHS:
     @pytest.mark.parametrize("case", sorted(GENERATOR_CASES))
     def test_compiled_evaluator_matches(self, case, rng):
         # each sector alone as `SectorBlocks`, and all d^2 entries as the
-        # `SectorBlocks` of `vectorize_superoperator`, against the equation as
-        # written; a sector's entries of the result depend on its own entries only
+        # `SectorBlocks` of `vectorize_superoperator` in the lab coordinates,
+        # against the equation as written, in the coordinates of the dense map
+        # U; a sector's entries of the result depend on its own entries only
         model = GENERATOR_CASES[case]()
         d = model.dim
         entries = np.arange(d * d)
@@ -251,15 +280,16 @@ class TestLindbladRHS:
                  for q in by_order if q > 0]
         cases.append(SectorBlocks.of(model, *by_order[0]))
         rows, cols = entries % d, entries // d
-        cases.append(SectorBlocks(model.layout, rows, cols, dense_real_generator(vectorize_superoperator(model),
-                                                                                 rows, cols)))
+        u = dense_coordinate_map(rows, cols)
+        cases.append(SectorBlocks(model.layout, rows, cols, dense_real_generator(vectorize_superoperator(model), u)))
         for generator in cases:
             rows, cols = generator.rows, generator.cols
+            u = dense_coordinate_map(rows, cols, generator.frame)
             fast = make_rhs(generator)
             for _ in range(3):
                 rho = random_trace_one_hermitian(rng, d)
                 x, expected = rho[rows, cols], lindblad_rhs(model, rho)[rows, cols]
-                assert np.abs(fast(x.real + x.imag) - (expected.real + expected.imag)).max() < 1e-13
+                assert np.abs(fast(dense_coordinates(u, x)) - dense_coordinates(u, expected)).max() < 1e-13
 
 
 class TestSuperoperator:
@@ -646,7 +676,7 @@ class TestSectorEvolve:
     def test_prebuilt_blocks_evolve_as_the_model(self):
         model, rho0 = evolve_case("thermal_atoms", 3)
         _, rows, cols = _coherence_sectors(model)[0]
-        blocks = SectorBlocks.of(model, rows, cols)
+        blocks = SectorBlocks.of(model, rows, cols, rho0)
         settings = IntegratorSettings(dt=0.01, t_max=1.0)
         expected = evolve(model, rho0, settings, record_times=RECORD_TIMES)
         traj = evolve(blocks, rho0, settings, record_times=RECORD_TIMES)
@@ -701,21 +731,140 @@ class TestSectorEvolve:
         assert np.array_equal(rows, np.arange(d * d) % d) and np.array_equal(cols, np.arange(d * d) // d)
 
 
-class TestRealCoordinates:
-    """The generator in the coordinates y = Re x + Im x against T^H B T, with T a dense matrix written in the tests."""
+def phased_start(cfg):
+    """(|g,g,1> + |e,g,0>)/sqrt(2): a real state whose coherence is imaginary in the real frame, so it has an a part."""
+    n = cfg.cutoff + 1
+    ket = (basis_state(cfg.layout.dim, 1) + basis_state(cfg.layout.dim, 2 * n)) / np.sqrt(2.0)
+    return np.outer(ket, ket.conj())
 
-    @pytest.mark.parametrize("start,sigma_x,entries", [
-        (ground_state, False, 52),  # the q = 0 entries
-        (superposition_start, False, 52 + 2 * 46),  # q in {0, +-1}
-        (ground_state, True, 16 ** 2),  # no excitation-number symmetry: all d^2 entries
-    ], ids=["q0", "q0_and_pm1", "all_entries"])
-    def test_generator_is_the_dense_transform(self, start, sigma_x, entries):
+
+def photon_numbers(layout):
+    """The exponents of the real frame D = diag(i^n): the cavity's photon number, the last factor's index."""
+    return np.indices(layout.factor_dims)[-1].reshape(-1)
+
+
+class TestRealCoordinates:
+    """The generator in the coordinates (s, a) against U^+ B U, with U a dense matrix written in the tests."""
+
+    @pytest.mark.parametrize("start,kind,entries,coordinates", [
+        (ground_state, "interaction", 52, 34),  # the q = 0 entries, s alone
+        (superposition_start, "interaction", 52 + 2 * 46, 34 + 46),  # q in {0, +-1}, s alone
+        (phased_start, "interaction", 52, 52),  # q = 0, s and a
+        (ground_state, "sigma_x", 16 ** 2, 16 * 17 // 2),  # no excitation-number symmetry: all d^2 entries
+        (ground_state, "lab", 52, 52),  # no real frame: s and a, coupled
+    ], ids=["q0", "q0_and_pm1", "q0_s_and_a", "all_entries", "lab_q0"])
+    def test_generator_is_the_dense_transform(self, start, kind, entries, coordinates):
         cfg = SystemConfig(g_a=0.8, g_b=1.3, n_thermal=0.5, cutoff=3)
-        model = with_atom_a_sigma_x(build_model(cfg)) if sigma_x else build_model(cfg)
+        model = {"interaction": build_model, "sigma_x": lambda c: with_atom_a_sigma_x(build_model(c)),
+                 "lab": lambda c: lab_model(c, 1.3, 0.9)}[kind](cfg)
         rows, cols = _evolved_entries(model, start(cfg))
-        assert len(rows) == entries
-        expected = dense_real_generator(_superoperator_block(model, rows, cols), rows, cols)
-        assert np.abs(SectorBlocks.of(model, rows, cols).block - expected).max() <= 1e-15 * np.abs(expected).max()
+        generator = SectorBlocks.of(model, rows, cols, start(cfg))
+        assert (len(rows), len(generator.block)) == (entries, coordinates)
+        framed = kind != "lab"
+        assert np.array_equal(generator.frame, photon_numbers(model.layout)) if framed else generator.frame is None
+        u = dense_coordinate_map(rows, cols, generator.frame, antisymmetric=coordinates == entries)
+        expected = dense_real_generator(_superoperator_block(model, rows, cols), u)
+        assert np.abs(generator.block - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
+def with_loss_plus_emission_jump(model, cfg, rate=0.4):
+    """The model plus the collapse term a + sigma_minus on atom a.
+
+    It lowers N by one, so the q grading holds, but in the real frame its
+    two parts are imaginary and real, so the frame fails.
+    """
+    jump = embed(annihilation(cfg.cutoff), CAVITY, model.layout) + embed(sigma_minus(), ATOM_A, model.layout)
+    return LindbladModel(model.hamiltonian, model.collapse_terms + ((rate, jump),), model.layout)
+
+
+FALLBACK_CASES = {
+    "lab": lambda cfg: lab_model(cfg, 1.3, 0.9),
+    "loss_plus_emission": lambda cfg: with_loss_plus_emission_jump(build_model(cfg), cfg),
+}
+
+
+class TestRealFrame:
+    """D = diag(i^n) makes the Liouvillian real for every model the package builds; other models fall back."""
+
+    @given(st.floats(0.1, 2.0), st.floats(0.1, 2.0), st.floats(0.1, 3.0), st.integers(1, 6), st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_frame_is_detected_and_exact(self, g_a, g_b, kappa, cutoff, cavity_only):
+        # B U == U G exactly, for U the dense map of the coordinates: every product with U is a
+        # product with a power of i, and the two columns of a pair are added in the same order
+        assume(g_a != g_b)
+        cfg = SystemConfig(g_a=g_a, g_b=g_b, kappa=kappa, gamma=0.0, n_thermal=0.0, cutoff=cutoff)
+        model = build_cavity_model(cfg) if cavity_only else build_model(cfg)
+        assert np.array_equal(_real_frame(model), photon_numbers(model.layout))
+        _, rows, cols = _coherence_sectors(model)[0]
+        starts = [None] if cavity_only else [None, ground_state(cfg)]
+        for start in starts:
+            generator = SectorBlocks.of(model, rows, cols, start)
+            u = dense_coordinate_map(rows, cols, generator.frame, antisymmetric=start is None)
+            block = _superoperator_block(model, rows, cols)
+            assert np.array_equal(block @ u, u @ generator.block)
+            if start is None:  # s and a are separate sectors
+                n_s = np.count_nonzero(rows <= cols)
+                assert [half.stop for half in generator.halves] == [n_s, len(rows)]
+                assert not generator.block[:n_s, n_s:].any() and not generator.block[n_s:, :n_s].any()
+
+    @pytest.mark.parametrize("case", sorted(FALLBACK_CASES))
+    def test_models_without_the_frame_fall_back(self, case):
+        cfg = SystemConfig(g_a=0.8, g_b=1.3, n_thermal=0.5, cutoff=3)
+        model = FALLBACK_CASES[case](cfg)
+        assert _real_frame(model) is None
+        sectors = _coherence_sectors(model)
+        assert len(sectors) > 1  # the q grading holds
+        _, rows, cols = sectors[0]
+        generator = SectorBlocks.of(model, rows, cols, ground_state(cfg))
+        assert generator.frame is None and len(generator.block) == len(rows)  # s and a, coupled
+        with pytest.raises(ValueError, match="s and a coordinates are coupled"):
+            SectorBlocks(model.layout, rows, cols, antisymmetric=False)
+
+    @pytest.mark.parametrize("case", ["unequal_g", "phased_start", *sorted(FALLBACK_CASES)])
+    def test_evolve_matches_the_stepwise_oracle(self, case):
+        cfg = SystemConfig(g_a=0.8, g_b=1.3, n_thermal=1.2, kappa=1.5, cutoff=4)
+        model = FALLBACK_CASES[case](cfg) if case in FALLBACK_CASES else build_model(cfg)
+        rho0 = phased_start(cfg) if case == "phased_start" else ground_state(cfg)
+        times = [0.0, 0.25, 0.25, 1.3]
+        traj = evolve(model, rho0, IntegratorSettings(), record_times=times)
+        for state, expected in zip(traj.states, stepwise_evolve(model, rho0, 0.002, times)):
+            assert np.abs(state - expected).max() <= 1e-13
+        assert np.abs(traj.states[-1] - rho0).max() > 1e-3  # the state moved
+
+    def test_s_blocks_refuse_a_start_with_an_a_part(self):
+        cfg = SystemConfig(n_thermal=0.5, cutoff=3)
+        model = build_model(cfg)
+        generator = SectorBlocks.of(model, *_coherence_sectors(model)[0][1:], ground_state(cfg))
+        assert not generator.antisymmetric
+        with pytest.raises(ValueError, match="outside the sectors evolved"):
+            evolve(generator, phased_start(cfg), IntegratorSettings(dt=0.01, t_max=0.1))
+
+    @pytest.mark.parametrize("case", ["interaction", "cavity", *sorted(FALLBACK_CASES)])
+    def test_pooled_spectrum_is_the_dense_spectrum(self, case, monkeypatch):
+        cfg = SystemConfig(g_a=0.8, g_b=1.3, n_thermal=0.5, cutoff=3)
+        builders = {"interaction": build_model, "cavity": build_cavity_model, **FALLBACK_CASES}
+        model = builders[case](cfg)
+        spectra, svd = [], np.linalg.svd
+
+        def recording_svd(a, **kwargs):
+            spectra.append(svd(a, **kwargs))
+            return spectra[-1]
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        steady_state(model)
+        monkeypatch.undo()
+        halves = 1 if case in FALLBACK_CASES else 2
+        pooled = np.sort(np.concatenate(spectra + spectra[halves:]))
+        full = np.sort(np.linalg.svd(vectorize_superoperator(model), compute_uv=False))
+        assert np.abs(pooled - full).max() <= 1e-13 * full.max()
+
+    def test_recorded_reduced_states_are_exactly_real(self):
+        # from |g,g,0> the atoms' entries are entries of equal photon number, whose phase is 1
+        cfg = SystemConfig(g_a=0.8, g_b=1.3, n_thermal=1.8, cutoff=4)
+        traj = evolve(build_model(cfg), ground_state(cfg), IntegratorSettings(t_max=2.0),
+                      reduce_to=(ATOM_A, ATOM_B))
+        assert all(np.all(state.imag == 0.0) for state in traj.states)
+        assert np.abs(traj.states[-1][1, 2]) > 1e-3  # a coherence between |ge> and |eg>
 
 
 def stage_rk4(block, rows, cols, x, record_times, dt):
@@ -792,11 +941,13 @@ class TestStepMap:
         evolve(build_model(cfg), ground_state(cfg), IntegratorSettings(), record_times=times)
         assert count == calls
 
-    @pytest.mark.parametrize("cutoff", [1, 2, 5])
-    def test_step_matrix_is_the_taylor_polynomial(self, cutoff):
+    @pytest.mark.parametrize("cutoff,coordinates", [(1, 14), (2, 24), (5, 54)], ids=["1", "2", "5"])  # of 20, 36, 84
+    def test_step_matrix_is_the_taylor_polynomial(self, cutoff, coordinates):
+        # on the s coordinates of the q = 0 entries, which is what a cell evolved from |g,g,0> steps
         cfg = SystemConfig(n_thermal=1.0, cutoff=cutoff)
-        generator = SectorBlocks.of(build_model(cfg), *_coherence_sectors(build_model(cfg))[0][1:])
-        n = len(generator.rows)
+        generator = SectorBlocks.of(build_model(cfg), *_coherence_sectors(build_model(cfg))[0][1:], ground_state(cfg))
+        n = len(generator.block)
+        assert n == coordinates
         for h in (0.002, 0.001, 1.0 / 3.0):
             step = _step_map(generator, h)
             assert step.shape == (n, n)
@@ -870,8 +1021,8 @@ class TestRecordGates:
         times = [0.0, *(dt * np.cumsum([1, 2, 3, 64, 127, 128, 177, 500]))]
         times.append(times[-1] + 0.1)
         model, rho0, settings = build_model(cfg), ground_state(cfg), IntegratorSettings(dt=dt, t_max=times[-1])
-        generator = SectorBlocks.of(model, *_evolved_entries(model, rho0))
-        y, expected, t_prev = rho0[generator.rows, generator.cols].real, [], 0.0
+        generator = SectorBlocks.of(model, *_evolved_entries(model, rho0), rho0)
+        y, expected, t_prev = generator.coordinates(rho0[generator.rows, generator.cols]), [], 0.0
         for t in times:
             if t > t_prev:
                 n_steps = math.ceil((t - t_prev) / dt - 1e-9)
@@ -975,8 +1126,9 @@ class TestSectorSteadyState:
     @pytest.mark.parametrize("case", sorted(SECTOR_CASES))
     def test_q_nonnegative_spectra_pool_to_the_full_spectrum(self, case, monkeypatch):
         # the solver takes the singular values of the q >= 0 sectors only, q = 0
-        # first, and counts each q > 0 spectrum twice, for the -q sector: that
-        # pool must be the singular values of the dense Liouvillian
+        # first, as its s and a halves in a real frame, and counts each q > 0
+        # spectrum twice, for the -q sector: that pool must be the singular
+        # values of the dense Liouvillian
         model = SECTOR_CASES[case](4)
         liouv = dense_liouvillian(model)
         nullity = dense_null_space(liouv).shape[1]
@@ -993,8 +1145,9 @@ class TestSectorSteadyState:
         else:
             steady_state(model)
         monkeypatch.undo()
-        assert len(spectra) == len(np.unique(coherence_orders(model)[coherence_orders(model) >= 0]))
-        pooled = np.sort(np.concatenate(spectra + spectra[1:]))
+        halves = 1 if case == "lab" else 2
+        assert len(spectra) == halves - 1 + len(np.unique(coherence_orders(model)[coherence_orders(model) >= 0]))
+        pooled = np.sort(np.concatenate(spectra + spectra[halves:]))
         full = np.sort(np.linalg.svd(liouv, compute_uv=False))
         assert np.abs(pooled - full).max() <= 1e-13 * full.max()
 

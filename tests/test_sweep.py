@@ -310,7 +310,7 @@ class TestRateComponents:
         for cfg in cells:
             got = components.at(cfg)
             assert got.mirror is components.generator.mirror  # computed once per sweep, not per cell
-            expected = SectorBlocks.of(build_model(cfg), got.rows, got.cols).block
+            expected = SectorBlocks.of(build_model(cfg), got.rows, got.cols, rho0).block
             assert np.abs(got.block - expected).max() <= 1e-13 * np.abs(expected).max()
 
     @staticmethod
