@@ -8,7 +8,6 @@ parameter sweeps that map the noise-assisted entanglement resonance.
 from .dynamics import (
     IntegratorError,
     IntegratorSettings,
-    ModeBReport,
     PositivityLossError,
     RankDeficientError,
     TraceDriftError,
@@ -17,7 +16,6 @@ from .dynamics import (
     lindblad_rhs,
     steady_state,
     vectorize_superoperator,
-    verify_mode_b_decoupling,
 )
 from .entanglement import ConcurrenceResult, concurrence, spin_flip
 from .model import (

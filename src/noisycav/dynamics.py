@@ -28,17 +28,18 @@ x = phase (s +- i a), the sign + for i < j and - for i > j (s alone on the
 diagonal), so every state is exactly Hermitian.
 
 The phase comes from the frame rho' = D rho D^dag with D = diag(i^n), n the
-photon number: phase = i^-(n_i - n_j). The exchange Hamiltonian changes n by
-one, so D H D^dag is imaginary, and each jump (a, a^dag, sigma_-) becomes a
-unit phase times a real matrix, for any couplings and rates: the Liouvillian
-is a real map there (`_real_frame` checks this exactly, once per model). It
-also keeps rho' Hermitian, so it maps the real symmetric part s and the
-imaginary antisymmetric part a of rho' each to itself: they are separate
-sectors, and a real start such as |g,g,0> has no a. From |g,g,0> `evolve`
-then steps s alone, 54 coordinates for the 84 entries at cutoff 5 (104 for
-164 at cutoff 10). A model without the frame (a free sigma_z term, or a jump
-a + sigma_-) keeps s and a coupled, with phase 1. The generator G of the
-coordinates is gathered from the rows and columns of the complex block B
+photon number (the index of the layout's last factor): phase = i^-(n_i - n_j).
+The exchange Hamiltonian changes n by one, so D H D^dag is imaginary, and each
+jump (a, a^dag, sigma_-) becomes a unit phase times a real matrix, for any
+couplings and rates: the Liouvillian is a real map there, the one coordinate
+system (`_require_real_frame` checks it exactly per model and refuses a model
+without it, such as a free sigma_z term or a jump a + sigma_-). It also keeps
+rho' Hermitian, so it maps the real symmetric part s and the imaginary
+antisymmetric part a of rho' each to itself: they are separate sectors, and a
+real start such as |g,g,0> has no a. From |g,g,0> `evolve` then steps s
+alone, 54 coordinates for the 84 entries at cutoff 5 (104 for 164 at cutoff
+10). The generator G of the coordinates is gathered from the rows and columns
+of the complex block B
 (`SectorBlocks.with_model`), and the evaluator `make_rhs` is one product
 with G.
 For this linear equation an RK4 step of size h is the matrix S = p(hG),
@@ -66,11 +67,10 @@ ends it fails, by an entry past 1 or, once the powers overflow, by a state
 that is not finite. Accuracy is certified by step halving, not by an embedded
 error estimator.
 
-`steady_state` solves on the s coordinates of the q = 0 sector (on s and a
-without the frame), and checks uniqueness on the pooled singular values of s,
-a and every q > 0 block, building only the q >= 0 ones; in the frame each of
-them is real. The residual it reports is the master equation evaluated on the
-full space.
+`steady_state` solves on the s coordinates of the q = 0 sector, and checks
+uniqueness on the pooled singular values of s, a and every q > 0 block,
+building only the q >= 0 ones, each real in the frame. The residual it
+reports is the master equation evaluated on the full space.
 `vectorize_superoperator` builds the whole matrix with the same code;
 tests check it against `lindblad_rhs`.
 """
@@ -83,19 +83,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (
-    LindbladModel,
-    SystemConfig,
-    build_model,
-    collective_mode_operators,
-    ground_state,
-    require_finite,
-)
+from .model import LindbladModel, require_finite
 from .qops import (
     TOLERANCE,
     SpaceLayout,
     assert_density_matrix,
-    dagger,
     excitation_numbers,
     hermitian_defects,
     partial_trace,
@@ -106,9 +98,6 @@ from .qops import (
 # may ask for. A span costs only about log2 of its steps, so this is input
 # validation: a huge but finite time is refused at once as a likely mistake.
 MAX_STEPS = 10**7
-
-# i^r for r = 0, 1, 2, 3: a product with one of them only swaps and negates parts, so it is exact
-_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
 class IntegratorError(RuntimeError):
@@ -189,9 +178,9 @@ class SectorBlocks:
     Their real coordinates are s, one per pair i <= j, and, when `antisymmetric`,
     a, one per pair i < j, in that order, read back as
     x = phase (s + i a) for i < j, phase (s - i a) for i > j and s on the
-    diagonal, with phase = i^-(e_i - e_j) for the exponents e of `frame` and 1
-    without one (see the module docstring). `block` maps the coordinates c to
-    dc/dt; without a block the map alone is given, and `with_model` adds one.
+    diagonal, with phase = i^-(n_i - n_j) for the photon numbers n of `layout`
+    (see the module docstring). `block` maps the coordinates c to dc/dt;
+    without a block the map alone is given, and `with_model` adds one.
     `evolve` takes one in place of a `LindbladModel`, and evolves only its
     coordinates; `make_rhs` evaluates it.
     """
@@ -200,14 +189,11 @@ class SectorBlocks:
     rows: np.ndarray
     cols: np.ndarray
     block: np.ndarray | None = None
-    frame: np.ndarray | None = None  # the exponents `_real_frame` finds, or None
     antisymmetric: bool = True
     mirror: np.ndarray = field(init=False)
     phase: np.ndarray = field(init=False)  # per entry; a power of i, so a product with it is exact
     # the entry each coordinate belongs to: rho[i, j] with i <= j for s, then with i < j for a
     owners: np.ndarray = field(init=False)
-    # the coordinate ranges the generator keeps apart: s and a in a real frame, else all coordinates
-    halves: list = field(init=False)
     _upper: np.ndarray = field(init=False, repr=False)  # the entries rho[i, j] with i <= j
     _strict: np.ndarray = field(init=False, repr=False)  # ... and with i < j
     # x = weights[0] c[sources[0]] + weights[1] c[sources[1]], where c[len(c)] reads 0: phase (s + i sign a)
@@ -218,8 +204,6 @@ class SectorBlocks:
 
     def __post_init__(self):
         rows, cols, n, d = self.rows, self.cols, len(self.rows), self.dim
-        if self.frame is None and not self.antisymmetric:
-            raise ValueError("without a real frame the s and a coordinates are coupled: both are needed")
         pos = np.full((d, d), -1)
         pos[rows, cols] = np.arange(n)
         mirror = pos[cols, rows]
@@ -235,9 +219,8 @@ class SectorBlocks:
         pair[mirror[upper]] = pair[upper]
         if self.antisymmetric:
             anti[strict] = anti[mirror[strict]] = n_s + np.arange(len(strict))
-        phase = _I_POWERS[_quarter_turns(self.frame, rows, cols)]
-        halves = [slice(0, n_s), slice(n_s, m)] if self.frame is not None and self.antisymmetric else [slice(0, m)]
-        derived = dict(mirror=mirror, phase=phase, owners=np.concatenate([upper, strict])[:m], halves=halves,
+        phase = _phase(self.layout, rows, cols)
+        derived = dict(mirror=mirror, phase=phase, owners=np.concatenate([upper, strict])[:m],
                        _upper=upper, _strict=strict, _sources=np.array([pair, anti]),
                        _weights=np.array([phase, 1j * np.sign(cols - rows) * phase]))
         for name, value in derived.items():
@@ -246,35 +229,26 @@ class SectorBlocks:
     @classmethod
     def of(cls, model: LindbladModel, rows: np.ndarray, cols: np.ndarray,
            start: np.ndarray | None = None) -> SectorBlocks:
-        """The generator of `model` on the coordinates `frame_for` gives."""
-        return cls.frame_for(model, rows, cols, start).with_model(model)
+        """The generator of `model` on the coordinates of the entries rho[rows, cols].
 
-    @classmethod
-    def frame_for(cls, model: LindbladModel, rows: np.ndarray, cols: np.ndarray,
-                  start: np.ndarray | None = None) -> SectorBlocks:
-        """The coordinates of the entries rho[rows, cols] for `model`, without a generator.
-
-        They are taken in the frame `_real_frame` finds, where s and a are
-        separate sectors; given a `start` (a d x d state) only the halves it
-        touches are kept: s alone from a real start such as |g,g,0>. Without a
-        frame, or without a start, both.
+        Given a `start` (a d x d state), a is kept only if the start has one,
+        that is if conj(phase) start[rows, cols] has an imaginary part: s alone
+        from a real start such as |g,g,0>. Without a start, both.
         """
-        frame = _real_frame(model)
-        antisymmetric = True
-        if frame is not None and start is not None:
-            both = cls(model.layout, rows, cols, frame=frame)
-            antisymmetric = bool(both.coordinates(np.asarray(start)[rows, cols])[both.halves[1]].any())
-        return cls(model.layout, rows, cols, frame=frame, antisymmetric=antisymmetric)
+        antisymmetric = start is None or bool(
+            (_phase(model.layout, rows, cols).conj() * np.asarray(start)[rows, cols]).imag.any())
+        return cls(model.layout, rows, cols, antisymmetric=antisymmetric).with_model(model)
 
     def with_model(self, model: LindbladModel) -> SectorBlocks:
         """The generator of `model` on the same coordinates, gathered from the complex block B of the entries.
 
         The row of each coordinate's entry is read in its phase:
-        Z = conj(phase) B phase, exact, and real in a real frame; an a row
-        takes -i Z, so that every coordinate is the real part of its row times
-        x. A coordinate's column sums the columns of its entry and the mirror,
-        with the signs of +-i a.
+        Z = conj(phase) B phase, exact, and real, which `_require_real_frame`
+        checks first; an a row takes -i Z, so that every coordinate is the
+        real part of its row times x. A coordinate's column sums the columns
+        of its entry and the mirror, with the signs of +-i a.
         """
+        _require_real_frame(model)
         n_s, owners, upper, strict = len(self._upper), self.owners, self._upper, self._strict
         row_phase = self.phase[owners].conj()
         row_phase[n_s:] *= -1j
@@ -381,8 +355,8 @@ def evolve(
     docstring).
 
     A model is propagated on the entries `_evolved_entries` picks from rho0,
-    whose other entries stay exactly 0, in the halves of their coordinates
-    that rho0 touches. Given `SectorBlocks`, their coordinates are
+    whose other entries stay exactly 0, in their s coordinates and the a ones
+    if rho0 has an a part. Given `SectorBlocks`, their coordinates are
     propagated, and they must hold rho0: every nonzero entry, and its a half.
 
     The state is stepped in real coordinates (see the module docstring), from
@@ -568,28 +542,34 @@ def _coherence_sectors(model: LindbladModel) -> list[tuple[int, np.ndarray, np.n
     return [(q, rows[order == q], cols[order == q]) for q in sorted(set(order.tolist()), key=abs)]
 
 
-def _real_frame(model: LindbladModel) -> np.ndarray | None:
-    """The exponents e of the frame D = diag(i^e) in which the Liouvillian of `model` is real, or None.
+def _phase(layout: SpaceLayout, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The phase i^-(n_i - n_j) of each entry rho[rows, cols] in the real frame D = diag(i^n).
 
-    e is the photon number, the index of the layout's last factor (the
-    cavity). The frame holds when D H D^dag is imaginary (-i D H D^dag real)
-    and each jump D L D^dag is real or imaginary, so that D J rho J^dag D^dag
-    is real for a real rho. Powers of i multiply exactly, so the check is exact.
+    n is the photon number, the index of the layout's last factor (the cavity).
+    Each phase is a power of i: a product with it only swaps and negates
+    parts, so it is exact.
     """
-    e = np.indices(model.layout.factor_dims)[-1].reshape(-1)
-    phases = _I_POWERS[(e[:, None] - e[None, :]) % 4]
-    if (phases * model.hamiltonian).real.any():
-        return None
-    for rate, lop in model.collapse_terms:
-        rotated = phases * lop
+    n = np.indices(layout.factor_dims)[-1].reshape(-1)
+    return np.array([1.0, 1.0j, -1.0, -1.0j])[(n[cols] - n[rows]) % 4]
+
+
+def _require_real_frame(model: LindbladModel) -> None:
+    """Raise ValueError unless the Liouvillian of `model` is real in the frame D = diag(i^n), n the photon number.
+
+    The frame holds when D H D^dag is imaginary (-i D H D^dag real) and each
+    jump D L D^dag is real or imaginary, so that D J rho J^dag D^dag is real
+    for a real rho. Powers of i multiply exactly, so the check is exact.
+    """
+    index = np.arange(model.dim)
+    rotate = _phase(model.layout, index, index[:, None])  # i^(n_i - n_j) at [i, j]: rotate * op is D op D^dag
+    if (rotate * model.hamiltonian).real.any():
+        raise ValueError("the Hamiltonian is not imaginary in the frame D = diag(i^n), n the photon number, "
+                         "so the Liouvillian is not real there")
+    for k, (rate, lop) in enumerate(model.collapse_terms):
+        rotated = rotate * lop
         if rate != 0 and rotated.real.any() and rotated.imag.any():
-            return None
-    return e
-
-
-def _quarter_turns(frame: np.ndarray | None, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """r with phase = i^r = i^-(e_i - e_j) for each entry rho[rows, cols] in the frame of exponents e; 0 without one."""
-    return np.zeros(len(rows), dtype=int) if frame is None else (frame[cols] - frame[rows]) % 4
+            raise ValueError(f"collapse operator {k} is neither real nor imaginary in the frame D = diag(i^n), "
+                             "n the photon number, so the Liouvillian is not real there")
 
 
 def _evolved_entries(model: LindbladModel, rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -614,11 +594,12 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     so for an excitation-conserving model the full d^2 x d^2 matrix is never
     formed; otherwise the one sector is the dense solve. Uniqueness pools the singular values of
     every sector, which are those of the full block-diagonal matrix, so a
-    stationary coherence in any sector counts: in the real frame the q = 0
-    sector is its s and a halves, each scaled by the coordinates' norms to keep
-    the singular values, and each q > 0 spectrum counts twice, for the -q
-    sector, which is not built. The state solves L vec(rho) = 0 on the s half
-    of the q = 0 sector (all of it without the frame), with its first row
+    stationary coherence in any sector counts: the q = 0 sector is its s and a
+    halves, each scaled by the coordinates' norms to keep the singular values,
+    and each q > 0 spectrum counts twice, for the -q sector, which is not
+    built. A model without the real frame raises ValueError
+    (`_require_real_frame`). The state solves L vec(rho) = 0 on the s half of
+    the q = 0 sector, with its first row
     (entry rho[0, 0]) replaced by the trace functional. Degenerate stationary manifolds (extra null directions,
     e.g. undamped atoms) raise RankDeficientError rather than returning an
     arbitrary representative, as does a Liouvillian whose entries or singular values overflow,
@@ -630,23 +611,22 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     d = model.dim
     (_, rows, cols), *coherences = [(q, r, c) for q, r, c in _coherence_sectors(model) if q >= 0]
     populations = SectorBlocks.of(model, rows, cols)
+    n_s = len(populations._upper)  # the s coordinates, which hold every population, come first
     diagonal = rows[populations.owners] == cols[populations.owners]  # the coordinates that are a diagonal entry
     # every other coordinate's image in the entries has length sqrt(2); scaled by these norms the
     # coordinates map unitarily to the entries, which keeps the complex block's singular values
     norms = np.where(diagonal, 1.0, math.sqrt(2.0))
     scaled = populations.block * np.outer(norms, 1.0 / norms)
-    blocks = [scaled[half, half] for half in populations.halves]
+    blocks = [scaled[:n_s, :n_s], scaled[n_s:, n_s:]]
     for _, r, c in coherences:
-        # conj(phase) B phase: B's singular values, and real in a real frame
-        phase = _I_POWERS[_quarter_turns(populations.frame, r, c)]
-        block = phase.conj()[:, None] * _superoperator_block(model, r, c) * phase
-        blocks.append(block if populations.frame is None else block.real)
+        # conj(phase) B phase: B's singular values, and real in the frame
+        phase = _phase(model.layout, r, c)
+        blocks.append((phase.conj()[:, None] * _superoperator_block(model, r, c) * phase).real)
 
     svals = None
     if all(np.isfinite(block).all() for block in blocks):
         spectra = [np.linalg.svd(block, compute_uv=False) for block in blocks]
-        k = len(populations.halves)
-        svals = np.concatenate(spectra + spectra[k:])  # each q > 0 spectrum is also the -q one
+        svals = np.concatenate(spectra + spectra[2:])  # each q > 0 spectrum is also the -q one
     if svals is None or not np.isfinite(svals).all():  # else the relative nullity threshold is inf
         raise RankDeficientError("the Liouvillian has non-finite entries or singular values: "
                                  "a rate or coupling overflows")
@@ -660,14 +640,13 @@ def steady_state(model: LindbladModel) -> np.ndarray:
             f"steady-state manifold has dimension {nullity}; the stationary state is not unique"
         )
 
-    solved = populations.halves[0]  # s in a real frame, which holds every population
-    a = populations.block[solved, solved].copy()
+    a = populations.block[:n_s, :n_s].copy()
     a[0, :] = 0.0
-    a[0, diagonal[solved]] = 1.0  # the trace functional
-    b = np.zeros(a.shape[0])
+    a[0, diagonal[:n_s]] = 1.0  # the trace functional
+    b = np.zeros(n_s)
     b[0] = 1.0
     c = np.zeros(len(populations.owners))
-    c[solved] = np.linalg.solve(a, b)
+    c[:n_s] = np.linalg.solve(a, b)
     rho = np.zeros((d, d), dtype=complex)
     rho[rows, cols] = populations.entries(c)
 
@@ -683,26 +662,3 @@ def steady_state(model: LindbladModel) -> np.ndarray:
 def steady_state_residual(model: LindbladModel, rho: np.ndarray) -> float:
     """Sup-norm of the master equation's right-hand side; zero for an exact stationary state."""
     return float(np.abs(lindblad_rhs(model, rho)).max())
-
-
-@dataclass(frozen=True)
-class ModeBReport:
-    decoupled: bool
-    max_population: float
-    bound: float
-
-
-def verify_mode_b_decoupling(cfg: SystemConfig, t_max: float = 10.0) -> ModeBReport:
-    """Dynamical check that the dark collective mode stays unpopulated.
-
-    Evolves from |g,g,0> (which is the collective ground state) and bounds
-    the mode-B excitation number along the trajectory. This is the dynamical
-    statement behind treating mode B as frozen; it is not an operator
-    commutation relation.
-    """
-    _, sigma_b_plus = collective_mode_operators(cfg)
-    n_b = sigma_b_plus @ dagger(sigma_b_plus)
-    settings = IntegratorSettings(t_max=t_max, record_stride=25)
-    traj = evolve(build_model(cfg), ground_state(cfg), settings, observables={"mode_b_pop": n_b})
-    max_pop = float(np.max(traj.observables["mode_b_pop"]))
-    return ModeBReport(decoupled=max_pop <= TOLERANCE, max_population=max_pop, bound=TOLERANCE)

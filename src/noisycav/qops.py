@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 HERMITICITY_TOL = 1e-10
-# also the bound on each `evolve` step's drift, on `steady_state`'s residual relative to
-# the model's scale and on the dark-mode population of `verify_mode_b_decoupling`
+# also the bound on each `evolve` record's drift and on `steady_state`'s residual relative to
+# the model's scale
 TOLERANCE = 1e-8
 
 
@@ -84,10 +84,6 @@ def number_operator(cutoff: int) -> np.ndarray:
     if cutoff < 1:
         raise ValueError(f"cutoff must be at least 1, got {cutoff}")
     return np.diag(np.arange(cutoff + 1, dtype=float)).astype(complex)
-
-
-def pauli_z() -> np.ndarray:
-    return np.diag([-1.0, 1.0]).astype(complex)
 
 
 def sigma_plus() -> np.ndarray:

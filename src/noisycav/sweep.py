@@ -15,7 +15,8 @@ sector from |g,g,0>, plus the q = +-1 sectors from a start with such a
 coherence): the real generator on them (see `dynamics.SectorBlocks`) is
 split into a Hamiltonian part and one unit-rate dissipator part per channel
 (`_RateComponents`), and each cell's generator is their rate-weighted sum,
-handed to `evolve` as `SectorBlocks`.
+handed to `evolve` as `SectorBlocks`. Each part passes the real-frame check
+of `SectorBlocks.with_model` on its own, so every cell's sum is real too.
 
 The figure grids behind the CLI's --preset are the rows of `PRESETS`, each
 built by `preset_spec`.
@@ -170,7 +171,8 @@ class _RateComponents:
 
     where stack[0] is the Hamiltonian's (no collapse terms) and stack[1 + k]
     that of row k of `_channels` at unit rate with H = 0: cavity loss,
-    thermal pumping, and the emission of each atom.
+    thermal pumping, and the emission of each atom. Every part is checked for
+    the real frame on its own.
     """
 
     generator: SectorBlocks  # the coordinates, and their maps, that every cell shares
@@ -178,21 +180,14 @@ class _RateComponents:
 
     @classmethod
     def build(cls, base: SystemConfig, rho0: np.ndarray) -> _RateComponents:
-        """Components of `build_model(base)` on the `_evolved_entries` of rho0, in one frame for all of them.
-
-        The frame and the halves of the coordinates are decided once, on the
-        Hamiltonian with every channel at unit rate, so every component and
-        every cell share them.
-        """
+        """Components of `build_model(base)` on the `_evolved_entries` of rho0, on the coordinates rho0 needs."""
         model = build_model(base)
         layout = model.layout
-        units = [(1.0, embed(op, slot, layout)) for slot, _, op in _channels(base)]
         rows, cols = _evolved_entries(model, rho0)
         zero = np.zeros_like(model.hamiltonian)
-        generator = SectorBlocks.frame_for(LindbladModel(model.hamiltonian, tuple(units), layout), rows, cols, rho0)
-        parts = [LindbladModel(model.hamiltonian, (), layout)]
-        parts += [LindbladModel(zero, (unit,), layout) for unit in units]
-        return cls(generator, np.stack([generator.with_model(part).block for part in parts]))
+        generator = SectorBlocks.of(LindbladModel(model.hamiltonian, (), layout), rows, cols, rho0)
+        units = [LindbladModel(zero, ((1.0, embed(op, slot, layout)),), layout) for slot, _, op in _channels(base)]
+        return cls(generator, np.stack([generator.block] + [generator.with_model(unit).block for unit in units]))
 
     def at(self, cfg: SystemConfig) -> SectorBlocks:
         weights = np.array([1.0] + [rate for _, rate, _ in _channels(cfg)])
@@ -295,17 +290,6 @@ def resonance_summary(result: SweepResult) -> list[SummaryRow]:
         product = fixed * argmax if product_defined else None
         rows.append(SummaryRow(fixed, argmax, peak, interior, product))
     return rows
-
-
-def has_interior_extremum(values, band: float = 1e-6) -> bool:
-    """True if some interior point is a strict extremum beyond the noise band."""
-    v = np.asarray(values, dtype=float)
-    for i in range(1, len(v) - 1):
-        if v[i] > max(v[i - 1], v[i + 1]) + band:
-            return True
-        if v[i] < min(v[i - 1], v[i + 1]) - band:
-            return True
-    return False
 
 
 def _linspace(lo: float, hi: float, n: int) -> tuple[float, ...]:

@@ -7,13 +7,23 @@ import pytest
 
 from noisycav.dynamics import (
     TOLERANCE,
+    IntegratorSettings,
     PositivityLossError,
     TraceDriftError,
     _evolved_entries,
     _superoperator_block,
+    evolve,
 )
-from noisycav.model import ATOM_A, ATOM_B, CAVITY, build_interaction_hamiltonian, build_model
-from noisycav.qops import embed, number_operator, pauli_z
+from noisycav.model import (
+    ATOM_A,
+    ATOM_B,
+    CAVITY,
+    build_interaction_hamiltonian,
+    build_model,
+    collective_mode_operators,
+    ground_state,
+)
+from noisycav.qops import dagger, embed, number_operator
 
 
 def random_density_matrix(rng, dim, rank=None):
@@ -101,6 +111,11 @@ def stepwise_evolve(model, rho0, dt, record_times):
     return states
 
 
+def pauli_z():
+    """sigma_z = |e><e| - |g><g| in the |g>=0, |e>=1 ordering."""
+    return np.diag([-1.0, 1.0]).astype(complex)
+
+
 def lab_hamiltonian(cfg, omega, omega_f):
     """Lab-frame Hamiltonian: free energies (omega/2) sigma_z per atom and omega_f a^dag a plus the exchange.
 
@@ -117,6 +132,40 @@ def lab_hamiltonian(cfg, omega, omega_f):
 def lab_model(cfg, omega, omega_f):
     """`build_model(cfg)` with `lab_hamiltonian` in place of the interaction-picture Hamiltonian."""
     return dataclasses.replace(build_model(cfg), hamiltonian=lab_hamiltonian(cfg, omega, omega_f))
+
+
+def has_interior_extremum(values, band=1e-6):
+    """True if some interior point is a strict extremum beyond the noise band."""
+    v = np.asarray(values, dtype=float)
+    for i in range(1, len(v) - 1):
+        if v[i] > max(v[i - 1], v[i + 1]) + band:
+            return True
+        if v[i] < min(v[i - 1], v[i + 1]) - band:
+            return True
+    return False
+
+
+@dataclasses.dataclass(frozen=True)
+class ModeBReport:
+    decoupled: bool
+    max_population: float
+    bound: float
+
+
+def verify_mode_b_decoupling(cfg, t_max=10.0):
+    """Dynamical check that the dark collective mode stays unpopulated.
+
+    Evolves from |g,g,0> (which is the collective ground state) and bounds
+    the mode-B excitation number along the trajectory. This is the dynamical
+    statement behind treating mode B as frozen; it is not an operator
+    commutation relation.
+    """
+    _, sigma_b_plus = collective_mode_operators(cfg)
+    n_b = sigma_b_plus @ dagger(sigma_b_plus)
+    settings = IntegratorSettings(t_max=t_max, record_stride=25)
+    traj = evolve(build_model(cfg), ground_state(cfg), settings, observables={"mode_b_pop": n_b})
+    max_pop = float(np.max(traj.observables["mode_b_pop"]))
+    return ModeBReport(decoupled=max_pop <= TOLERANCE, max_population=max_pop, bound=TOLERANCE)
 
 
 @pytest.fixture

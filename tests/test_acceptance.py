@@ -29,7 +29,6 @@ from noisycav.dynamics import (
     lindblad_rhs,
     steady_state,
     vectorize_superoperator,
-    verify_mode_b_decoupling,
 )
 from noisycav.entanglement import concurrence
 from noisycav.model import (
@@ -46,13 +45,12 @@ from noisycav.sweep import (
     SweepAxis,
     SweepSpec,
     bright_mode_half_period,
-    has_interior_extremum,
     product_spread,
     resonance_summary,
     run_sweep,
 )
 
-from conftest import random_trace_one_hermitian, vec
+from conftest import has_interior_extremum, random_trace_one_hermitian, vec, verify_mode_b_decoupling
 from test_entanglement import charpoly_lambdas, werner
 
 EVAL_TIME = bright_mode_half_period(SystemConfig())  # 1/(2g) with g = sqrt(2)

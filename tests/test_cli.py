@@ -422,12 +422,27 @@ class TestSteadyCommand:
         fields = dict(line.split(",") for line in out.read_text().splitlines()[1:])
         assert float(fields["liouvillian_residual"]) <= 1e-8 * float(kappa) * (float(n_thermal) + 1)
 
-    def test_overflowing_singular_values_are_exit_4(self, tmp_path, capsys):
+    @pytest.mark.parametrize("args,svd_overflows", [
+        # the generator's entries overflow (each s column sums two columns of the complex block),
+        # so no SVD is taken
+        (["--set", "g_a=1e308"], False),
         # every block is finite, but the SVD overflows inside it and returns inf; a relative
         # nullity threshold of inf would call every direction null
-        assert main(["steady", "--set", "g_a=1e308", "--cutoff", "1", "--out", str(tmp_path / "s.csv")]) == 4
+        (["--set", "g_a=8e307", "--set", "g_b=4e307", "--set", "kappa=1e307"], True),
+    ], ids=["entries", "singular_values"])
+    def test_overflowing_singular_values_are_exit_4(self, args, svd_overflows, tmp_path, capsys, monkeypatch):
+        spectra, svd = [], np.linalg.svd
+
+        def recording_svd(a, **kwargs):
+            assert np.isfinite(a).all()
+            spectra.append(svd(a, **kwargs))
+            return spectra[-1]
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        assert main(["steady", *args, "--cutoff", "1", "--out", str(tmp_path / "s.csv")]) == 4
         assert "singular values: a rate or coupling overflows" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+        assert any(not np.isfinite(values).all() for values in spectra) is svd_overflows
 
 
 class TestSweepCommand:

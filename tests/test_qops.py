@@ -15,12 +15,11 @@ from noisycav.qops import (
     excited_projector,
     number_operator,
     partial_trace,
-    pauli_z,
     sigma_minus,
     sigma_plus,
 )
 
-from conftest import random_density_matrix, random_hermitian
+from conftest import pauli_z, random_density_matrix, random_hermitian
 
 
 class TestAnnihilation:

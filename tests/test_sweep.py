@@ -22,13 +22,14 @@ from noisycav.sweep import (
     SweepResult,
     SweepSpec,
     bright_mode_half_period,
-    has_interior_extremum,
     preset_spec,
     product_spread,
     resonance_summary,
     run_sweep,
 )
 from noisycav.sweep import _RateComponents
+
+from conftest import has_interior_extremum
 
 FAST = IntegratorSettings(dt=0.004, t_max=5.0)
 
