@@ -172,6 +172,7 @@ GENERATOR_CASES = {
     "no_collapse_terms": lambda: without_collapse_terms(build_model(SystemConfig(cutoff=3))),
     # breaks the excitation-number symmetry: one sector of all d^2 entries
     "sigma_x_jump": lambda: with_atom_a_sigma_x(build_model(SystemConfig(n_thermal=0.5, cutoff=3))),
+    "extra_jumps": lambda: with_extra_jumps(build_model(SystemConfig(n_thermal=0.5, cutoff=3))),
 }
 
 
@@ -567,6 +568,23 @@ def with_atom_a_sigma_x(model, rate=0.3):
     return LindbladModel(model.hamiltonian, model.collapse_terms + (extra,), model.layout)
 
 
+def with_extra_jumps(model):
+    """The model plus collapse terms the package never builds, each real in the frame D = diag(i^n).
+
+    Dephasing of atom a, pumping of atom b and two-photon loss, whose entries
+    take the phase i^2 = -1 there; each changes N by a fixed amount, so the q
+    grading holds.
+    """
+    sigma_z = np.diag([1.0, -1.0]).astype(complex)
+    a = annihilation(model.layout.factor_dims[CAVITY] - 1)
+    extra = (
+        (0.3, embed(sigma_z, ATOM_A, model.layout)),
+        (0.2, embed(sigma_minus().T, ATOM_B, model.layout)),
+        (0.25, embed(a @ a, CAVITY, model.layout)),
+    )
+    return LindbladModel(model.hamiltonian, model.collapse_terms + extra, model.layout)
+
+
 SECTOR_CASES = {
     "interaction": lambda c: build_model(SystemConfig(n_thermal=0.5, cutoff=c)),
     "cavity": lambda c: build_cavity_model(SystemConfig(n_thermal=0.7, cutoff=c)),
@@ -577,6 +595,7 @@ SECTOR_CASES = {
     # equal couplings and gamma = 0 leave the dark atomic state undamped: both
     # solvers must report the same two-dimensional stationary manifold
     "gamma0_dark_mode": lambda c: build_model(SystemConfig(gamma=0.0, n_thermal=0.5, cutoff=c)),
+    "extra_jumps": lambda c: with_extra_jumps(build_model(SystemConfig(n_thermal=0.5, cutoff=c))),
 }
 
 
@@ -612,23 +631,24 @@ def superposition_start(cfg):
     return np.outer(ket, ket.conj())
 
 
-# (config, start, sigma_x jump on atom a) per case
+# (config, start, collapse terms added to the model or None) per case
 EVOLVE_CASES = {
-    "thermal_atoms": (dict(n_thermal=0.5, gamma=0.3), ground_state, False),
-    "unequal_g": (dict(g_a=0.6, g_b=1.4, n_thermal=0.8), ground_state, False),
-    "superposition": (dict(n_thermal=0.3), superposition_start, False),
-    "sigma_x_jump": (dict(n_thermal=0.5), ground_state, True),
+    "thermal_atoms": (dict(n_thermal=0.5, gamma=0.3), ground_state, None),
+    "unequal_g": (dict(g_a=0.6, g_b=1.4, n_thermal=0.8), ground_state, None),
+    "superposition": (dict(n_thermal=0.3), superposition_start, None),
+    "sigma_x_jump": (dict(n_thermal=0.5), ground_state, with_atom_a_sigma_x),
+    "extra_jumps": (dict(n_thermal=0.5), superposition_start, with_extra_jumps),
 }
 
 RECORD_TIMES = [0.0, 0.05, 0.13, 0.3]
 
 
 def evolve_case(case, cutoff):
-    params, start, sigma_x = EVOLVE_CASES[case]
+    params, start, extra = EVOLVE_CASES[case]
     cfg = SystemConfig(cutoff=cutoff, **params)
     model = build_model(cfg)
-    if sigma_x:
-        model = with_atom_a_sigma_x(model)
+    if extra is not None:
+        model = extra(model)
     return model, start(cfg)
 
 
@@ -646,7 +666,7 @@ class TestSectorEvolve:
             assert np.abs(state - expected).max() <= 1e-12
         assert np.abs(traj.states[-1] - rho0).max() > 1e-3  # the state moved
 
-    @pytest.mark.parametrize("case", ["thermal_atoms", "superposition"])
+    @pytest.mark.parametrize("case", ["thermal_atoms", "superposition", "extra_jumps"])
     def test_untouched_sectors_stay_exactly_zero(self, case):
         model, rho0 = evolve_case(case, 3)
         orders = coherence_orders(model)
@@ -752,10 +772,12 @@ class TestRealCoordinates:
         (superposition_start, "interaction", 52 + 2 * 46, 34 + 46),  # q in {0, +-1}, s alone
         (phased_start, "interaction", 52, 52),  # q = 0, s and a
         (ground_state, "sigma_x", 16 ** 2, 16 * 17 // 2),  # no excitation-number symmetry: all d^2 entries
-    ], ids=["q0", "q0_and_pm1", "q0_s_and_a", "all_entries"])
+        (ground_state, "extra_jumps", 52, 34),  # jumps the package never builds: q = 0, s alone
+    ], ids=["q0", "q0_and_pm1", "q0_s_and_a", "all_entries", "q0_extra_jumps"])
     def test_generator_is_the_dense_transform(self, start, kind, entries, coordinates):
         cfg = SystemConfig(g_a=0.8, g_b=1.3, n_thermal=0.5, cutoff=3)
-        model = {"interaction": build_model, "sigma_x": lambda c: with_atom_a_sigma_x(build_model(c))}[kind](cfg)
+        model = {"interaction": build_model, "sigma_x": lambda c: with_atom_a_sigma_x(build_model(c)),
+                 "extra_jumps": lambda c: with_extra_jumps(build_model(c))}[kind](cfg)
         rows, cols = _evolved_entries(model, start(cfg))
         generator = SectorBlocks.of(model, rows, cols, start(cfg))
         assert (len(rows), len(generator.block)) == (entries, coordinates)
@@ -845,11 +867,11 @@ class TestRealFrame:
         with pytest.raises(ValueError, match=message):
             steady_state(model)
 
-    @pytest.mark.parametrize("case", ["unequal_g", "phased_start"])
+    @pytest.mark.parametrize("case", ["unequal_g", "phased_start", "extra_jumps"])
     def test_evolve_matches_the_stepwise_oracle(self, case):
         cfg = SystemConfig(g_a=0.8, g_b=1.3, n_thermal=1.2, kappa=1.5, cutoff=4)
-        model = build_model(cfg)
-        rho0 = phased_start(cfg) if case == "phased_start" else ground_state(cfg)
+        model = with_extra_jumps(build_model(cfg)) if case == "extra_jumps" else build_model(cfg)
+        rho0 = ground_state(cfg) if case == "unequal_g" else phased_start(cfg)
         times = [0.0, 0.25, 0.25, 1.3]
         traj = evolve(model, rho0, IntegratorSettings(), record_times=times)
         for state, expected in zip(traj.states, stepwise_evolve(model, rho0, 0.002, times)):
@@ -864,10 +886,11 @@ class TestRealFrame:
         with pytest.raises(ValueError, match="outside the sectors evolved"):
             evolve(generator, phased_start(cfg), IntegratorSettings(dt=0.01, t_max=0.1))
 
-    @pytest.mark.parametrize("case", ["interaction", "cavity"])
+    @pytest.mark.parametrize("case", ["interaction", "cavity", "extra_jumps"])
     def test_pooled_spectrum_is_the_dense_spectrum(self, case, monkeypatch):
         cfg = SystemConfig(g_a=0.8, g_b=1.3, n_thermal=0.5, cutoff=3)
-        model = {"interaction": build_model, "cavity": build_cavity_model}[case](cfg)
+        model = {"interaction": build_model, "cavity": build_cavity_model,
+                 "extra_jumps": lambda c: with_extra_jumps(build_model(c))}[case](cfg)
         spectra, svd = [], np.linalg.svd
 
         def recording_svd(a, **kwargs):
