@@ -24,24 +24,19 @@ a model without the symmetry evolves all d^2 entries, at the cost of a
 d^2 x d^2 block. Those entries x hold conj(rho[i, j]) = rho[j, i] at
 x[mirror] for each rho[i, j], so `evolve` steps real coordinates: s, one per
 pair i <= j, and a, one per pair i < j, read back by index gathers as
-x = phase (s +- i a), the sign + for i < j and - for i > j (s alone on the
-diagonal), so every state is exactly Hermitian.
+x = s +- i a, the sign + for i < j and - for i > j (s alone on the diagonal),
+so every state is exactly Hermitian.
 
-The phase comes from the frame rho' = D rho D^dag with D = diag(i^n), n the
-photon number (the index of the layout's last factor): phase = i^-(n_i - n_j).
-The exchange Hamiltonian changes n by one, so D H D^dag is imaginary, and each
-jump (a, a^dag, sigma_-) becomes a unit phase times a real matrix, for any
-couplings and rates: the Liouvillian is a real map there, the one coordinate
-system (`_require_real_frame` checks it exactly per model and refuses a model
-without it, such as a free sigma_z term or a jump a + sigma_-). It also keeps
-rho' Hermitian, so it maps the real symmetric part s and the imaginary
-antisymmetric part a of rho' each to itself: they are separate sectors, and a
-real start such as |g,g,0> has no a. From |g,g,0> `evolve` then steps s
-alone, 54 coordinates for the 84 entries at cutoff 5 (104 for 164 at cutoff
-10). The generator G of the coordinates is gathered from the rows and columns
-of the complex block B
-(`SectorBlocks.with_model`), and the evaluator `make_rhs` is one product
-with G.
+The model's Hamiltonian is imaginary and each jump real or imaginary (the
+phase convention of `model.build_interaction_hamiltonian`), so the Liouvillian
+is a real map as written; `_require_real_frame` checks this exactly per model
+and refuses a model without it, such as a textbook exchange g (sigma_+ a +
+h.c.). It maps the real symmetric part s and the imaginary antisymmetric part
+a of rho each to itself: separate sectors, and a real start such as |g,g,0>
+has no a, so `evolve` steps s alone, 54 coordinates for the 84 entries at
+cutoff 5 (104 for 164 at cutoff 10). The generator G of the coordinates is
+gathered from the rows and columns of the real block B
+(`SectorBlocks.with_model`), and the evaluator `make_rhs` is one product with G.
 For this linear equation an RK4 step of size h is the matrix S = p(hG),
 p(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, which `_step_map` builds by Horner's
 rule with three `make_rhs` products, once per distinct h in an evolution.
@@ -69,8 +64,8 @@ error estimator.
 
 `steady_state` solves on the s coordinates of the q = 0 sector, and checks
 uniqueness on the pooled singular values of s, a and every q > 0 block,
-building only the q >= 0 ones, each real in the frame. The residual it
-reports is the master equation evaluated on the full space.
+building only the q >= 0 ones, each real. The residual it reports is the
+master equation evaluated on the full space.
 `vectorize_superoperator` builds the whole matrix with the same code;
 tests check it against `lindblad_rhs`.
 """
@@ -176,13 +171,11 @@ class SectorBlocks:
     The entries x = rho[rows, cols] must form a sector the Liouvillian maps into
     itself, closed under transpose: rho[j, i] is x[mirror] for each rho[i, j].
     Their real coordinates are s, one per pair i <= j, and, when `antisymmetric`,
-    a, one per pair i < j, in that order, read back as
-    x = phase (s + i a) for i < j, phase (s - i a) for i > j and s on the
-    diagonal, with phase = i^-(n_i - n_j) for the photon numbers n of `layout`
-    (see the module docstring). `block` maps the coordinates c to dc/dt;
-    without a block the map alone is given, and `with_model` adds one.
-    `evolve` takes one in place of a `LindbladModel`, and evolves only its
-    coordinates; `make_rhs` evaluates it.
+    a, one per pair i < j, in that order, read back as x = s + i a for i < j,
+    s - i a for i > j and s on the diagonal (see the module docstring).
+    `block` maps the coordinates c to dc/dt; without a block the map alone is
+    given, and `with_model` adds one. `evolve` takes one in place of a
+    `LindbladModel`, and evolves only its coordinates; `make_rhs` evaluates it.
     """
 
     layout: SpaceLayout
@@ -191,14 +184,13 @@ class SectorBlocks:
     block: np.ndarray | None = None
     antisymmetric: bool = True
     mirror: np.ndarray = field(init=False)
-    phase: np.ndarray = field(init=False)  # per entry; a power of i, so a product with it is exact
     # the entry each coordinate belongs to: rho[i, j] with i <= j for s, then with i < j for a
     owners: np.ndarray = field(init=False)
     _upper: np.ndarray = field(init=False, repr=False)  # the entries rho[i, j] with i <= j
     _strict: np.ndarray = field(init=False, repr=False)  # ... and with i < j
-    # x = weights[0] c[sources[0]] + weights[1] c[sources[1]], where c[len(c)] reads 0: phase (s + i sign a)
+    # x = c[sources[0]] + isign c[sources[1]], where c[len(c)] reads 0 and isign = i sign(j - i): s + i sign a
     _sources: np.ndarray = field(init=False, repr=False)
-    _weights: np.ndarray = field(init=False, repr=False)
+    _isign: np.ndarray = field(init=False, repr=False)
     # the maps of `reduction`, keyed by the kept factors; `with_block` copies share it
     _reductions: dict = field(init=False, default_factory=dict, repr=False)
 
@@ -219,10 +211,9 @@ class SectorBlocks:
         pair[mirror[upper]] = pair[upper]
         if self.antisymmetric:
             anti[strict] = anti[mirror[strict]] = n_s + np.arange(len(strict))
-        phase = _phase(self.layout, rows, cols)
-        derived = dict(mirror=mirror, phase=phase, owners=np.concatenate([upper, strict])[:m],
+        derived = dict(mirror=mirror, owners=np.concatenate([upper, strict])[:m],
                        _upper=upper, _strict=strict, _sources=np.array([pair, anti]),
-                       _weights=np.array([phase, 1j * np.sign(cols - rows) * phase]))
+                       _isign=1j * np.sign(cols - rows))
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
@@ -231,36 +222,30 @@ class SectorBlocks:
            start: np.ndarray | None = None) -> SectorBlocks:
         """The generator of `model` on the coordinates of the entries rho[rows, cols].
 
-        Given a `start` (a d x d state), a is kept only if the start has one,
-        that is if conj(phase) start[rows, cols] has an imaginary part: s alone
-        from a real start such as |g,g,0>. Without a start, both.
+        Given a `start` (a d x d state) whose entries are real, such as
+        |g,g,0>, a is dropped: s alone. Otherwise both.
         """
-        antisymmetric = start is None or bool(
-            (_phase(model.layout, rows, cols).conj() * np.asarray(start)[rows, cols]).imag.any())
+        antisymmetric = start is None or bool(np.asarray(start)[rows, cols].imag.any())
         return cls(model.layout, rows, cols, antisymmetric=antisymmetric).with_model(model)
 
     def with_model(self, model: LindbladModel) -> SectorBlocks:
-        """The generator of `model` on the same coordinates, gathered from the complex block B of the entries.
+        """The generator of `model` on the same coordinates, gathered from the block B of the entries.
 
-        The row of each coordinate's entry is read in its phase:
-        Z = conj(phase) B phase, exact, and real, which `_require_real_frame`
-        checks first; an a row takes -i Z, so that every coordinate is the
-        real part of its row times x. A coordinate's column sums the columns
-        of its entry and the mirror, with the signs of +-i a.
+        B is real, which `_require_real_frame` checks first, so s and a are
+        separate sectors: each coordinate's row is the row of its entry, and
+        its column sums the columns of its entry and the mirror, with the
+        signs of +-i a.
         """
         _require_real_frame(model)
-        n_s, owners, upper, strict = len(self._upper), self.owners, self._upper, self._strict
-        row_phase = self.phase[owners].conj()
-        row_phase[n_s:] *= -1j
-        z = row_phase[:, None] * _superoperator_block(model, self.rows, self.cols, owners) * self.phase
-        lower = self.mirror[strict]
-        generator = np.empty((len(owners), len(owners)))
-        generator[:, :n_s] = z.real[:, upper]
+        n_s, upper, strict, lower = len(self._upper), self._upper, self._strict, self.mirror[self._strict]
+        b = _superoperator_block(model, self.rows, self.cols, self.owners).real
+        generator = np.zeros((len(self.owners),) * 2)
+        generator[:n_s, :n_s] = b[:n_s, upper]
         # a sum past the largest float leaves inf or NaN, which `steady_state` and the drift gate reject
         with np.errstate(over="ignore", invalid="ignore"):
-            generator[:, np.searchsorted(upper, strict)] += z.real[:, lower]
+            generator[:n_s, np.searchsorted(upper, strict)] += b[:n_s, lower]
             if self.antisymmetric:
-                generator[:, n_s:] = z.imag[:, lower] - z.imag[:, strict]
+                generator[n_s:, n_s:] = b[n_s:, strict] - b[n_s:, lower]
         return self.with_block(generator)
 
     def with_block(self, block: np.ndarray) -> SectorBlocks:
@@ -278,19 +263,18 @@ class SectorBlocks:
         return self.layout.dim
 
     def entries(self, c: np.ndarray) -> np.ndarray:
-        """The entries x = phase (s +- i a) of the real coordinates c, exactly Hermitian.
+        """The entries x = s +- i a of the real coordinates c, exactly Hermitian.
 
-        Every weight is 0, a power of i or i times one, so each product and the
-        sum are exact; adding 0.0 makes a -0.0 part a 0.0, so an exact 0 prints as 0.
+        Each product and sum is exact; adding 0.0 makes a -0.0 part a 0.0, so an exact 0 prints as 0.
         """
-        return (self._weights * np.append(c, 0.0)[self._sources]).sum(axis=0) + 0.0
+        s, a = np.append(c, 0.0)[self._sources]
+        return s + self._isign * a + 0.0
 
     def coordinates(self, x: np.ndarray) -> np.ndarray | None:
         """The coordinates of the Hermitian part (x + conj(x[mirror])) / 2, or None if it has an a they do not hold."""
-        z = self.phase.conj() * x  # s + i sign a, exactly
         upper, strict = self._upper, self._strict
-        s = 0.5 * (z.real[upper] + z.real[self.mirror[upper]])
-        a = 0.5 * (z.imag[strict] - z.imag[self.mirror[strict]])
+        s = 0.5 * (x.real[upper] + x.real[self.mirror[upper]])
+        a = 0.5 * (x.imag[strict] - x.imag[self.mirror[strict]])
         if not self.antisymmetric:
             return None if a.any() else s + 0.0  # + 0.0 makes a -0.0 a 0.0
         return np.concatenate([s, a]) + 0.0
@@ -542,34 +526,19 @@ def _coherence_sectors(model: LindbladModel) -> list[tuple[int, np.ndarray, np.n
     return [(q, rows[order == q], cols[order == q]) for q in sorted(set(order.tolist()), key=abs)]
 
 
-def _phase(layout: SpaceLayout, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The phase i^-(n_i - n_j) of each entry rho[rows, cols] in the real frame D = diag(i^n).
-
-    n is the photon number, the index of the layout's last factor (the cavity).
-    Each phase is a power of i: a product with it only swaps and negates
-    parts, so it is exact.
-    """
-    n = np.indices(layout.factor_dims)[-1].reshape(-1)
-    return np.array([1.0, 1.0j, -1.0, -1.0j])[(n[cols] - n[rows]) % 4]
-
-
 def _require_real_frame(model: LindbladModel) -> None:
-    """Raise ValueError unless the Liouvillian of `model` is real in the frame D = diag(i^n), n the photon number.
+    """Raise ValueError unless the Liouvillian of `model` is a real map as written.
 
-    The frame holds when D H D^dag is imaginary (-i D H D^dag real) and each
-    jump D L D^dag is real or imaginary, so that D J rho J^dag D^dag is real
-    for a real rho. Powers of i multiply exactly, so the check is exact.
+    It is when H is imaginary (-iH real) and each jump with a nonzero rate is
+    real or imaginary, so that J rho J^dag is real for a real rho: the phase
+    convention of `model.build_interaction_hamiltonian`. The check is exact.
     """
-    index = np.arange(model.dim)
-    rotate = _phase(model.layout, index, index[:, None])  # i^(n_i - n_j) at [i, j]: rotate * op is D op D^dag
-    if (rotate * model.hamiltonian).real.any():
-        raise ValueError("the Hamiltonian is not imaginary in the frame D = diag(i^n), n the photon number, "
-                         "so the Liouvillian is not real there")
+    if model.hamiltonian.real.any():
+        raise ValueError("the Hamiltonian is not imaginary, so the Liouvillian is not real; write the exchange "
+                         "in the convention of model.build_interaction_hamiltonian, i g (sigma_- a^dag - h.c.)")
     for k, (rate, lop) in enumerate(model.collapse_terms):
-        rotated = rotate * lop
-        if rate != 0 and rotated.real.any() and rotated.imag.any():
-            raise ValueError(f"collapse operator {k} is neither real nor imaginary in the frame D = diag(i^n), "
-                             "n the photon number, so the Liouvillian is not real there")
+        if rate != 0 and lop.real.any() and lop.imag.any():
+            raise ValueError(f"collapse operator {k} is neither real nor imaginary, so the Liouvillian is not real")
 
 
 def _evolved_entries(model: LindbladModel, rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -597,7 +566,7 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     stationary coherence in any sector counts: the q = 0 sector is its s and a
     halves, each scaled by the coordinates' norms to keep the singular values,
     and each q > 0 spectrum counts twice, for the -q sector, which is not
-    built. A model without the real frame raises ValueError
+    built. A model whose Liouvillian is not real as written raises ValueError
     (`_require_real_frame`). The state solves L vec(rho) = 0 on the s half of
     the q = 0 sector, with its first row
     (entry rho[0, 0]) replaced by the trace functional. Degenerate stationary manifolds (extra null directions,
@@ -618,10 +587,7 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     norms = np.where(diagonal, 1.0, math.sqrt(2.0))
     scaled = populations.block * np.outer(norms, 1.0 / norms)
     blocks = [scaled[:n_s, :n_s], scaled[n_s:, n_s:]]
-    for _, r, c in coherences:
-        # conj(phase) B phase: B's singular values, and real in the frame
-        phase = _phase(model.layout, r, c)
-        blocks.append((phase.conj()[:, None] * _superoperator_block(model, r, c) * phase).real)
+    blocks += [_superoperator_block(model, r, c).real for _, r, c in coherences]
 
     svals = None
     if all(np.isfinite(block).all() for block in blocks):

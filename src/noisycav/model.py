@@ -4,7 +4,11 @@ Atoms and cavity are resonant, and the model is written in the interaction
 picture, where the free energies drop out and only the atom-cavity exchange
 survives:
 
-    H_I = sum_i g_i (|g>_i<e| a^dag + h.c.),   i in {a, b}.
+    H_I = i sum_i g_i (|g>_i<e| a^dag - h.c.),   i in {a, b},
+
+the textbook exchange sum_i g_i (|g>_i<e| a^dag + h.c.) in the phase
+convention U = diag(i^n) of the cavity mode, n the photon number, where the
+Liouvillian is a real map (see `build_interaction_hamiltonian`).
 
 Dissipation follows the rate-times-anticommutator convention
 
@@ -109,16 +113,21 @@ class LindbladModel:
 
 
 def build_interaction_hamiltonian(cfg: SystemConfig) -> np.ndarray:
-    """Resonant exchange Hamiltonian on the composite space.
+    """Resonant exchange Hamiltonian on the composite space: i (X - X^dag), X = sum_i g_i sigma_-^i a^dag.
 
-    Built as X + X^dag so the result is Hermitian exactly.
+    Exactly U (X + X^dag) U^dag for U = diag(i^n) = exp(i pi a^dag a / 2), n the
+    photon number: the textbook exchange in the phase convention where H is
+    imaginary and the Liouvillian real. The noise is phase-insensitive, so U
+    leaves the collapse terms, the reduced atom state and the photon
+    distribution unchanged; a textbook-convention start rho is passed as
+    U rho U^dag. Exactly Hermitian.
     """
     layout = cfg.layout
     adag = embed(dagger(annihilation(cfg.cutoff)), CAVITY, layout)
     lower_a = embed(sigma_minus(), ATOM_A, layout)
     lower_b = embed(sigma_minus(), ATOM_B, layout)
     x = (cfg.g_a * lower_a + cfg.g_b * lower_b) @ adag
-    return x + dagger(x)
+    return 1j * (x - dagger(x))
 
 
 def _channels(cfg: SystemConfig) -> list[tuple[int, float, np.ndarray]]:

@@ -15,8 +15,8 @@ sector from |g,g,0>, plus the q = +-1 sectors from a start with such a
 coherence): the real generator on them (see `dynamics.SectorBlocks`) is
 split into a Hamiltonian part and one unit-rate dissipator part per channel
 (`_RateComponents`), and each cell's generator is their rate-weighted sum,
-handed to `evolve` as `SectorBlocks`. Each part passes the real-frame check
-of `SectorBlocks.with_model` on its own, so every cell's sum is real too.
+handed to `evolve` as `SectorBlocks`. Each part passes the check of
+`SectorBlocks.with_model` that its Liouvillian is real, so every cell's is.
 
 The figure grids behind the CLI's --preset are the rows of `PRESETS`, each
 built by `preset_spec`.
@@ -171,8 +171,8 @@ class _RateComponents:
 
     where stack[0] is the Hamiltonian's (no collapse terms) and stack[1 + k]
     that of row k of `_channels` at unit rate with H = 0: cavity loss,
-    thermal pumping, and the emission of each atom. Every part is checked for
-    the real frame on its own.
+    thermal pumping, and the emission of each atom. Every part is checked on
+    its own for a real Liouvillian.
     """
 
     generator: SectorBlocks  # the coordinates, and their maps, that every cell shares

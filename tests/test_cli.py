@@ -370,7 +370,7 @@ class TestSteadyCommand:
         assert float(fields["liouvillian_residual"]) <= 1e-8
 
     def test_steady_atoms_have_exact_zero_imaginary_parts(self, tmp_path):
-        # in the real frame every entry of equal photon number is real, and the atoms' state sums only those
+        # the state is solved on the real s coordinates, with no a, so every entry is real, the atoms' too
         out = tmp_path / "s.csv"
         assert main(["steady", "--out", str(out), "--cutoff", "10", "--set", "n_thermal=0.5"]) == 0
         fields = dict(line.split(",") for line in out.read_text().splitlines()[1:])

@@ -94,32 +94,20 @@ def dense_steady_state(model, liouv):
     return 0.5 * (rho + rho.conj().T)
 
 
-# i^r for r = 0, 1, 2, 3, exactly
-I_POWERS = (1.0, 1.0j, -1.0, -1.0j)
-
-
-def dense_coordinate_map(rows, cols, frame, antisymmetric=True):
+def dense_coordinate_map(rows, cols, antisymmetric=True):
     """U with x = U c for the real coordinates c of the entries x = rho[rows, cols], written as a dense matrix.
 
     c is s, one coordinate per pair i <= j, then (if `antisymmetric`) a, one per
     pair i < j, each pair in the order of its entry rho[i, j] with i <= j. The
-    entry rho[i, j] reads phase (s + i a) for i < j, phase (s - i a) for i > j and s
-    on the diagonal, with phase = i^-(e_i - e_j) for the exponents e of `frame`,
-    the photon numbers (`photon_numbers`).
+    entry rho[i, j] reads s + i a for i < j, s - i a for i > j and s on the diagonal.
     """
     index = {(i, j): k for k, (i, j) in enumerate(zip(rows, cols))}
     upper = [(i, j) for i, j in zip(rows, cols) if i <= j]
     pairs = [(i, j, 1.0) for i, j in upper] + [(i, j, 1.0j) for i, j in upper if i < j and antisymmetric]
     u = np.zeros((len(rows), len(pairs)), dtype=complex)
     for p, (i, j, weight) in enumerate(pairs):
-        for a, b, w in ((i, j, weight), (j, i, np.conj(weight))):
-            u[index[a, b], p] = I_POWERS[(frame[b] - frame[a]) % 4] * w
+        u[index[i, j], p], u[index[j, i], p] = weight, np.conj(weight)
     return u
-
-
-def photon_numbers(layout):
-    """The exponents of the real frame D = diag(i^n): the cavity's photon number, the last factor's index."""
-    return np.indices(layout.factor_dims)[-1].reshape(-1)
 
 
 def dense_real_generator(block, u):
@@ -273,7 +261,7 @@ class TestLindbladRHS:
         with pytest.raises(ValueError):
             lindblad_rhs(model, np.eye(4, dtype=complex))
 
-    # the lab model has no real frame, so no `SectorBlocks`: `TestRealFrame` checks that it is refused
+    # the lab model's Liouvillian is not real, so no `SectorBlocks`: `TestRealFrame` checks that it is refused
     @pytest.mark.parametrize("case", sorted(set(GENERATOR_CASES) - {"lab_off_resonance"}))
     def test_compiled_evaluator_matches(self, case, rng):
         # each sector alone as `SectorBlocks`, and all d^2 entries as the
@@ -289,11 +277,11 @@ class TestLindbladRHS:
                  for q in by_order if q > 0]
         cases.append(SectorBlocks.of(model, *by_order[0]))
         rows, cols = entries % d, entries // d
-        u = dense_coordinate_map(rows, cols, photon_numbers(model.layout))
+        u = dense_coordinate_map(rows, cols)
         cases.append(SectorBlocks(model.layout, rows, cols, dense_real_generator(vectorize_superoperator(model), u)))
         for generator in cases:
             rows, cols = generator.rows, generator.cols
-            u = dense_coordinate_map(rows, cols, photon_numbers(model.layout))
+            u = dense_coordinate_map(rows, cols)
             fast = make_rhs(generator)
             for _ in range(3):
                 rho = random_trace_one_hermitian(rng, d)
@@ -569,11 +557,10 @@ def with_atom_a_sigma_x(model, rate=0.3):
 
 
 def with_extra_jumps(model):
-    """The model plus collapse terms the package never builds, each real in the frame D = diag(i^n).
+    """The model plus collapse terms the package never builds, each real, so the Liouvillian stays real.
 
-    Dephasing of atom a, pumping of atom b and two-photon loss, whose entries
-    take the phase i^2 = -1 there; each changes N by a fixed amount, so the q
-    grading holds.
+    Dephasing of atom a, pumping of atom b and two-photon loss; each changes N
+    by a fixed amount, so the q grading holds.
     """
     sigma_z = np.diag([1.0, -1.0]).astype(complex)
     a = annihilation(model.layout.factor_dims[CAVITY] - 1)
@@ -758,9 +745,9 @@ class TestSectorEvolve:
 
 
 def phased_start(cfg):
-    """(|g,g,1> + |e,g,0>)/sqrt(2): a real state whose coherence is imaginary in the real frame, so it has an a part."""
+    """(|g,g,1> + i|e,g,0>)/sqrt(2): a q = 0 state whose coherence is imaginary, so it has an a part."""
     n = cfg.cutoff + 1
-    ket = (basis_state(cfg.layout.dim, 1) + basis_state(cfg.layout.dim, 2 * n)) / np.sqrt(2.0)
+    ket = (basis_state(cfg.layout.dim, 1) + 1j * basis_state(cfg.layout.dim, 2 * n)) / np.sqrt(2.0)
     return np.outer(ket, ket.conj())
 
 
@@ -781,25 +768,38 @@ class TestRealCoordinates:
         rows, cols = _evolved_entries(model, start(cfg))
         generator = SectorBlocks.of(model, rows, cols, start(cfg))
         assert (len(rows), len(generator.block)) == (entries, coordinates)
-        u = dense_coordinate_map(rows, cols, photon_numbers(model.layout), antisymmetric=coordinates == entries)
+        u = dense_coordinate_map(rows, cols, antisymmetric=coordinates == entries)
         expected = dense_real_generator(_superoperator_block(model, rows, cols), u)
         assert np.abs(generator.block - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
-def with_loss_plus_emission_jump(model, cfg, rate=0.4):
-    """The model plus the collapse term a + sigma_minus on atom a.
+def with_loss_plus_emission_jump(model, cfg, phase=1.0, rate=0.4):
+    """The model plus the collapse term a + phase sigma_minus on atom a.
 
-    It lowers N by one, so the q grading holds, but in the real frame its
-    two parts are imaginary and real, so the frame fails.
+    It lowers N by one, so the q grading holds. With a real phase the jump is
+    real and the Liouvillian stays real; with phase i it is complex, and the
+    Liouvillian is not real.
     """
-    jump = embed(annihilation(cfg.cutoff), CAVITY, model.layout) + embed(sigma_minus(), ATOM_A, model.layout)
+    jump = embed(annihilation(cfg.cutoff), CAVITY, model.layout) + phase * embed(sigma_minus(), ATOM_A, model.layout)
     return LindbladModel(model.hamiltonian, model.collapse_terms + ((rate, jump),), model.layout)
 
 
-# models that keep the q grading but are not real in the frame D = diag(i^n), and the operator that breaks it
-FRAMELESS_CASES = {
-    "lab": (lambda cfg: lab_model(cfg, 1.3, 0.9), "the Hamiltonian"),
-    "loss_plus_emission": (lambda cfg: with_loss_plus_emission_jump(build_model(cfg), cfg), "collapse operator 4"),
+def with_textbook_exchange(model, cfg):
+    """The model with the textbook exchange sum_i g_i (sigma_-^i a^dag + h.c.), a real Hamiltonian."""
+    adag = embed(annihilation(cfg.cutoff), CAVITY, model.layout).T
+    lower = [embed(sigma_minus(), atom, model.layout) for atom in (ATOM_A, ATOM_B)]
+    x = (cfg.g_a * lower[0] + cfg.g_b * lower[1]) @ adag
+    return LindbladModel(x + x.conj().T, model.collapse_terms, model.layout)
+
+
+# models that keep the q grading but whose Liouvillian is not real, the operator that breaks it and the
+# message's advice
+UNREAL_CASES = {
+    "lab": (lambda cfg: lab_model(cfg, 1.3, 0.9), "the Hamiltonian", ""),
+    "textbook_exchange": (lambda cfg: with_textbook_exchange(build_model(cfg), cfg), "the Hamiltonian",
+                          r".*convention of model\.build_interaction_hamiltonian"),
+    "complex_jump": (lambda cfg: with_loss_plus_emission_jump(build_model(cfg), cfg, phase=1j),
+                     "collapse operator 4", ""),
 }
 
 # couplings and rates over the CLI's whole domain: finite, the rates nonnegative, up to 1e300
@@ -808,13 +808,13 @@ RATES = st.floats(0.0, 1e300, allow_nan=False)
 
 
 class TestRealFrame:
-    """D = diag(i^n) makes the Liouvillian real for every model the package builds; other models are refused."""
+    """The Liouvillian is real as written for every model the package builds; other models are refused."""
 
     @given(st.floats(0.1, 2.0), st.floats(0.1, 2.0), st.floats(0.1, 3.0), st.integers(1, 6), st.booleans())
     @settings(max_examples=25, deadline=None)
     def test_frame_is_detected_and_exact(self, g_a, g_b, kappa, cutoff, cavity_only):
         # B U == U G exactly, for U the dense map of the coordinates: every product with U is a
-        # product with a power of i, and the two columns of a pair are added in the same order
+        # product with 1 or +-i, and the two columns of a pair are added in the same order
         assume(g_a != g_b)
         cfg = SystemConfig(g_a=g_a, g_b=g_b, kappa=kappa, gamma=0.0, n_thermal=0.0, cutoff=cutoff)
         model = build_cavity_model(cfg) if cavity_only else build_model(cfg)
@@ -823,7 +823,7 @@ class TestRealFrame:
         starts = [None] if cavity_only else [None, ground_state(cfg)]
         for start in starts:
             generator = SectorBlocks.of(model, rows, cols, start)
-            u = dense_coordinate_map(rows, cols, photon_numbers(model.layout), antisymmetric=start is None)
+            u = dense_coordinate_map(rows, cols, antisymmetric=start is None)
             block = _superoperator_block(model, rows, cols)
             assert np.array_equal(block @ u, u @ generator.block)
             if start is None:  # s and a are separate sectors
@@ -853,13 +853,13 @@ class TestRealFrame:
             _RateComponents.build(cfg, ground_state(cfg))
         assert len(checked) == 1 + len(_channels(cfg))  # the Hamiltonian, then each channel at unit rate
 
-    @pytest.mark.parametrize("case", sorted(FRAMELESS_CASES))
+    @pytest.mark.parametrize("case", sorted(UNREAL_CASES))
     def test_models_without_the_frame_are_refused(self, case):
         cfg = SystemConfig(g_a=0.8, g_b=1.3, n_thermal=0.5, cutoff=3)
-        builder, culprit = FRAMELESS_CASES[case]
+        builder, culprit, advice = UNREAL_CASES[case]
         model = builder(cfg)
-        assert len(_coherence_sectors(model)) > 1  # the q grading holds: it is the frame that fails
-        message = rf"^{culprit} is .* in the frame D = diag\(i\^n\), n the photon number"
+        assert len(_coherence_sectors(model)) > 1  # the q grading holds: it is the real Liouvillian that fails
+        message = rf"^{culprit} is .*, so the Liouvillian is not real{advice}"
         with pytest.raises(ValueError, match=message):
             _require_real_frame(model)
         with pytest.raises(ValueError, match=message):
@@ -867,10 +867,14 @@ class TestRealFrame:
         with pytest.raises(ValueError, match=message):
             steady_state(model)
 
-    @pytest.mark.parametrize("case", ["unequal_g", "phased_start", "extra_jumps"])
+    @pytest.mark.parametrize("case", ["unequal_g", "phased_start", "extra_jumps", "loss_plus_emission"])
     def test_evolve_matches_the_stepwise_oracle(self, case):
         cfg = SystemConfig(g_a=0.8, g_b=1.3, n_thermal=1.2, kappa=1.5, cutoff=4)
-        model = with_extra_jumps(build_model(cfg)) if case == "extra_jumps" else build_model(cfg)
+        model = build_model(cfg)
+        if case == "extra_jumps":
+            model = with_extra_jumps(model)
+        if case == "loss_plus_emission":  # a real jump, accepted though it mixes the cavity and an atom
+            model = with_loss_plus_emission_jump(model, cfg)
         rho0 = ground_state(cfg) if case == "unequal_g" else phased_start(cfg)
         times = [0.0, 0.25, 0.25, 1.3]
         traj = evolve(model, rho0, IntegratorSettings(), record_times=times)
@@ -905,7 +909,7 @@ class TestRealFrame:
         assert np.abs(pooled - full).max() <= 1e-13 * full.max()
 
     def test_recorded_reduced_states_are_exactly_real(self):
-        # from |g,g,0> the atoms' entries are entries of equal photon number, whose phase is 1
+        # from |g,g,0> no entry has an imaginary part: the Liouvillian is real, and the start has no a
         cfg = SystemConfig(g_a=0.8, g_b=1.3, n_thermal=1.8, cutoff=4)
         traj = evolve(build_model(cfg), ground_state(cfg), IntegratorSettings(t_max=2.0),
                       reduce_to=(ATOM_A, ATOM_B))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisycav.dynamics import IntegratorSettings, evolve
 from noisycav.entanglement import concurrence
@@ -26,6 +28,7 @@ from noisycav.qops import (
     excited_projector,
     number_operator,
     partial_trace,
+    sigma_minus,
     sigma_plus,
 )
 
@@ -73,17 +76,31 @@ class TestInteractionHamiltonian:
         cfg = SystemConfig(g_a=0.7, g_b=1.3)
         h = build_interaction_hamiltonian(cfg)
         out = h @ composite_ket(cfg, 1, 0, 0)  # |e,g,0>
-        expected = cfg.g_a * composite_ket(cfg, 0, 0, 1)  # g_a |g,g,1>
+        expected = 1j * cfg.g_a * composite_ket(cfg, 0, 0, 1)  # i g_a |g,g,1>
         assert np.abs(out - expected).max() < 1e-15
 
     def test_symmetric_mode_coupling_strength(self):
-        # with g_a=g_b=1 the one-photon state couples to the symmetric
-        # atomic excitation with the collective strength sqrt(2)
+        # with g_a=g_b=1 the symmetric atomic excitation couples to the
+        # one-photon state with the collective strength sqrt(2), phase i
         cfg = SystemConfig()
         h = build_interaction_hamiltonian(cfg)
         sym = (composite_ket(cfg, 1, 0, 0) + composite_ket(cfg, 0, 1, 0)) / np.sqrt(2)
-        amp = sym.conj() @ (h @ composite_ket(cfg, 0, 0, 1))
-        assert abs(amp - np.sqrt(2.0)) < 1e-14
+        amp = composite_ket(cfg, 0, 0, 1).conj() @ (h @ sym)
+        assert abs(amp - 1j * np.sqrt(2.0)) < 1e-14
+
+    @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.integers(1, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_is_the_textbook_exchange_in_the_photon_phase_convention(self, g_a, g_b, cutoff):
+        # exactly D H_textbook D^dag with D = diag(i^n), n the photon number, and
+        # H_textbook = sum_i g_i (sigma_-^i a^dag + sigma_+^i a)
+        cfg = SystemConfig(g_a=g_a, g_b=g_b, cutoff=cutoff)
+        layout = cfg.layout
+        a = embed(annihilation(cutoff), CAVITY, layout)
+        textbook = sum(g * (embed(sigma_minus(), atom, layout) @ a.conj().T + embed(sigma_plus(), atom, layout) @ a)
+                       for g, atom in ((g_a, ATOM_A), (g_b, ATOM_B)))
+        photons = np.indices(layout.factor_dims)[CAVITY].reshape(-1)
+        d = np.diag(np.array([1.0, 1.0j, -1.0, -1.0j])[photons % 4])
+        assert np.array_equal(build_interaction_hamiltonian(cfg), d @ textbook @ d.conj().T)
 
     def test_hermitian_exactly(self):
         h = build_interaction_hamiltonian(SystemConfig(g_a=0.3, g_b=2.1))
@@ -173,7 +190,7 @@ class TestBuildModel:
     def test_frames_agree_on_reduced_atom_dynamics(self):
         # on resonance the frames differ by local diagonal unitaries, so the
         # concurrence series and the reduced populations must coincide
-        # the lab model has no real photon-number frame, so `evolve` refuses it; its side is the
+        # the lab model's Hamiltonian is not imaginary, so `evolve` refuses it; its side is the
         # tests' own RK4 on the complex entries, traced down to the atoms
         cfg = SystemConfig(n_thermal=0.5)
         settings = IntegratorSettings(dt=0.002, t_max=1.5, record_stride=125)
@@ -229,7 +246,7 @@ class TestCollectiveModes:
         cfg = SystemConfig(g_a=0.6, g_b=1.7)
         sig_a, _ = collective_mode_operators(cfg)
         a_emb = embed(annihilation(cfg.cutoff), CAVITY, cfg.layout)
-        h = cfg.coupling * (dagger(sig_a) @ dagger(a_emb) + sig_a @ a_emb)
+        h = 1j * cfg.coupling * (dagger(sig_a) @ dagger(a_emb) - sig_a @ a_emb)
         assert np.abs(h - build_interaction_hamiltonian(cfg)).max() < 1e-13
 
     def test_transformation_preserves_excitation_number(self):
