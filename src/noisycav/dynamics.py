@@ -40,17 +40,28 @@ gathered from the rows and columns of the real block B
 For this linear equation an RK4 step of size h is the matrix S = p(hG),
 p(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, which `_step_map` builds by Horner's
 rule with three `make_rhs` products, once per distinct h in an evolution.
-In place of a model, `evolve` also takes `SectorBlocks` built elsewhere: a
-sweep builds its generator once and re-weights it per cell (see `sweep`).
+In place of a model, `evolve` also takes `SectorBlocks` built elsewhere,
+also a stack of K generators on the same coordinates, a block of shape
+(K, m, m): a sweep builds its generator once, re-weights it per cell and
+evolves a few cells at a time as one stack (see `sweep`). The stack is the
+leading axis of every array of the evolution, and each generator's slice
+goes through the same BLAS and LAPACK calls as it would alone, so a stack
+gives each generator bit for bit what it gives alone.
 A record span of n steps of size h is n products with S, taken as one
 product with S^(2^k) for each set bit k of n. The powers S, S^2, S^4, ... are
-squared as first needed and kept per h for the whole evolution, so a span
-costs at most log2(n) + 1 matrix-vector products once its powers exist, and
-only recorded states are formed. Each record's entries x pass the drift gate
-first: the trace drift max(|tr rho - 1|, max |rho_ij| - 1) must be within the
-tolerance, a NaN failing, and the earliest failing record raises. Its entries
-are then scattered into a d x d matrix once, for its trace and its smallest
-eigenvalue, which must pass the positivity gate; the matrix is exactly
+squared as first needed and kept per h for the whole evolution (for a stack,
+one stack of powers), so a span costs at most log2(n) + 1 matrix-vector
+products once its powers exist, and only recorded states are formed. Each
+record's entries x pass the drift gate first: the trace drift
+max(|tr rho - 1|, max |rho_ij| - 1) must be within the tolerance, a NaN
+failing. The entries of the generators that pass are then scattered into
+d x d matrices, whose trace and smallest eigenvalue `qops.hermitian_defects`
+gives for the whole stack at once, from one batched `eigvalsh`; the smallest
+eigenvalue must pass the positivity gate. A generator that failed a gate is
+stepped on, NaN or not, but never reaches the eigensolver again. The error
+raised is the earliest failure of the first failing generator in stack
+order, which names its record time and whose `index` is that generator's
+position; a failure of the first generator raises at once. Each matrix is exactly
 Hermitian, so no Hermiticity check or Hermitian part is needed. The reduced
 state and the observables are fixed linear maps of x, read off all records
 by one matrix product per map: `SectorBlocks.reduction`, built once per
@@ -96,7 +107,12 @@ MAX_STEPS = 10**7
 
 
 class IntegratorError(RuntimeError):
-    """Base class for aborted time evolutions."""
+    """Base class for aborted time evolutions.
+
+    `index` is the position of the failing generator in the stack `evolve` was given, 0 for a single one.
+    """
+
+    index = 0
 
 
 class TraceDriftError(IntegratorError):
@@ -174,8 +190,10 @@ class SectorBlocks:
     a, one per pair i < j, in that order, read back as x = s + i a for i < j,
     s - i a for i > j and s on the diagonal (see the module docstring).
     `block` maps the coordinates c to dc/dt; without a block the map alone is
-    given, and `with_model` adds one. `evolve` takes one in place of a
-    `LindbladModel`, and evolves only its coordinates; `make_rhs` evaluates it.
+    given, and `with_model` adds one. A block of shape (K, m, m) is a stack of
+    K generators on the same coordinates, which `evolve` steps together.
+    `evolve` takes one in place of a `LindbladModel`, and evolves only its
+    coordinates; `make_rhs` evaluates it.
     """
 
     layout: SpaceLayout
@@ -203,8 +221,6 @@ class SectorBlocks:
             raise ValueError("the entries are not closed under transpose")
         upper, strict = np.flatnonzero(rows <= cols), np.flatnonzero(rows < cols)
         n_s, m = len(upper), len(upper) + self.antisymmetric * len(strict)
-        if self.block is not None and self.block.shape != (m, m):
-            raise ValueError(f"block shape {self.block.shape} does not match the {m} coordinates of the {n} entries")
         # s at `pair`, and a at `anti`, which is m, reading 0, where there is no a
         pair, anti = np.empty(n, dtype=int), np.full(n, m)
         pair[upper] = np.arange(n_s)
@@ -216,6 +232,8 @@ class SectorBlocks:
                        _isign=1j * np.sign(cols - rows))
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+        if self.block is not None:
+            self._require_block_shape(self.block)
 
     @classmethod
     def of(cls, model: LindbladModel, rows: np.ndarray, cols: np.ndarray,
@@ -250,24 +268,28 @@ class SectorBlocks:
 
     def with_block(self, block: np.ndarray) -> SectorBlocks:
         """The generator `block` on the same coordinates, sharing their maps rather than recomputing them."""
-        m = len(self.owners)
-        if block.shape != (m, m):
-            raise ValueError(f"block shape {block.shape} does not match the {m} coordinates "
-                             f"of the {len(self.rows)} entries")
+        self._require_block_shape(block)
         generator = copy.copy(self)
         object.__setattr__(generator, "block", block)
         return generator
+
+    def _require_block_shape(self, block: np.ndarray) -> None:
+        m = len(self.owners)
+        if block.ndim not in (2, 3) or block.shape[-2:] != (m, m):
+            raise ValueError(f"block shape {block.shape} does not match the {m} coordinates "
+                             f"of the {len(self.rows)} entries")
 
     @property
     def dim(self) -> int:
         return self.layout.dim
 
     def entries(self, c: np.ndarray) -> np.ndarray:
-        """The entries x = s +- i a of the real coordinates c, exactly Hermitian.
+        """The entries x = s +- i a of the real coordinates c (last axis), exactly Hermitian.
 
         Each product and sum is exact; adding 0.0 makes a -0.0 part a 0.0, so an exact 0 prints as 0.
         """
-        s, a = np.append(c, 0.0)[self._sources]
+        padded = np.concatenate([c, np.zeros(c.shape[:-1] + (1,))], axis=-1)
+        s, a = (np.take(padded, sources, axis=-1) for sources in self._sources)
         return s + self._isign * a + 0.0
 
     def coordinates(self, x: np.ndarray) -> np.ndarray | None:
@@ -342,12 +364,18 @@ def evolve(
     whose other entries stay exactly 0, in their s coordinates and the a ones
     if rho0 has an a part. Given `SectorBlocks`, their coordinates are
     propagated, and they must hold rho0: every nonzero entry, and its a half.
+    A stack of K generators (a block of shape (K, m, m)) is evolved from the
+    same rho0, checked once, and gives one `Trajectory` whose `times` are
+    those of every generator and whose other per-record values have a second
+    axis of length K, in stack order; a single generator's have none.
 
     The state is stepped in real coordinates (see the module docstring), from
     rho0's Hermitian part. Each record span of n equal steps is applied by
     binary powers of the step matrix, and only recorded states are formed.
-    Every recorded state passes the trace drift gate, then the positivity
-    gate; an error names the time of the earliest failing record.
+    Every recorded state passes the trace drift gate, then the
+    positivity gate; an error names the time of the earliest failing record
+    of the first failing generator in stack order, whose position is the
+    error's `index`.
     """
     assert_density_matrix(rho0)
     d = model.dim
@@ -370,6 +398,11 @@ def evolve(
     c = generator.coordinates(np.asarray(rho0, dtype=complex)[rows, cols])
     if c is None or np.count_nonzero(rho0) > np.count_nonzero(rho0[rows, cols]):
         raise ValueError("initial state has nonzero entries outside the sectors evolved")
+    stacked = generator.block.ndim == 3
+    if not stacked:  # a stack of one, unstacked at the end
+        generator = generator.with_block(generator.block[None])
+    n_gen = len(generator.block)
+    c = np.tile(c, (n_gen, 1))[..., None]  # c[k]: the coordinates of generator k, as a column
     diagonal = np.flatnonzero(rows == cols)
 
     observables = observables or {}
@@ -377,10 +410,12 @@ def evolve(
     # Re tr(op rho) = Re sum_j op[cols[j], rows[j]] x_j, as rho is 0 off the entries x
     expectations = np.array([op[cols, rows] for op in observables.values()]).reshape(len(observables), len(rows))
 
-    states: list[np.ndarray] = []
-    recorded = np.empty((len(record_times), len(rows)), dtype=complex)  # row i: the entries x at record i
-    trace_res: list[float] = []
-    min_eigs: list[float] = []
+    # [k, i]: generator k at record i; x holds the entries of each generator's record
+    recorded = np.empty((n_gen, len(record_times), len(rows)), dtype=complex)
+    trace_res = np.empty((n_gen, len(record_times)))
+    min_eigs = np.empty((n_gen, len(record_times)))
+    failures: dict[int, IntegratorError] = {}  # the earliest failure of each failed generator
+    failed = np.zeros(n_gen, dtype=bool)
 
     powers: dict[float, list[np.ndarray]] = {}  # [S, S^2, S^4, ...], keyed by the exact step size
     t_prev = 0.0
@@ -407,36 +442,53 @@ def evolve(
             t_prev = t_rec
 
         with np.errstate(over="ignore", invalid="ignore"):
-            x = generator.entries(c)
+            x = generator.entries(c[..., 0])
             # a lower bound on the trace-norm drift, as any density matrix has |rho_ij| <= 1;
-            # `np.maximum` keeps a NaN
-            drift = float(np.maximum(abs(x[diagonal].sum().real - 1.0), np.abs(x).max() - 1.0))
-        if not drift <= TOLERANCE:  # `not <=` so that a NaN drift fails the gate too
-            raise TraceDriftError(f"trace drift {drift:.3e} exceeds tolerance {TOLERANCE:.1e} "
-                                  f"at t={t_rec:.6g}; reduce dt")
-        recorded[i_rec] = x
-        rho = np.zeros((d, d), dtype=complex)
-        rho[rows, cols] = recorded[i_rec]
+            # `np.maximum` keeps a NaN, and `not <=` makes a NaN drift fail the gate. `take`
+            # keeps the rows contiguous, so each row sums in the same order whatever the stack
+            trace = np.abs(np.take(x, diagonal, axis=1).sum(axis=1).real - 1.0)
+            drift = np.maximum(trace, np.abs(x).max(axis=1) - 1.0)
+            drifted = ~(drift <= TOLERANCE) & ~failed
+        for k in np.flatnonzero(drifted).tolist():
+            failures[k] = TraceDriftError(f"trace drift {drift[k]:.3e} exceeds tolerance {TOLERANCE:.1e} "
+                                          f"at t={t_rec:.6g}; reduce dt")
+        failed |= drifted
+        gated = np.flatnonzero(~failed)  # finite, as they passed the drift gate
+        rho = np.zeros((len(gated), d, d), dtype=complex)
+        rho[:, rows, cols] = x[gated]
         residual, min_eig = hermitian_defects(rho)
-        if not min_eig >= -TOLERANCE:
-            raise PositivityLossError(
-                f"smallest eigenvalue {min_eig:.3e} at t={t_rec:.6g} violates the positivity gate"
-            )
-        if reduction is None:
-            states.append(rho)
-        trace_res.append(residual)
-        min_eigs.append(min_eig)
+        for k, value in zip(gated.tolist(), min_eig):
+            if not value >= -TOLERANCE:
+                failures[k] = PositivityLossError(
+                    f"smallest eigenvalue {value:.3e} at t={t_rec:.6g} violates the positivity gate"
+                )
+                failed[k] = True
+        if failed[0]:  # no later record changes which failure comes first
+            break
+        recorded[:, i_rec] = x
+        trace_res[gated, i_rec] = residual
+        min_eigs[gated, i_rec] = min_eig
+    if failures:
+        index = min(failures)
+        failures[index].index = index
+        raise failures[index]
 
     if reduction is not None:
         k = math.isqrt(len(reduction))
-        states = list((recorded @ reduction.T).reshape(-1, k, k))
+        states = (recorded @ reduction.T).reshape(n_gen, -1, k, k)
+    else:
+        states = np.zeros((n_gen, len(record_times), d, d), dtype=complex)
+        states[:, :, rows, cols] = recorded
     values = (recorded @ expectations.T).real
+    # record first: generator k's record i is [i][k] for a stack, [i] alone otherwise
+    states, values, trace_res, min_eigs = (np.swapaxes(a, 0, 1) if stacked else a[0]
+                                           for a in (states, values, trace_res, min_eigs))
     return Trajectory(
         times=np.array(record_times),
-        states=states,
-        observables={name: values[:, j] for j, name in enumerate(observables)},
-        trace_residuals=np.array(trace_res),
-        min_eigenvalues=np.array(min_eigs),
+        states=list(states),
+        observables={name: values[..., j] for j, name in enumerate(observables)},
+        trace_residuals=trace_res,
+        min_eigenvalues=min_eigs,
     )
 
 
@@ -446,17 +498,22 @@ def _step_map(generator: SectorBlocks, h: float) -> np.ndarray:
     For the linear autonomous equation dc/dt = Gc the four stages combine into
     S = p(hG) = I + hG(I + hG/2(I + hG/3(I + hG/4))), evaluated from the inside
     out: the innermost factor needs no product, the other three are one
-    `make_rhs` evaluation each.
+    `make_rhs` evaluation each. A stack of generators gives a stack of step
+    matrices; each factor is scaled and shifted in place, which gives the
+    same floats as I + (h/k) y.
     """
     rhs = make_rhs(generator)
-    eye = np.eye(len(generator.block))
+    eye = np.eye(generator.block.shape[-1])
     # a step too large for the rates overflows S to inf or NaN; stepping with it gives a
     # state that is not finite, which fails the drift gate
     with np.errstate(over="ignore", invalid="ignore"):
-        y = eye + (h / 4) * generator.block
-        y = eye + (h / 3) * rhs(y)
-        y = eye + (h / 2) * rhs(y)
-        return eye + h * rhs(y)
+        y = (h / 4) * generator.block
+        y += eye
+        for k in (3, 2, 1):
+            y = rhs(y)
+            y *= h / k
+            y += eye
+        return y
 
 
 def _superoperator_block(model: LindbladModel, rows: np.ndarray, cols: np.ndarray, out=None) -> np.ndarray:

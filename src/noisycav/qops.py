@@ -149,16 +149,17 @@ def density_matrix_defects(rho: np.ndarray) -> tuple[float, float, float]:
     The last two are those of its Hermitian part.
     """
     herm = float(np.abs(rho - rho.conj().T).max())
-    return (herm, *hermitian_defects(0.5 * (rho + rho.conj().T)))
+    return (herm, *map(float, hermitian_defects(0.5 * (rho + rho.conj().T))))
 
 
-def hermitian_defects(rho: np.ndarray) -> tuple[float, float]:
-    """(|trace - 1|, smallest eigenvalue) of a candidate state that is exactly Hermitian.
+def hermitian_defects(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(|trace - 1|, smallest eigenvalue) of a candidate state that is exactly Hermitian, or of each of a stack.
 
     `density_matrix_defects` without the Hermiticity defect, which is 0, and
-    without taking the Hermitian part, which is rho itself.
+    without taking the Hermitian part, which is rho itself. A stack of shape
+    (..., d, d) gives two arrays of shape (...).
     """
-    return float(abs(rho.trace() - 1.0)), float(np.linalg.eigvalsh(rho)[0])
+    return np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0), np.linalg.eigvalsh(rho)[..., 0]
 
 
 def assert_density_matrix(rho: np.ndarray) -> None:

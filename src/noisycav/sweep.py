@@ -5,8 +5,16 @@ A sweep evaluates the reduced two-atom concurrence (plus every
 two parameters. When one axis is time, each grid column comes from a single
 trajectory recorded at the requested times, as for the CLI's `evolve`;
 otherwise every cell is an independent evolution to the evaluation time.
-Cells are independent and may be computed by a process pool; results are
-keyed by grid coordinates, so the output does not depend on scheduling order.
+Trajectories are independent. Consecutive ones are dealt into stacks whose
+generators take at most `STACK_BYTES`, and each stack is one task, evolved
+by one `evolve` call: one start check, and batched matrix products per
+record span and one batched gate per record for the whole stack; then each
+trajectory's records are read off the stack by its own `_run_trajectory_task`
+call. The tasks may be
+computed by a process pool; results are keyed by grid coordinates, and a
+trajectory's records do not depend on its stack, so the output does not
+depend on stacking or scheduling. An integrator failure names the first
+failing cell of the first failing stack, which is the first in grid order.
 
 No sweepable parameter touches the Hamiltonian or a collapse operator, only
 the rates of `model._channels`, so the model is built once per sweep. A sweep
@@ -15,8 +23,9 @@ sector from |g,g,0>, plus the q = +-1 sectors from a start with such a
 coherence): the real generator on them (see `dynamics.SectorBlocks`) is
 split into a Hamiltonian part and one unit-rate dissipator part per channel
 (`_RateComponents`), and each cell's generator is their rate-weighted sum,
-handed to `evolve` as `SectorBlocks`. Each part passes the check of
-`SectorBlocks.with_model` that its Liouvillian is real, so every cell's is.
+a stack of them handed to `evolve` as `SectorBlocks`. Each part passes the
+check of `SectorBlocks.with_model` that its Liouvillian is real, so every
+cell's is.
 
 The figure grids behind the CLI's --preset are the rows of `PRESETS`, each
 built by `preset_spec`.
@@ -34,6 +43,7 @@ from .dynamics import (
     IntegratorError,
     IntegratorSettings,
     SectorBlocks,
+    Trajectory,
     _evolved_entries,
     evolve,
 )
@@ -51,6 +61,14 @@ from .model import (
 from .qops import assert_density_matrix, embed
 
 SWEEPABLE = ("n_thermal", "kappa", "gamma", "time")
+
+# Most bytes of the generators one task stacks: 4 cells of 54 coordinates (cutoff 5, from |g,g,0>),
+# one of 104 (cutoff 10). On the fig3 preset at cutoff 5, one BLAS thread, the benchmark's fig3_map read
+# 0.0306 s with stacks of 4 and 0.0330 s with stacks of 2 (0.037 s at one cell a task), though stacks of
+# 2 ran 5% faster in process. From 3 cells on, a stack-sized array takes 64 KiB or more, and freeing one
+# makes glibc's free() give the top of the heap back to the system, whose pages the next stack faults in
+# again: 4328 minor page faults per in-process pass with stacks of 4, 126 with stacks of 2.
+STACK_BYTES = 96 * 1024
 
 
 def bright_mode_half_period(cfg: SystemConfig) -> float:
@@ -189,52 +207,79 @@ class _RateComponents:
         units = [LindbladModel(zero, ((1.0, embed(op, slot, layout)),), layout) for slot, _, op in _channels(base)]
         return cls(generator, np.stack([generator.block] + [generator.with_model(unit).block for unit in units]))
 
-    def at(self, cfg: SystemConfig) -> SectorBlocks:
-        weights = np.array([1.0] + [rate for _, rate, _ in _channels(cfg)])
-        return self.generator.with_block(np.tensordot(weights, self.stack, axes=1))
+    def at(self, cfgs: list[SystemConfig]) -> SectorBlocks:
+        """The generators of `cfgs`, as one stack: a block of shape (len(cfgs), m, m).
+
+        Each is its own vector-matrix product of the weights with the parts,
+        batched, so a cell's generator does not depend on the stack it is in:
+        one matrix product over the stack would sum in another order.
+        """
+        weights = np.array([[1.0] + [rate for _, rate, _ in _channels(cfg)] for cfg in cfgs])
+        parts, m = len(self.stack), self.stack.shape[-1]
+        return self.generator.with_block((weights[:, None] @ self.stack.reshape(parts, m * m)).reshape(-1, m, m))
 
 
-def _run_trajectory_task(task):
-    """One trajectory, sampled at the requested times.
+def _run_stack_task(task):
+    """A stack of trajectories, one per config, each sampled at the requested times, evolved as one.
 
-    Returns one record per time: the `SweepCell` fields after the two axis
-    values, keyed by name, one `concurrence` call giving the first two.
-    Module-level so process pools can pickle it. Integrator failures are
-    re-raised with the offending cell coordinates prepended.
+    Returns the records of each trajectory in stack order (see
+    `_run_trajectory_task`). Module-level so process pools can pickle it. An
+    integrator failure is re-raised with the coordinates of the cell that
+    `evolve` names prepended: the first failing one of the stack.
     """
-    components, cfg, times, rho0, settings, observables, label = task
+    components, cfgs, times, rho0, settings, observables, labels = task
     try:
-        traj = evolve(components.at(cfg), rho0, settings, record_times=times, observables=observables,
-                      reduce_to=(ATOM_A, ATOM_B))
+        stack = evolve(components.at(cfgs), rho0, settings, record_times=times, observables=observables,
+                       reduce_to=(ATOM_A, ATOM_B))
     except IntegratorError as err:
-        raise type(err)(f"{label}: {err}") from None
+        raise type(err)(f"{labels[err.index]}: {err}") from None
+    return [_run_trajectory_task(stack, k) for k in range(len(cfgs))]
+
+
+def _run_trajectory_task(stack: Trajectory, k: int) -> list[dict[str, float]]:
+    """Trajectory k of a stack's evolution, one record per time.
+
+    A record is the `SweepCell` fields after the two axis values, keyed by
+    name, one `concurrence` call giving the first two. A sweep calls this once
+    per trajectory, whatever its stacks, so the benchmark's timed passes
+    (`benchmarks/speed.py`), cut at both ends of each call, have as many
+    intervals as the sweep has trajectories.
+    """
     return [
         {"concurrence": c.value, "margin": c.margin,
-         **{name: float(series[i]) for name, series in traj.observables.items()},
-         "trace_residual": float(traj.trace_residuals[i]), "min_eigenvalue": float(traj.min_eigenvalues[i])}
-        for i, c in enumerate(map(concurrence, traj.states))
+         **{name: float(series[i, k]) for name, series in stack.observables.items()},
+         "trace_residual": float(stack.trace_residuals[i, k]), "min_eigenvalue": float(stack.min_eigenvalues[i, k])}
+        for i, c in enumerate(concurrence(atoms[k]) for atoms in stack.states)
     ]
 
 
 def run_sweep(spec: SweepSpec, settings: IntegratorSettings, workers: int = 1) -> SweepResult:
-    """Evaluate the grid. `workers` > 1 distributes trajectories over at most that many processes."""
+    """Evaluate the grid, one task per stack of trajectories.
+
+    `workers` > 1 distributes the stacks over at most that many processes.
+    Which stack or process evolves a trajectory does not change its records.
+    """
     rho0 = spec.initial_density_matrix()
     a1, a2 = spec.axis1, spec.axis2
 
-    # Each task is one trajectory, one per combination of the non-time axis
-    # values, recorded along the time axis if there is one; `targets` maps its
-    # per-time records to cells.
+    # One trajectory per combination of the non-time axis values, recorded
+    # along the time axis if there is one; `targets` maps its per-time records
+    # to cells.
     axes = (a1,) if a2 is None else (a1, a2)
     times = spec.times
     pad = (0,) if a2 is None else ()  # a one-axis grid has a single column
     components = _RateComponents.build(spec.base, rho0)
     observables = standard_observables(spec.base)
-    tasks, targets = [], []  # targets: the (i, j) of each of a task's records
+    configs, labels, targets = [], [], []  # targets: the (i, j) of each of a trajectory's records
     for cell in product(*([None] if axis.parameter == "time" else range(len(axis)) for axis in axes)):
         fixed = {axis.parameter: axis.values[k] for axis, k in zip(axes, cell) if k is not None}
-        label = ", ".join(f"{name}={v:g}" for name, v in fixed.items()) or "time column"
-        tasks.append((components, replace(spec.base, **fixed), times, rho0, settings, observables, label))
+        configs.append(replace(spec.base, **fixed))
+        labels.append(", ".join(f"{name}={v:g}" for name, v in fixed.items()) or "time column")
         targets.append([tuple(r if k is None else k for k in cell) + pad for r in range(len(times))])
+    # each task is a stack of consecutive trajectories, whose generators take at most STACK_BYTES
+    size = max(1, STACK_BYTES // components.stack[0].nbytes)
+    tasks = [(components, configs[i:i + size], times, rho0, settings, observables, labels[i:i + size])
+             for i in range(0, len(configs), size)]
 
     workers = min(workers, len(tasks))  # the pool starts all its processes up front
     if workers > 1:
@@ -242,15 +287,15 @@ def run_sweep(spec: SweepSpec, settings: IntegratorSettings, workers: int = 1) -
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # one chunk per worker, pickled as one object: the shared components travel once per worker
-            results = list(pool.map(_run_trajectory_task, tasks, chunksize=math.ceil(len(tasks) / workers)))
+            results = list(pool.map(_run_stack_task, tasks, chunksize=math.ceil(len(tasks) / workers)))
     else:
-        results = [_run_trajectory_task(task) for task in tasks]
+        results = [_run_stack_task(task) for task in tasks]
 
     n1 = len(a1)
     n2 = len(a2) if a2 is not None else 1
     grid: list[list[SweepCell | None]] = [[None] * n2 for _ in range(n1)]
-    for task_targets, records in zip(targets, results):
-        for (i, j), rec in zip(task_targets, records):
+    for trajectory_targets, records in zip(targets, (trajectory for stack in results for trajectory in stack)):
+        for (i, j), rec in zip(trajectory_targets, records):
             grid[i][j] = SweepCell(a1.values[i], a2.values[j] if a2 is not None else None, **rec)
     return SweepResult(spec=spec, cells=grid)
 

@@ -14,9 +14,10 @@ from pathlib import Path
 
 import pytest
 
+import noisycav.sweep
 from noisycav.dynamics import IntegratorSettings
 from noisycav.model import SystemConfig
-from noisycav.sweep import SweepAxis, SweepSpec, run_sweep
+from noisycav.sweep import SweepAxis, SweepSpec, _RateComponents, run_sweep
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -36,7 +37,7 @@ def hooks(monkeypatch):
     return spans, speed
 
 
-def test_sweep_tasks_pass_through_the_hooks(hooks):
+def test_sweep_tasks_pass_through_the_hooks(hooks, monkeypatch):
     spans, speed = hooks
     spec = SweepSpec(
         base=SystemConfig(cutoff=1),
@@ -44,14 +45,17 @@ def test_sweep_tasks_pass_through_the_hooks(hooks):
         axis2=SweepAxis("kappa", (1.0, 2.0)),
         evaluation_time=0.02,
     )
+    # two cells per task, so the four cells are two stacks
+    one = _RateComponents.build(spec.base, spec.initial_density_matrix()).stack[0].nbytes
+    monkeypatch.setattr(noisycav.sweep, "STACK_BYTES", 2 * one)
     settings = IntegratorSettings(dt=0.01, t_max=1.0)
     tracer = spans.Tracer()
     with tracer.installed():
         run_sweep(spec, settings)
-    assert tracer.calls["sweep.task"] == 4
-    assert tracer.calls["dynamics.evolve"] == 4
+    assert tracer.calls["sweep.task"] == 4  # one per trajectory
+    assert tracer.calls["dynamics.evolve"] == 2  # one per stack
     # a factory the sweep bypasses would leave its per-layer metrics at 0
     assert all(tracer.calls[span] > 0 for span in spans.FACTORIES.values())
     with speed.segmented(kernel=lambda: 0.0) as segments:
         run_sweep(spec, settings)
-    assert len(segments.cuts) == 2 + 2 * 4  # the block's ends plus both ends of each task
+    assert len(segments.cuts) == 2 + 2 * 4  # the block's ends plus both ends of each trajectory's task

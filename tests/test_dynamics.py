@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -53,7 +54,8 @@ from noisycav.qops import (
     partial_trace,
     sigma_minus,
 )
-from noisycav.sweep import _RateComponents
+import noisycav.sweep
+from noisycav.sweep import SweepAxis, SweepSpec, _RateComponents, run_sweep
 
 from conftest import lab_model, random_density_matrix, random_trace_one_hermitian, stepwise_evolve, unvec, vec
 
@@ -1103,6 +1105,126 @@ class TestRecordGates:
         traj = evolve(build_model(cfg), start(cfg), IntegratorSettings(), record_times=[0.0, 0.3, 0.3, 1.7])
         for state in traj.states:
             assert np.array_equal(state, state.conj().T)
+
+
+# the models of a stack: symmetric, atom-asymmetric, and with collapse terms the package never builds
+STACK_MODELS = (
+    lambda: build_model(SystemConfig(n_thermal=0.5, cutoff=3)),
+    lambda: build_model(SystemConfig(g_a=0.6, g_b=1.4, n_thermal=0.8, cutoff=3)),
+    lambda: with_extra_jumps(build_model(SystemConfig(n_thermal=0.5, cutoff=3))),
+)
+
+# a sweep grid at cutoff 3 from |g,g,0>: a stable cell, one whose first failure is the positivity gate at the
+# late record t = 4, and one whose state turns NaN by the first record after t = 0
+FAILING_BASE = SystemConfig(cutoff=3, g_a=0.8, g_b=1.3, gamma=0.3)
+FAILING_CELLS = {
+    "stable": dict(kappa=1.0, n_thermal=0.5),
+    "late": dict(kappa=5.13, n_thermal=3.0),
+    "nan": dict(kappa=1e3, n_thermal=1e3),
+}
+FAILING_TIMES = [0.25 * k for k in range(21)]
+FAILING_SETTINGS = IntegratorSettings(dt=0.01, t_max=5.0)
+
+
+def failure(run):
+    """(error class, message, `index`) of the integrator failure in `run()`, with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            run()
+        except IntegratorError as err:
+            return type(err), str(err), err.index
+    raise AssertionError("no integrator failure")
+
+
+class TestStackedEvolve:
+    """A stack of generators, evolved as one, against each generator evolved alone."""
+
+    @pytest.mark.parametrize("start", [ground_state, phased_start], ids=["s", "s_and_a"])
+    @pytest.mark.parametrize("reduce_to", [None, (ATOM_A, ATOM_B)], ids=["full", "atoms"])
+    def test_a_stack_is_each_generator_alone(self, start, reduce_to):
+        # dt = 1/64 and the times are exact in binary: three equal spans of 8 steps, then spans of 4 steps,
+        # none and 20 steps, all stepped by the binary powers of one step matrix
+        cfg = SystemConfig(n_thermal=0.5, cutoff=3)
+        rho0, observables = start(cfg), standard_observables(cfg)
+        rows, cols = _evolved_entries(STACK_MODELS[0](), rho0)
+        generators = [SectorBlocks.of(model(), rows, cols, rho0) for model in STACK_MODELS]
+        stack = generators[0].with_block(np.stack([g.block for g in generators]))
+        times, settings = [0.0, 0.125, 0.25, 0.375, 0.4375, 0.4375, 0.75], IntegratorSettings(dt=1 / 64)
+        stacked = evolve(stack, rho0, settings, record_times=times, observables=observables, reduce_to=reduce_to)
+        assert stacked.times.shape == (len(times),)
+        assert stacked.trace_residuals.shape == stacked.min_eigenvalues.shape == (len(times), len(generators))
+        for k, generator in enumerate(generators):
+            alone = evolve(generator, rho0, settings, record_times=times, observables=observables,
+                           reduce_to=reduce_to)
+            assert np.array_equal(stacked.times, alone.times)
+            assert all(np.array_equal(states[k], state) for states, state in zip(stacked.states, alone.states))
+            for name, series in alone.observables.items():
+                assert np.array_equal(stacked.observables[name][:, k], series)
+            assert np.array_equal(stacked.trace_residuals[:, k], alone.trace_residuals)
+            assert np.array_equal(stacked.min_eigenvalues[:, k], alone.min_eigenvalues)
+            assert np.abs(alone.states[-1] - alone.states[0]).max() > 1e-3  # the state moved
+        assert not np.array_equal(stacked.states[-1][0], stacked.states[-1][1])  # and differently per model
+
+    @pytest.mark.parametrize("order", [
+        ("stable", "late", "nan"),
+        ("stable", "nan", "late"),
+        ("nan", "late", "stable"),
+        ("late", "stable", "nan"),
+    ], ids="-".join)
+    def test_an_error_names_the_first_failing_generator_at_its_earliest_failure(self, order):
+        # the stacked run raises what the first failing generator in stack order raises alone, with its
+        # index: the late failure when it comes first, though the NaN state fails at an earlier record,
+        # with no LinAlgError from the eigensolve and no RuntimeWarning
+        rho0 = ground_state(FAILING_BASE)
+        components = _RateComponents.build(FAILING_BASE, rho0)
+        cfgs = [replace(FAILING_BASE, **FAILING_CELLS[name]) for name in order]
+        stack = components.at(cfgs)
+
+        def run(generator):
+            return lambda: evolve(generator, rho0, FAILING_SETTINGS, record_times=FAILING_TIMES)
+
+        alone = {name: components.generator.with_block(block) for name, block in zip(order, stack.block)}
+        evolve(alone["stable"], rho0, FAILING_SETTINGS, record_times=FAILING_TIMES)
+        assert failure(run(alone["late"]))[:2] == (
+            PositivityLossError, "smallest eigenvalue -1.922e-04 at t=4 violates the positivity gate")
+        assert failure(run(alone["nan"]))[:2] == (
+            TraceDriftError, "trace drift nan exceeds tolerance 1.0e-08 at t=0.25; reduce dt")
+        first = next(k for k, name in enumerate(order) if name != "stable")
+        assert failure(run(stack)) == (*failure(run(alone[order[first]]))[:2], first)
+
+
+class TestStackedSweep:
+    """The stack budget sets which cells a sweep task evolves together, and nothing else."""
+
+    @staticmethod
+    def sweeps_per_budget(spec, monkeypatch, run):
+        """`run(spec)` with stacks of 1, 2 and 4 cells, and with the default budget."""
+        one = _RateComponents.build(spec.base, spec.initial_density_matrix()).stack[0].nbytes
+        out = []
+        for per_stack in (1, 2, 4):
+            monkeypatch.setattr(noisycav.sweep, "STACK_BYTES", per_stack * one)
+            out.append(run(spec))
+        monkeypatch.undo()
+        assert noisycav.sweep.STACK_BYTES >= 9 * one  # the default takes each grid below in one stack
+        return out + [run(spec)]
+
+    @pytest.mark.parametrize("spec", [
+        SweepSpec(base=FAILING_BASE, axis1=SweepAxis("n_thermal", (0.0, 0.7, 1.5)),
+                  axis2=SweepAxis("kappa", (0.5, 2.0, 4.0)), evaluation_time=0.3),
+        SweepSpec(base=FAILING_BASE, axis1=SweepAxis("gamma", (0.0, 0.2, 0.5, 1.0, 1.2)),
+                  axis2=SweepAxis("time", (0.0, 0.1, 0.25, 0.4))),
+    ], ids=["map", "time_axis"])
+    def test_a_cell_does_not_depend_on_its_stack(self, spec, monkeypatch):
+        cells = self.sweeps_per_budget(spec, monkeypatch, lambda s: run_sweep(s, IntegratorSettings(dt=0.01)).cells)
+        assert all(grid == cells[0] for grid in cells[1:])
+
+    def test_the_failing_cell_does_not_depend_on_its_stack(self, monkeypatch):
+        spec = SweepSpec(base=replace(FAILING_BASE, n_thermal=3.0), axis1=SweepAxis("kappa", (1.0, 5.13, 1e3)),
+                         axis2=SweepAxis("time", tuple(FAILING_TIMES)))
+        errors = self.sweeps_per_budget(spec, monkeypatch, lambda s: failure(lambda: run_sweep(s, FAILING_SETTINGS)))
+        assert errors == 4 * [(PositivityLossError,
+                               "kappa=5.13: smallest eigenvalue -1.922e-04 at t=4 violates the positivity gate", 0)]
 
 
 # the entries of a 4x4 matrix off its diagonal and its anti-diagonal, all 0 in an X-state

@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 from itertools import product
 
@@ -142,19 +141,34 @@ class TestRunSweep:
             for c1, c2 in zip(row1, row2):
                 assert c1 == c2
 
-    @pytest.mark.parametrize("workers,n_tasks,pool_size", [(5000, 2, 2), (2, 3, 2), (4, 1, None), (1, 3, None)])
-    def test_pool_is_bounded_by_the_tasks(self, workers, n_tasks, pool_size, recording_pool):
+    # ids: workers-stacks-pool size, as when each task was one cell, then the cases with larger stacks
+    @pytest.mark.parametrize("workers,n_cells,per_stack,pool_size,chunk", [
+        pytest.param(5000, 2, 1, 2, 1, id="5000-2-2"),  # two stacks of one cell
+        pytest.param(2, 3, 1, 2, 2, id="2-3-2"),  # three stacks over two workers
+        pytest.param(4, 1, 1, None, None, id="4-1-None"),  # one stack: no pool
+        pytest.param(1, 3, 1, None, None, id="1-3-None"),  # one worker: no pool
+        pytest.param(5000, 5, 2, 3, 1, id="stacks_of_2-5000"),  # stacks of 2, 2 and 1
+        pytest.param(2, 5, 2, 2, 2, id="stacks_of_2-2"),
+        # the default budget takes the three cells of 14 coordinates in one stack
+        pytest.param(4, 3, None, None, None, id="default_budget-4"),
+    ])
+    def test_pool_is_bounded_by_the_tasks(self, workers, n_cells, per_stack, pool_size, chunk, recording_pool,
+                                          monkeypatch):
+        # the pool's tasks are the stacks: per_stack cells fit the budget, one more does not
         sizes, chunks = recording_pool
         spec = SweepSpec(
             base=SystemConfig(cutoff=1),
-            axis1=SweepAxis("n_thermal", tuple(0.5 * k for k in range(n_tasks))),
+            axis1=SweepAxis("n_thermal", tuple(0.5 * k for k in range(n_cells))),
             evaluation_time=0.02,
         )
+        if per_stack is not None:
+            one = _RateComponents.build(spec.base, spec.initial_density_matrix()).stack[0].nbytes
+            monkeypatch.setattr(noisycav.sweep, "STACK_BYTES", (per_stack + 1) * one - 1)
         result = run_sweep(spec, FAST, workers=workers)
-        assert result.shape == (n_tasks, 1)
+        assert result.shape == (n_cells, 1)
         assert sizes == ([] if pool_size is None else [pool_size])
         # one chunk per worker, so the shared components are pickled once per worker
-        assert chunks == ([] if pool_size is None else [math.ceil(n_tasks / pool_size)])
+        assert chunks == ([] if pool_size is None else [chunk])
 
     def test_time_axis_batching_matches_independent_cells(self):
         # one trajectory sampled at several times must equal separate
@@ -308,11 +322,24 @@ class TestRateComponents:
         # the entries `evolve` picks from rho0 for a model of the sweep's own
         rows, cols = _evolved_entries(build_model(base), rho0)
         assert np.array_equal(components.generator.rows, rows) and np.array_equal(components.generator.cols, cols)
-        for cfg in cells:
-            got = components.at(cfg)
-            assert got.mirror is components.generator.mirror  # computed once per sweep, not per cell
-            expected = SectorBlocks.of(build_model(cfg), got.rows, got.cols, rho0).block
-            assert np.abs(got.block - expected).max() <= 1e-13 * np.abs(expected).max()
+        stack = components.at(cells)
+        assert stack.mirror is components.generator.mirror  # computed once per sweep, not per cell
+        assert stack.block.shape == (len(cells),) + components.generator.block.shape
+        for cfg, got in zip(cells, stack.block):
+            expected = SectorBlocks.of(build_model(cfg), stack.rows, stack.cols, rho0).block
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+            assert np.array_equal(components.at([cfg]).block[0], got)  # whatever stack it is in
+
+    def test_a_cell_block_does_not_depend_on_its_stack(self, rng):
+        # random parts, so that summing the weighted parts in another order shows in the last bits
+        base = SystemConfig(cutoff=2)
+        components = _RateComponents.build(base, ground_state(base))
+        components = _RateComponents(components.generator, rng.standard_normal(components.stack.shape))
+        cells = [replace(base, n_thermal=0.1 + 0.3 * k, kappa=1.7 - 0.2 * k, gamma=0.05 * k) for k in range(6)]
+        stack = components.at(cells).block
+        for k, cfg in enumerate(cells):
+            assert np.array_equal(components.at([cfg]).block[0], stack[k])
+            assert np.array_equal(components.at(cells[k:k + 2]).block[0], stack[k])
 
     @staticmethod
     def assert_cells_match_independent_evolutions(spec, workers):
