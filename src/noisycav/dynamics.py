@@ -55,18 +55,21 @@ products once its powers exist, and only recorded states are formed. Each
 record's entries x pass the drift gate first: the trace drift
 max(|tr rho - 1|, max |rho_ij| - 1) must be within the tolerance, a NaN
 failing. The entries of the generators that pass are then scattered into
-d x d matrices, whose trace and smallest eigenvalue `qops.hermitian_defects`
-gives for the whole stack at once, from one batched `eigvalsh`; the smallest
+d x d matrices for the gate alone, whose trace and smallest eigenvalue
+`qops.hermitian_defects` gives for the whole stack at once, from one batched
+`eigvalsh`; the smallest
 eigenvalue must pass the positivity gate. A generator that failed a gate is
 stepped on, NaN or not, but never reaches the eigensolver again. The error
 raised is the earliest failure of the first failing generator in stack
 order, which names its record time and whose `index` is that generator's
 position; a failure of the first generator raises at once. Each matrix is exactly
-Hermitian, so no Hermiticity check or Hermitian part is needed. The reduced
-state and the observables are fixed linear maps of x, read off all records
-by one matrix product per map: `SectorBlocks.reduction`, built once per
-entry set and kept for every cell of a sweep, and the m x n map of
-op[cols, rows] for the m observables. RK4 keeps the trace up to round-off,
+Hermitian, so no Hermiticity check or Hermitian part is needed. The stored
+state, reduced or full (the partial trace that keeps every factor), and the
+observables are fixed linear maps of x, read off all records by one matrix
+product per map: `SectorBlocks.reduction`, built by one stacked
+`partial_trace` call per entry set and kept factors and kept for every cell
+of a sweep, and the m x n map of op[cols, rows] for the m observables, each
+a (d, d) array. RK4 keeps the trace up to round-off,
 so it is the |rho_ij| <= 1 term that stops a step too large for the rates:
 its unstable mode grows geometrically over the span, and the record that
 ends it fails, by an entry past 1 or, once the powers overflow, by a state
@@ -96,6 +99,7 @@ from .qops import (
     assert_density_matrix,
     excitation_numbers,
     hermitian_defects,
+    kept_slots,
     partial_trace,
 )
 
@@ -305,18 +309,17 @@ class SectorBlocks:
         """The (k^2, n) map from the entries x to the partial trace onto the factors `keep`, flattened.
 
         Column j is `partial_trace` of the unit matrix of the entry
-        rho[rows[j], cols[j]]. Built once per set of kept factors and shared by
-        every `with_block` copy, as it depends on the entries alone.
+        rho[rows[j], cols[j]], all n columns from one call on the stack of the
+        unit matrices; keeping every factor, the map is the scatter of x into
+        the d x d state. Built once per set of kept factors and shared by every
+        `with_block` copy, as it depends on the entries alone.
         """
-        key = tuple(sorted({int(s) for s in keep}))
+        key = kept_slots(self.layout, keep)
         if key not in self._reductions:
-            unit = np.zeros((self.dim, self.dim))
-            columns = []
-            for r, c in zip(self.rows, self.cols):
-                unit[r, c] = 1.0
-                columns.append(partial_trace(unit, self.layout, key).ravel())
-                unit[r, c] = 0.0
-            self._reductions[key] = np.array(columns, dtype=complex).T
+            n = len(self.rows)
+            units = np.zeros((n, self.dim, self.dim), dtype=bool)
+            units[np.arange(n), self.rows, self.cols] = True
+            self._reductions[key] = partial_trace(units, self.layout, key).reshape(n, -1).T.astype(complex)
         return self._reductions[key]
 
 
@@ -354,11 +357,12 @@ def evolve(
 
     Records at `record_times` (ascending, >= 0), by default `settings.times`;
     steps are shortened where needed so every record time is hit exactly, and
-    never exceed `settings.dt`. With `reduce_to` set (an iterable of layout
-    slots), stored states are partial traces over the complement; diagnostics
-    are always computed on the composite state. Reduced states and observables
-    are read off the recorded entries by fixed linear maps (see the module
-    docstring).
+    never exceed `settings.dt`. With `reduce_to` set (an iterable of integer
+    layout slots), stored states are partial traces over the complement;
+    without it, over nothing: the full states. Diagnostics are always computed
+    on the composite state. Each observable must be a (d, d) array, or
+    ValueError names it. States and observables are read off the recorded
+    entries by fixed linear maps (see the module docstring).
 
     A model is propagated on the entries `_evolved_entries` picks from rho0,
     whose other entries stay exactly 0, in their s coordinates and the a ones
@@ -406,7 +410,10 @@ def evolve(
     diagonal = np.flatnonzero(rows == cols)
 
     observables = observables or {}
-    reduction = None if reduce_to is None else generator.reduction(reduce_to)
+    for name, op in observables.items():
+        if not isinstance(op, np.ndarray) or op.shape != (d, d):
+            raise ValueError(f"observable {name!r} of shape {np.shape(op)} does not match model dimension {d}")
+    reduction = generator.reduction(range(generator.layout.nfactors) if reduce_to is None else reduce_to)
     # Re tr(op rho) = Re sum_j op[cols[j], rows[j]] x_j, as rho is 0 off the entries x
     expectations = np.array([op[cols, rows] for op in observables.values()]).reshape(len(observables), len(rows))
 
@@ -473,12 +480,8 @@ def evolve(
         failures[index].index = index
         raise failures[index]
 
-    if reduction is not None:
-        k = math.isqrt(len(reduction))
-        states = (recorded @ reduction.T).reshape(n_gen, -1, k, k)
-    else:
-        states = np.zeros((n_gen, len(record_times), d, d), dtype=complex)
-        states[:, :, rows, cols] = recorded
+    k = math.isqrt(len(reduction))
+    states = (recorded @ reduction.T).reshape(n_gen, -1, k, k)
     values = (recorded @ expectations.T).real
     # record first: generator k's record i is [i][k] for a stack, [i] alone otherwise
     states, values, trace_res, min_eigs = (np.swapaxes(a, 0, 1) if stacked else a[0]

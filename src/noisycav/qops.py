@@ -115,27 +115,40 @@ def embed(op: np.ndarray, slot: int, layout: SpaceLayout) -> np.ndarray:
     return out
 
 
-def partial_trace(rho: np.ndarray, layout: SpaceLayout, keep) -> np.ndarray:
-    """Reduced matrix on the kept factors, in their original relative order."""
-    dims = layout.factor_dims
-    n = len(dims)
-    keep_sorted = sorted(set(int(s) for s in keep))
-    if not keep_sorted:
+def kept_slots(layout: SpaceLayout, keep) -> tuple[int, ...]:
+    """The factors `keep` names, sorted and without repeats; ValueError unless each is an integer slot of `layout`."""
+    keep = list(keep)
+    for s in keep:
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+            raise ValueError(f"slot {s!r} is not an integer")
+        if not 0 <= s < layout.nfactors:
+            raise ValueError(f"invalid slot index {s} for layout {layout.factor_dims}")
+    if not keep:
         raise ValueError("keep must name at least one factor")
-    for s in keep_sorted:
-        if not 0 <= s < n:
-            raise ValueError(f"invalid slot index {s} for layout {dims}")
-    if rho.shape != (layout.dim, layout.dim):
+    return tuple(sorted({int(s) for s in keep}))
+
+
+def partial_trace(rho: np.ndarray, layout: SpaceLayout, keep) -> np.ndarray:
+    """Reduced matrix on the kept factors, in their original relative order, of a matrix or of each of a stack.
+
+    `rho` has shape (..., d, d), d the layout's dimension, and the result
+    (..., k, k). It is always a new array, never a view of `rho`, also when
+    `keep` names every factor. Each matrix of a stack is traced by the same
+    `np.trace` calls as alone, offset by the leading axes.
+    """
+    dims = layout.factor_dims
+    keep = kept_slots(layout, keep)
+    if rho.shape[-2:] != (layout.dim, layout.dim):
         raise ValueError(f"state of shape {rho.shape} does not match layout dimension {layout.dim}")
 
-    work = rho.reshape(dims + dims)
-    remaining = list(range(n))
-    for slot in reversed([s for s in range(n) if s not in keep_sorted]):
-        pos = remaining.index(slot)
-        work = np.trace(work, axis1=pos, axis2=len(remaining) + pos)
-        remaining.remove(slot)
-    d_keep = math.prod(dims[s] for s in keep_sorted)
-    return work.reshape(d_keep, d_keep)
+    lead = rho.shape[:-2]
+    work = rho.reshape(lead + dims + dims)
+    for slot in reversed(range(len(dims))):  # the last first, so each factor's row axis stays at its slot
+        if slot not in keep:
+            pos, remaining = len(lead) + slot, (work.ndim - len(lead)) // 2
+            work = np.trace(work, axis1=pos, axis2=remaining + pos)
+    d_keep = math.prod(dims[s] for s in keep)
+    return work.reshape(lead + (d_keep, d_keep)).copy()
 
 
 def expectation(op: np.ndarray, rho: np.ndarray) -> float:

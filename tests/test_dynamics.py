@@ -481,6 +481,27 @@ class TestEvolve:
         with pytest.raises(ValueError, match=r"initial state shape \(20, 20\) does not match model dimension 24"):
             evolve(build_model(cfg), ground_state(other), IntegratorSettings())
 
+    @pytest.mark.parametrize("op", [np.eye(40), np.ones(16), [[1.0] * 16] * 16], ids=["larger", "1d", "list"])
+    def test_observables_must_be_square_arrays_of_the_model(self, op):
+        # a larger operator would be read at the wrong entries, recording tr = 1 at every time
+        cfg = SystemConfig(cutoff=3)
+        shape = re.escape(str(np.shape(op)))
+        with pytest.raises(ValueError, match=rf"^observable 'big' of shape {shape} does not match model dimension 16$"):
+            evolve(build_model(cfg), ground_state(cfg), IntegratorSettings(t_max=0.1), observables={"big": op})
+
+    @pytest.mark.parametrize("keep", [(0.7,), "01", (True,)], ids=["float", "string", "bool"])
+    def test_reduce_to_takes_integer_slots(self, keep):
+        cfg = SystemConfig(cutoff=1)
+        model = build_model(cfg)
+        with pytest.raises(ValueError, match=r"^slot .* is not an integer$"):
+            evolve(model, ground_state(cfg), IntegratorSettings(t_max=0.1), reduce_to=keep)
+        # a cached map for the slots that truncating or parsing them would name must not let them through
+        generator = SectorBlocks.of(model, *_evolved_entries(model, ground_state(cfg)))
+        for cached in ((ATOM_A,), (ATOM_B,), (ATOM_A, ATOM_B)):
+            generator.reduction(cached)
+        with pytest.raises(ValueError, match=r"^slot .* is not an integer$"):
+            generator.reduction(keep)
+
     def test_trajectory_length_validation(self):
         with pytest.raises(ValueError, match="times and states lengths disagree"):
             Trajectory(times=np.array([0.0, 1.0]), states=[np.eye(2, dtype=complex)])
@@ -1234,7 +1255,8 @@ OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 class TestRecordMaps:
     """Each record's reduced state and observables, read off its entries, against the d x d reference functions."""
 
-    @pytest.mark.parametrize("keep", [(ATOM_A,), (CAVITY,), (ATOM_A, ATOM_B)], ids=["atom_a", "cavity", "atoms"])
+    @pytest.mark.parametrize("keep", [(ATOM_A,), (CAVITY,), (ATOM_A, ATOM_B), (ATOM_A, ATOM_B, CAVITY)],
+                             ids=["atom_a", "cavity", "atoms", "all"])
     @pytest.mark.parametrize("start,sigma_x", [
         (ground_state, False),  # the q = 0 entries: the reduced atoms are an X-state
         (superposition_start, False),  # q in {0, +-1}: they are not
@@ -1250,6 +1272,8 @@ class TestRecordMaps:
         traj = evolve(model, rho0, settings, record_times=times, observables=observables, reduce_to=keep)
         for i, rho in enumerate(scattered):
             assert np.abs(traj.states[i] - partial_trace(rho, model.layout, keep)).max() <= 1e-14
+            if len(keep) == model.layout.nfactors:  # the full state is read by the same map
+                assert traj.states[i].tobytes() == rho.tobytes()
             for name, op in observables.items():
                 assert abs(traj.observables[name][i] - expectation(op, rho)) <= 1e-14
             _, residual, min_eig = density_matrix_defects(rho)

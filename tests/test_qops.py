@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,6 +207,29 @@ class TestPartialTrace:
             partial_trace(rho, SpaceLayout((2, 2)), ())
         with pytest.raises(ValueError, match=r"state of shape \(4, 4\) does not match layout dimension 6"):
             partial_trace(rho, SpaceLayout((2, 3)), (0,))
+
+    @pytest.mark.parametrize("dims", [(2, 2, 4), (2, 2, 11), (3, 4)])
+    def test_a_stack_is_each_matrix_alone(self, rng, dims):
+        layout = SpaceLayout(dims)
+        stack = rng.normal(size=(2, 3, layout.dim, layout.dim)) + 1j * rng.normal(size=(2, 3, layout.dim, layout.dim))
+        stack[0, 0] = -0.0  # so the sign of a zero sum counts
+        for r in range(1, len(dims) + 1):
+            for keep in combinations(range(len(dims)), r):
+                reduced = partial_trace(stack, layout, keep)
+                assert not np.shares_memory(reduced, stack)
+                for index in np.ndindex(stack.shape[:2]):
+                    alone = partial_trace(stack[index], layout, keep)
+                    assert not np.shares_memory(alone, stack)
+                    assert reduced[index].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("keep", [(0.7,), "01", (1.0,), (True,), (np.float64(0),)])
+    def test_slots_are_integers(self, keep):
+        with pytest.raises(ValueError, match=r"^slot .* is not an integer$"):
+            partial_trace(np.eye(4, dtype=complex) / 4, SpaceLayout((2, 2)), keep)
+
+    def test_numpy_integer_slots(self):
+        rho = np.diag([0.0625, 0.125, 0.25, 0.5625]).astype(complex)
+        assert np.array_equal(partial_trace(rho, SpaceLayout((2, 2)), np.array([1])), np.diag([0.3125, 0.6875]))
 
     def test_keep_order_preserved(self, rng):
         layout = SpaceLayout((2, 3, 2))
