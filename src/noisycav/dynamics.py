@@ -6,82 +6,49 @@ The right-hand side is
                                          - L_k^dag L_k rho - rho L_k^dag L_k),
 
 evaluated as written by `lindblad_rhs`, the reference the tests compare
-against and the steady-state residual. Its fast form is the superoperator
-block of `_superoperator_block`, with H and the anticommutators folded into
-M = iH + sum_k rate_k L_k^dag L_k and the jumps into J_k = sqrt(2 rate_k) L_k.
+against and the steady-state residual. Its fast form is sparse: `_triplets`
+lists the nonzeros of the vectorized superoperator (rho[i, j] is entry
+i + d j) as (row, col, value) triplets, read off M = iH + sum_k rate_k
+L_k^dag L_k and the jumps J_k = sqrt(2 rate_k) L_k, and `_Liouvillian` groups
+them by row entry, so the block of any set of entries is one `bincount`.
+The sectors, sets of entries the Liouvillian maps into themselves, are the
+connected components of the triplets' graph (`_components`), whose pattern
+does not depend on the rates. For the package's model, each of whose terms
+changes N = n_a + n_b + n_cav by a fixed amount, they are the coherence
+orders q = N_i - N_j of the entries rho[i, j]; a jump that changes N by
++-1 leaves the two parities of q, and a zero coupling splits them further.
 
-Every term of the model changes the total excitation N = n_a + n_b + n_cav by
-a fixed amount, so the vectorized superoperator (column-stacking convention,
-vec(A X B) = (B^T kron A) vec(X)) is block-diagonal in the order
-q = N_i - N_j of the entry rho[i, j]; a model that breaks this is one sector
-of all d^2 entries. Only those blocks are built.
+The Hamiltonian is imaginary and each jump real or imaginary (the phase
+convention of `model.build_interaction_hamiltonian`), so the Liouvillian is
+a real map as written; `_require_real_frame` checks this exactly and refuses
+a model without it. It maps the real symmetric part s and the imaginary
+antisymmetric part a of rho each to itself, so a set of entries x closed
+under transpose is held by real coordinates, s one per pair i <= j and a one
+per pair i < j, read back as x = s +- i a (+ for i < j, s alone on the
+diagonal), every state exactly Hermitian. The generator G of the
+coordinates is gathered from the real block (`SectorBlocks.with_model`).
 
 `evolve` integrates with fixed-step classical RK4 on the entries that
-`_evolved_entries` picks: the sectors that rho0 or its transpose touches,
-every other entry staying exactly 0. From |g,g,0> that is the q = 0 sector
-(84 of the 576 entries at cutoff 5); a q = +-1 coherence adds those sectors;
-a model without the symmetry evolves all d^2 entries, at the cost of a
-d^2 x d^2 block. Those entries x hold conj(rho[i, j]) = rho[j, i] at
-x[mirror] for each rho[i, j], so `evolve` steps real coordinates: s, one per
-pair i <= j, and a, one per pair i < j, read back by index gathers as
-x = s +- i a, the sign + for i < j and - for i > j (s alone on the diagonal),
-so every state is exactly Hermitian.
+`_evolved_entries` picks, the sectors that rho0 or its transpose touches,
+every other entry staying exactly 0: from |g,g,0> the q = 0 sector, 84 of
+576 entries at cutoff 5, stepped as its s alone, 54 coordinates. A step of
+size h is the matrix S = p(hG), p(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, built
+by `_step_map` once per distinct h, and a record span of n steps is one
+product with S^(2^k) for each set bit k of n, the powers squared as first
+needed. `evolve` also takes `SectorBlocks` built elsewhere, a stack of K
+generators evolved as one, each bit for bit as it would be alone (see
+`sweep`). Each record passes the drift gate, max(|tr rho - 1|,
+max |rho_ij| - 1) within the tolerance (a NaN failing, which is how a step
+too large for the rates fails), then the positivity gate, one batched
+`eigvalsh` (`qops.hermitian_defects`). Stored states, reduced or full, and
+observables are fixed linear maps of x (`SectorBlocks.reduction`). Accuracy
+is certified by step halving, not by an embedded error estimator.
 
-The model's Hamiltonian is imaginary and each jump real or imaginary (the
-phase convention of `model.build_interaction_hamiltonian`), so the Liouvillian
-is a real map as written; `_require_real_frame` checks this exactly per model
-and refuses a model without it, such as a textbook exchange g (sigma_+ a +
-h.c.). It maps the real symmetric part s and the imaginary antisymmetric part
-a of rho each to itself: separate sectors, and a real start such as |g,g,0>
-has no a, so `evolve` steps s alone, 54 coordinates for the 84 entries at
-cutoff 5 (104 for 164 at cutoff 10). The generator G of the coordinates is
-gathered from the rows and columns of the real block B
-(`SectorBlocks.with_model`), and the evaluator `make_rhs` is one product with G.
-For this linear equation an RK4 step of size h is the matrix S = p(hG),
-p(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, which `_step_map` builds by Horner's
-rule with three `make_rhs` products, once per distinct h in an evolution.
-In place of a model, `evolve` also takes `SectorBlocks` built elsewhere,
-also a stack of K generators on the same coordinates, a block of shape
-(K, m, m): a sweep builds its generator once, re-weights it per cell and
-evolves a few cells at a time as one stack (see `sweep`). The stack is the
-leading axis of every array of the evolution, and each generator's slice
-goes through the same BLAS and LAPACK calls as it would alone, so a stack
-gives each generator bit for bit what it gives alone.
-A record span of n steps of size h is n products with S, taken as one
-product with S^(2^k) for each set bit k of n. The powers S, S^2, S^4, ... are
-squared as first needed and kept per h for the whole evolution (for a stack,
-one stack of powers), so a span costs at most log2(n) + 1 matrix-vector
-products once its powers exist, and only recorded states are formed. Each
-record's entries x pass the drift gate first: the trace drift
-max(|tr rho - 1|, max |rho_ij| - 1) must be within the tolerance, a NaN
-failing. The entries of the generators that pass are then scattered into
-d x d matrices for the gate alone, whose trace and smallest eigenvalue
-`qops.hermitian_defects` gives for the whole stack at once, from one batched
-`eigvalsh`; the smallest
-eigenvalue must pass the positivity gate. A generator that failed a gate is
-stepped on, NaN or not, but never reaches the eigensolver again. The error
-raised is the earliest failure of the first failing generator in stack
-order, which names its record time and whose `index` is that generator's
-position; a failure of the first generator raises at once. Each matrix is exactly
-Hermitian, so no Hermiticity check or Hermitian part is needed. The stored
-state, reduced or full (the partial trace that keeps every factor), and the
-observables are fixed linear maps of x, read off all records by one matrix
-product per map: `SectorBlocks.reduction`, built by one stacked
-`partial_trace` call per entry set and kept factors and kept for every cell
-of a sweep, and the m x n map of op[cols, rows] for the m observables, each
-a (d, d) array. RK4 keeps the trace up to round-off,
-so it is the |rho_ij| <= 1 term that stops a step too large for the rates:
-its unstable mode grows geometrically over the span, and the record that
-ends it fails, by an entry past 1 or, once the powers overflow, by a state
-that is not finite. Accuracy is certified by step halving, not by an embedded
-error estimator.
-
-`steady_state` solves on the s coordinates of the q = 0 sector, and checks
-uniqueness on the pooled singular values of s, a and every q > 0 block,
-building only the q >= 0 ones, each real. The residual it reports is the
-master equation evaluated on the full space.
-`vectorize_superoperator` builds the whole matrix with the same code;
-tests check it against `lindblad_rhs`.
+`steady_state` solves on the s coordinates of the sector of rho[0, 0] and
+checks uniqueness on the pooled singular values of its s and a halves and
+of one sector of each transpose pair, each block real and built from one
+`_Liouvillian`. `vectorize_superoperator` scatters the triplets into the
+whole matrix; tests check it against `lindblad_rhs`.
 """
 
 from __future__ import annotations
@@ -97,7 +64,6 @@ from .qops import (
     TOLERANCE,
     SpaceLayout,
     assert_density_matrix,
-    excitation_numbers,
     hermitian_defects,
     kept_slots,
     partial_trace,
@@ -240,7 +206,7 @@ class SectorBlocks:
             self._require_block_shape(self.block)
 
     @classmethod
-    def of(cls, model: LindbladModel, rows: np.ndarray, cols: np.ndarray,
+    def of(cls, model: LindbladModel | _Liouvillian, rows: np.ndarray, cols: np.ndarray,
            start: np.ndarray | None = None) -> SectorBlocks:
         """The generator of `model` on the coordinates of the entries rho[rows, cols].
 
@@ -250,17 +216,18 @@ class SectorBlocks:
         antisymmetric = start is None or bool(np.asarray(start)[rows, cols].imag.any())
         return cls(model.layout, rows, cols, antisymmetric=antisymmetric).with_model(model)
 
-    def with_model(self, model: LindbladModel) -> SectorBlocks:
+    def with_model(self, model: LindbladModel | _Liouvillian) -> SectorBlocks:
         """The generator of `model` on the same coordinates, gathered from the block B of the entries.
 
-        B is real, which `_require_real_frame` checks first, so s and a are
+        B is the `_Liouvillian.block` of the model (or of its `_Liouvillian`),
+        real, which `_require_real_frame` checks first, so s and a are
         separate sectors: each coordinate's row is the row of its entry, and
         its column sums the columns of its entry and the mirror, with the
         signs of +-i a.
         """
-        _require_real_frame(model)
         n_s, upper, strict, lower = len(self._upper), self._upper, self._strict, self.mirror[self._strict]
-        b = _superoperator_block(model, self.rows, self.cols, self.owners).real
+        liouvillian = model if isinstance(model, _Liouvillian) else _Liouvillian.of(model)
+        b = liouvillian.block(self.rows, self.cols, self.owners)
         generator = np.zeros((len(self.owners),) * 2)
         generator[:n_s, :n_s] = b[:n_s, upper]
         # a sum past the largest float leaves inf or NaN, which `steady_state` and the drift gate reject
@@ -373,13 +340,11 @@ def evolve(
     those of every generator and whose other per-record values have a second
     axis of length K, in stack order; a single generator's have none.
 
-    The state is stepped in real coordinates (see the module docstring), from
-    rho0's Hermitian part. Each record span of n equal steps is applied by
-    binary powers of the step matrix, and only recorded states are formed.
-    Every recorded state passes the trace drift gate, then the
-    positivity gate; an error names the time of the earliest failing record
-    of the first failing generator in stack order, whose position is the
-    error's `index`.
+    The state is stepped in real coordinates from rho0's Hermitian part, by
+    binary powers of the step matrix, and every record passes the drift and
+    positivity gates (see the module docstring); an error names the time of
+    the earliest failing record of the first failing generator in stack
+    order, whose position is the error's `index`.
     """
     assert_density_matrix(rho0)
     d = model.dim
@@ -397,7 +362,8 @@ def evolve(
     if isinstance(model, SectorBlocks):
         generator = model
     else:
-        generator = SectorBlocks.of(model, *_evolved_entries(model, rho0), rho0)
+        liouvillian = _Liouvillian.of(model)
+        generator = SectorBlocks.of(liouvillian, *_evolved_entries(liouvillian, rho0), rho0)
     rows, cols = generator.rows, generator.cols
     c = generator.coordinates(np.asarray(rho0, dtype=complex)[rows, cols])
     if c is None or np.count_nonzero(rho0) > np.count_nonzero(rho0[rows, cols]):
@@ -519,71 +485,97 @@ def _step_map(generator: SectorBlocks, h: float) -> np.ndarray:
         return y
 
 
-def _superoperator_block(model: LindbladModel, rows: np.ndarray, cols: np.ndarray, out=None) -> np.ndarray:
-    """Rows and columns of `vectorize_superoperator` for the entries rho[rows[a], cols[a]].
+def _triplets(model: LindbladModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzeros of `vectorize_superoperator(model)` as (row, col, value) triplets; duplicates sum.
 
-    With `out` (positions among the entries), only the rows of those entries.
-
-    With M = iH + sum_k rate_k L_k^dag L_k and J_k = sqrt(2 rate_k) L_k
-    (zero-rate terms dropped) the equation reads
-
-        drho/dt = -(M rho + rho M^dag) + sum_k J_k rho J_k^dag,
-
-    which vectorizes to -(I kron M + M^* kron I) + sum_k J_k^* kron J_k.
-    Uses the kron rule (A kron B)[(j,i),(l,k)] = A[j,l] B[i,k] on the
-    chosen entries only, so a block costs its own size, not d^4.
+    The equation reads drho/dt = -(M rho + rho M^dag) + sum_k J_k rho J_k^dag,
+    so rho[i, j] (entry i + d j) gains -M[i, k] rho[k, j] (nnz(M) d triplets),
+    -conj(M[j, l]) rho[i, l] (as many) and J[i, k] conj(J[j, l]) rho[k, l] per
+    jump (nnz(J)^2), listed in that order, the order in which they sum. The
+    pattern is that of H and of each L whatever its rate: a zero rate gives zeros.
     """
-    eye = np.eye(model.dim, dtype=complex)
-    out = slice(None) if out is None else out
-    col_pairs, row_pairs = np.ix_(cols[out], cols), np.ix_(rows[out], rows)
-
-    def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return a[col_pairs] * b[row_pairs]
-
-    sink = np.zeros_like(eye)
-    jumps = []
+    d = model.dim
+    pattern, m = model.hamiltonian != 0, 1j * model.hamiltonian
     for rate, lop in model.collapse_terms:
-        if rate == 0:
-            continue
-        sink = sink + rate * (lop.conj().T @ lop)
-        jumps.append(np.sqrt(2.0 * rate) * lop)
-    m = 1j * model.hamiltonian + sink
-    block = -(kron(eye, m) + kron(m.conj(), eye))
-    for jump in jumps:
-        block = block + kron(jump.conj(), jump)
-    return block
+        ldl = lop.conj().T @ lop
+        pattern |= ldl != 0
+        m = m + rate * ldl
+    every = np.arange(d)[:, None]
+    i, k = np.nonzero(pattern)
+    rows, cols = [(i + d * every).ravel(), (every + d * i).ravel()], [(k + d * every).ravel(), (every + d * k).ravel()]
+    values = [np.tile(-m[i, k], d), np.tile(-m[i, k].conj(), d)]
+    for rate, lop in model.collapse_terms:
+        i, k = np.nonzero(lop)
+        jump = np.sqrt(2.0 * rate) * lop[i, k]
+        rows.append((i[:, None] + d * i).ravel())
+        cols.append((k[:, None] + d * k).ravel())
+        values.append((jump[:, None] * jump.conj()).ravel())
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
 
 
 def vectorize_superoperator(model: LindbladModel) -> np.ndarray:
-    """Matrix  L  with  L vec(rho) = vec(lindblad_rhs(model, rho))  for all rho."""
+    """Matrix  L  with  L vec(rho) = vec(lindblad_rhs(model, rho))  for all rho: the `_triplets` scattered densely."""
     d = model.dim
-    entries = np.arange(d * d)
-    return _superoperator_block(model, entries % d, entries // d)
+    rows, cols, values = _triplets(model)
+    liouv = np.zeros((d * d, d * d), dtype=complex)
+    np.add.at(liouv, (rows, cols), values)
+    return liouv
 
 
-def _coherence_sectors(model: LindbladModel) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Entries (rows, cols) of rho grouped into sectors the Liouvillian maps into themselves, with their order q.
+def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Each vertex's label, the smallest vertex of its connected component, in the graph of edges (rows, cols).
 
-    When H conserves the total excitation N and every collapse operator shifts
-    N by one fixed amount, the coherence order q = N_i - N_j of rho[i, j] is
-    conserved, and each q is a sector, the transpose of the -q one. Otherwise
-    all entries form one sector, given q = 0. The q = 0 sector comes first, and entries keep
-    their vec order within a sector, so rho[0, 0] is the first entry of the first.
+    Each round hooks every root to the smallest root it shares an edge with, then jumps every pointer to its root.
     """
-    d = model.dim
-    n = excitation_numbers(model.layout)
-    entries = np.arange(d * d)
-    rows, cols = entries % d, entries // d
+    labels = np.arange(n)
+    while True:
+        head, tail = labels[rows], labels[cols]
+        if np.array_equal(head, tail):
+            return labels
+        low = np.minimum(head, tail)
+        np.minimum.at(labels, head, low)
+        np.minimum.at(labels, tail, low)
+        while not np.array_equal(up := labels[labels], labels):
+            labels = up
 
-    def shifts(op: np.ndarray) -> set[int]:
-        r, c = np.nonzero(op)
-        return set((n[r] - n[c]).tolist())
 
-    jumps_graded = all(len(shifts(lop)) <= 1 for _, lop in model.collapse_terms)
-    if not (shifts(model.hamiltonian) <= {0} and jumps_graded):
-        return [(0, rows, cols)]
-    order = n[rows] - n[cols]
-    return [(q, rows[order == q], cols[order == q]) for q in sorted(set(order.tolist()), key=abs)]
+@dataclass(frozen=True, eq=False)
+class _Liouvillian:
+    """A model's real Liouvillian, its `_triplets` grouped by row entry in their order (CSR).
+
+    The triplets of row entry e are [starts[e], starts[e + 1]). `of` takes
+    the real part only after `_require_real_frame`.
+    """
+
+    layout: SpaceLayout
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    starts: np.ndarray
+
+    @classmethod
+    def of(cls, model: LindbladModel) -> _Liouvillian:
+        _require_real_frame(model)
+        rows, cols, values = _triplets(model)
+        order = np.argsort(rows, kind="stable")
+        starts = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=model.dim**2))])
+        return cls(model.layout, rows[order], cols[order], values.real[order], starts)
+
+    def block(self, rows: np.ndarray, cols: np.ndarray, out=None) -> np.ndarray:
+        """The rows and columns of the Liouvillian for the entries rho[rows[a], cols[a]], one `bincount`.
+
+        With `out` (positions among the entries), only the rows of those entries.
+        """
+        d, n = self.layout.dim, len(rows)
+        entries = rows + d * cols
+        chosen = entries if out is None else entries[out]
+        position = np.full(d * d, -1)
+        position[entries] = np.arange(n)
+        count = self.starts[chosen + 1] - self.starts[chosen]
+        index = np.arange(count.sum()) + np.repeat(self.starts[chosen] - np.cumsum(count) + count, count)
+        row, col = np.repeat(np.arange(len(chosen)), count), position[self.cols[index]]
+        inside = col >= 0
+        return np.bincount(row[inside] * n + col[inside], self.values[index[inside]], len(chosen) * n).reshape(-1, n)
 
 
 def _require_real_frame(model: LindbladModel) -> None:
@@ -601,58 +593,65 @@ def _require_real_frame(model: LindbladModel) -> None:
             raise ValueError(f"collapse operator {k} is neither real nor imaginary, so the Liouvillian is not real")
 
 
-def _evolved_entries(model: LindbladModel, rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entries (rows, cols) to propagate from rho0: the sectors of `_coherence_sectors` it touches.
+def _evolved_entries(model: LindbladModel | _Liouvillian, rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entries (rows, cols) to propagate from rho0, in vec order: the sectors that rho0 or its transpose touches.
 
-    A sector counts when rho0 or its transpose has a nonzero entry in it, so
-    the mirror rho[j, i] of every entry rho[i, j] is among them; every other
-    entry stays exactly 0 under the Liouvillian. Sectors keep their order, so
-    from a start without coherence between different N (|g,g,0>) these are
-    the q = 0 sector's entries alone; a model without the symmetry gives all
-    d^2 entries in vec order.
+    The sectors are the `_components` of the triplets' graph, which the
+    Liouvillian maps into themselves, each entry's mirror among them; every
+    other entry stays exactly 0. From |g,g,0> that is the sector of rho[0, 0].
     """
-    touched = (rho0 != 0) | (rho0.T != 0)
-    sectors = [(rows, cols) for _, rows, cols in _coherence_sectors(model) if touched[rows, cols].any()]
-    return np.concatenate([rows for rows, _ in sectors]), np.concatenate([cols for _, cols in sectors])
+    d = model.layout.dim
+    rows, cols = (model.rows, model.cols) if isinstance(model, _Liouvillian) else _triplets(model)[:2]
+    labels = _components(d * d, rows, cols)
+    touched = ((rho0 != 0) | (rho0.T != 0)).ravel(order="F")
+    entries = np.flatnonzero(np.isin(labels, labels[touched]))
+    return entries % d, entries // d
 
 
 def steady_state(model: LindbladModel) -> np.ndarray:
     """Unique stationary state of the model.
 
-    Works on the coherence sectors of the Liouvillian (see `_coherence_sectors`),
-    so for an excitation-conserving model the full d^2 x d^2 matrix is never
-    formed; otherwise the one sector is the dense solve. Uniqueness pools the singular values of
-    every sector, which are those of the full block-diagonal matrix, so a
-    stationary coherence in any sector counts: the q = 0 sector is its s and a
-    halves, each scaled by the coordinates' norms to keep the singular values,
-    and each q > 0 spectrum counts twice, for the -q sector, which is not
-    built. A model whose Liouvillian is not real as written raises ValueError
-    (`_require_real_frame`). The state solves L vec(rho) = 0 on the s half of
-    the q = 0 sector, with its first row
-    (entry rho[0, 0]) replaced by the trace functional. Degenerate stationary manifolds (extra null directions,
-    e.g. undamped atoms) raise RankDeficientError rather than returning an
-    arbitrary representative, as does a Liouvillian whose entries or singular values overflow,
-    or whose slowest rate is below TOLERANCE times its largest singular value, too small to
-    tell a null direction; so does a residual above TOLERANCE times the largest |H| entry or rate.
+    Works on the sectors of one `_Liouvillian` (see `_evolved_entries`); the
+    d^2 x d^2 matrix is never formed. Uniqueness pools the singular values of
+    every sector, those of the whole matrix. A sector's transpose has the same
+    block up to order, so one of each pair is built, counted twice unless it
+    is its own transpose; the sector of rho[0, 0] counts as its s and a
+    halves, each scaled by the coordinates' norms to keep the singular values.
+    The state solves L vec(rho) = 0 on that s half, its first row (entry
+    rho[0, 0]) replaced by the trace functional. A Liouvillian that is not real
+    raises ValueError (`_require_real_frame`). Degenerate stationary manifolds
+    (e.g. undamped atoms, or populations in two sectors) raise RankDeficientError
+    rather than returning an arbitrary representative, as does a Liouvillian
+    whose entries or singular values overflow, or whose slowest rate is below
+    TOLERANCE times its largest singular value, too small to tell a null
+    direction; so does a residual above TOLERANCE times the largest |H| entry or rate.
     """
     if not any(rate > 0 for rate, _ in model.collapse_terms):
         raise RankDeficientError("no dissipation: every density matrix commuting with H is stationary")
     d = model.dim
-    (_, rows, cols), *coherences = [(q, r, c) for q, r, c in _coherence_sectors(model) if q >= 0]
-    populations = SectorBlocks.of(model, rows, cols)
+    liouvillian = _Liouvillian.of(model)
+    labels = _components(d * d, liouvillian.rows, liouvillian.cols)
+    order = np.argsort(labels, kind="stable")
+    (populated, *sectors) = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    rows, cols = populated % d, populated // d
+    populations = SectorBlocks.of(liouvillian, rows, cols)
     n_s = len(populations._upper)  # the s coordinates, which hold every population, come first
     diagonal = rows[populations.owners] == cols[populations.owners]  # the coordinates that are a diagonal entry
     # every other coordinate's image in the entries has length sqrt(2); scaled by these norms the
     # coordinates map unitarily to the entries, which keeps the complex block's singular values
     norms = np.where(diagonal, 1.0, math.sqrt(2.0))
     scaled = populations.block * np.outer(norms, 1.0 / norms)
-    blocks = [scaled[:n_s, :n_s], scaled[n_s:, n_s:]]
-    blocks += [_superoperator_block(model, r, c).real for _, r, c in coherences]
+    blocks, counts = [scaled[:n_s, :n_s], scaled[n_s:, n_s:]], [1, 1]
+    for entries in sectors:
+        mirror = labels[entries[0] // d + d * (entries[0] % d)]  # the label of the transposed sector
+        if mirror >= entries[0]:
+            blocks.append(liouvillian.block(entries % d, entries // d))
+            counts.append(1 if mirror == entries[0] else 2)
 
     svals = None
     if all(np.isfinite(block).all() for block in blocks):
         spectra = [np.linalg.svd(block, compute_uv=False) for block in blocks]
-        svals = np.concatenate(spectra + spectra[2:])  # each q > 0 spectrum is also the -q one
+        svals = np.concatenate([spectrum for spectrum, count in zip(spectra, counts) for _ in range(count)])
     if svals is None or not np.isfinite(svals).all():  # else the relative nullity threshold is inf
         raise RankDeficientError("the Liouvillian has non-finite entries or singular values: "
                                  "a rate or coupling overflows")

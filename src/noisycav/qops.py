@@ -46,15 +46,6 @@ class SpaceLayout:
         return len(self.factor_dims)
 
 
-def excitation_numbers(layout: SpaceLayout) -> np.ndarray:
-    """Total excitation of every composite basis index.
-
-    The sum of the index's factor indices: |g> counts 0, |e> counts 1 and the
-    Fock state |n> counts n.
-    """
-    return np.indices(layout.factor_dims).reshape(layout.nfactors, -1).sum(axis=0)
-
-
 def basis_state(dim: int, index: int) -> np.ndarray:
     """Computational basis ket |index> as a length-dim vector."""
     if not 0 <= index < dim:

@@ -18,9 +18,9 @@ failing cell of the first failing stack, which is the first in grid order.
 
 No sweepable parameter touches the Hamiltonian or a collapse operator, only
 the rates of `model._channels`, so the model is built once per sweep. A sweep
-evolves the entries that `evolve` would pick from its start (the q = 0
-sector from |g,g,0>, plus the q = +-1 sectors from a start with such a
-coherence): the real generator on them (see `dynamics.SectorBlocks`) is
+evolves the entries that `evolve` would pick from its start with every
+channel at a nonzero rate (the q = 0 sector from |g,g,0>, plus the q = +-1
+sectors from a start with such a coherence): the real generator on them (see `dynamics.SectorBlocks`) is
 split into a Hamiltonian part and one unit-rate dissipator part per channel
 (`_RateComponents`), and each cell's generator is their rate-weighted sum,
 a stack of them handed to `evolve` as `SectorBlocks`. Each part passes the
@@ -198,13 +198,18 @@ class _RateComponents:
 
     @classmethod
     def build(cls, base: SystemConfig, rho0: np.ndarray) -> _RateComponents:
-        """Components of `build_model(base)` on the `_evolved_entries` of rho0, on the coordinates rho0 needs."""
+        """Components of `build_model(base)` on the coordinates rho0 needs.
+
+        The entries are the `_evolved_entries` of rho0 under H and every channel at unit rate.
+        """
         model = build_model(base)
         layout = model.layout
-        rows, cols = _evolved_entries(model, rho0)
+        # every channel, whatever its rate at `base`: a zero rate there must not drop entries another cell couples
+        channels = tuple((1.0, embed(op, slot, layout)) for slot, _, op in _channels(base))
+        rows, cols = _evolved_entries(LindbladModel(model.hamiltonian, channels, layout), rho0)
         zero = np.zeros_like(model.hamiltonian)
         generator = SectorBlocks.of(LindbladModel(model.hamiltonian, (), layout), rows, cols, rho0)
-        units = [LindbladModel(zero, ((1.0, embed(op, slot, layout)),), layout) for slot, _, op in _channels(base)]
+        units = [LindbladModel(zero, (channel,), layout) for channel in channels]
         return cls(generator, np.stack([generator.block] + [generator.with_model(unit).block for unit in units]))
 
     def at(self, cfgs: list[SystemConfig]) -> SectorBlocks:

@@ -11,8 +11,8 @@ from noisycav.dynamics import (
     PositivityLossError,
     TraceDriftError,
     _evolved_entries,
-    _superoperator_block,
     evolve,
+    lindblad_rhs,
 )
 from noisycav.model import (
     ATOM_A,
@@ -61,11 +61,26 @@ def unvec(v, dim):
     return v.reshape(dim, dim, order="F")
 
 
+def lindblad_block(model, rows, cols):
+    """The complex block of the Liouvillian on the entries rho[rows, cols], column by column from `lindblad_rhs`.
+
+    Column a is `lindblad_rhs` of the unit matrix of the entry rho[rows[a], cols[a]],
+    read at the entries, so neither triplets nor a vectorized superoperator are used.
+    """
+    d = model.dim
+    block = np.empty((len(rows), len(rows)), dtype=complex)
+    for a, (i, j) in enumerate(zip(rows, cols)):
+        unit = np.zeros((d, d), dtype=complex)
+        unit[i, j] = 1.0
+        block[:, a] = lindblad_rhs(model, unit)[rows, cols]
+    return block
+
+
 def stepwise_evolve(model, rho0, dt, record_times):
     """`evolve`'s schedule in classical RK4 of stage form, with the drift gate run after every single step.
 
     Each step is four stages, each a product with the complex block of the
-    entries `evolve` propagates, so neither the real coordinates nor a step
+    entries `evolve` propagates (`lindblad_block`), so neither the real coordinates nor a step
     matrix of the program is used. Each product is made exactly Hermitian, as
     it is in exact arithmetic, so every state is exactly Hermitian, as
     `evolve`'s are by construction. The loop checks the trace drift
@@ -76,7 +91,7 @@ def stepwise_evolve(model, rho0, dt, record_times):
     """
     d = model.dim
     rows, cols = _evolved_entries(model, rho0)
-    block = _superoperator_block(model, rows, cols)
+    block = lindblad_block(model, rows, cols)
     pos = np.full((d, d), -1)
     pos[rows, cols] = np.arange(len(rows))
     mirror, diagonal = pos[cols, rows], np.flatnonzero(rows == cols)

@@ -19,11 +19,12 @@ from noisycav.dynamics import (
     SectorBlocks,
     TraceDriftError,
     Trajectory,
-    _coherence_sectors,
+    _components,
     _evolved_entries,
+    _Liouvillian,
     _require_real_frame,
     _step_map,
-    _superoperator_block,
+    _triplets,
     evolve,
     lindblad_rhs,
     make_rhs,
@@ -49,15 +50,24 @@ from noisycav.qops import (
     basis_state,
     density_matrix_defects,
     embed,
-    excitation_numbers,
+    excited_projector,
     expectation,
+    number_operator,
     partial_trace,
     sigma_minus,
 )
 import noisycav.sweep
 from noisycav.sweep import SweepAxis, SweepSpec, _RateComponents, run_sweep
 
-from conftest import lab_model, random_density_matrix, random_trace_one_hermitian, stepwise_evolve, unvec, vec
+from conftest import (
+    lab_model,
+    lindblad_block,
+    random_density_matrix,
+    random_trace_one_hermitian,
+    stepwise_evolve,
+    unvec,
+    vec,
+)
 
 
 def cavity_thermal_state(n_thermal, cutoff):
@@ -133,10 +143,34 @@ def dense_coordinates(u, x):
     return c.real
 
 
+def excitation_numbers(layout):
+    """Total excitation of every composite basis index: the sum of its factor indices (|e> counts 1, |n> counts n)."""
+    return np.indices(layout.factor_dims).reshape(layout.nfactors, -1).sum(axis=0)
+
+
 def coherence_orders(model):
     """Order N_i - N_j of every entry rho[i, j], as a d x d array."""
     n = excitation_numbers(model.layout)
     return n[:, None] - n[None, :]
+
+
+def q_sectors(model):
+    """The entries (rows, cols) of each coherence order q = N_i - N_j, in vec order.
+
+    These are the sectors of a model whose Hamiltonian conserves N and whose
+    every jump shifts it by one fixed amount, written here from the excitation
+    numbers alone.
+    """
+    d = model.dim
+    entries = np.arange(d * d)
+    rows, cols = entries % d, entries // d
+    orders = coherence_orders(model)[rows, cols]
+    return {q: (rows[orders == q], cols[orders == q]) for q in np.unique(orders).tolist()}
+
+
+def sector_labels(model):
+    """Each vec entry's sector as `steady_state` and `evolve` find it: the components of the triplets' graph."""
+    return _components(model.dim ** 2, *_triplets(model)[:2])
 
 
 def excited_ket(cfg):
@@ -160,7 +194,7 @@ GENERATOR_CASES = {
     "cavity": lambda: build_cavity_model(SystemConfig(n_thermal=0.7, cutoff=6)),
     "zero_rate_term": lambda: with_zero_rate_term(build_model(SystemConfig(n_thermal=0.5, cutoff=3))),
     "no_collapse_terms": lambda: without_collapse_terms(build_model(SystemConfig(cutoff=3))),
-    # breaks the excitation-number symmetry: one sector of all d^2 entries
+    # breaks the excitation-number symmetry: its sectors are the even and the odd coherence orders
     "sigma_x_jump": lambda: with_atom_a_sigma_x(build_model(SystemConfig(n_thermal=0.5, cutoff=3))),
     "extra_jumps": lambda: with_extra_jumps(build_model(SystemConfig(n_thermal=0.5, cutoff=3))),
 }
@@ -273,11 +307,15 @@ class TestLindbladRHS:
         model = GENERATOR_CASES[case]()
         d = model.dim
         entries = np.arange(d * d)
-        by_order = {q: (rows, cols) for q, rows, cols in _coherence_sectors(model)}
-        # each q sector with its transpose, the -q sector, so that the entries are closed under transpose
-        cases = [SectorBlocks.of(model, *map(np.concatenate, zip(by_order[q], by_order[-q])))
-                 for q in by_order if q > 0]
-        cases.append(SectorBlocks.of(model, *by_order[0]))
+        labels = sector_labels(model)
+        # each sector with its transpose, so that the entries are closed under transpose
+        cases = []
+        for root in np.unique(labels):
+            mirror = labels[root // d + d * (root % d)]
+            if mirror >= root:
+                both = np.flatnonzero(np.isin(labels, (root, mirror)))
+                cases.append(SectorBlocks.of(model, both % d, both // d))
+        assert len(cases) > 1
         rows, cols = entries % d, entries // d
         u = dense_coordinate_map(rows, cols)
         cases.append(SectorBlocks(model.layout, rows, cols, dense_real_generator(vectorize_superoperator(model), u)))
@@ -583,7 +621,7 @@ def with_extra_jumps(model):
     """The model plus collapse terms the package never builds, each real, so the Liouvillian stays real.
 
     Dephasing of atom a, pumping of atom b and two-photon loss; each changes N
-    by a fixed amount, so the q grading holds.
+    by a fixed amount, so the sectors are still the orders q.
     """
     sigma_z = np.diag([1.0, -1.0]).astype(complex)
     a = annihilation(model.layout.factor_dims[CAVITY] - 1)
@@ -711,7 +749,7 @@ class TestSectorEvolve:
 
     def test_prebuilt_blocks_evolve_as_the_model(self):
         model, rho0 = evolve_case("thermal_atoms", 3)
-        _, rows, cols = _coherence_sectors(model)[0]
+        rows, cols = q_sectors(model)[0]
         blocks = SectorBlocks.of(model, rows, cols, rho0)
         settings = IntegratorSettings(dt=0.01, t_max=1.0)
         expected = evolve(model, rho0, settings, record_times=RECORD_TIMES)
@@ -722,7 +760,7 @@ class TestSectorEvolve:
     def test_prebuilt_blocks_hold_only_their_sectors(self):
         cfg = SystemConfig(n_thermal=0.5, cutoff=3)
         model = build_model(cfg)
-        sectors = {q: (rows, cols) for q, rows, cols in _coherence_sectors(model)}
+        sectors = q_sectors(model)
         rows, cols = sectors[0]
         blocks = SectorBlocks.of(model, rows, cols)
         with pytest.raises(ValueError, match="outside the sectors"):
@@ -742,7 +780,7 @@ class TestSectorEvolve:
         # the one rule: the sectors that rho0 or its transpose touches. The
         # q = 0 sector alone, in its order, for a start without coherence
         # between different N; q in {0, +-1} for a q = +-1 coherence, even a
-        # one-sided one; all d^2 entries for a model without the symmetry
+        # one-sided one; the even orders q for a sigma_x jump, which shifts N by +-1
         cfg = SystemConfig(n_thermal=0.5, cutoff=3)
         model = build_model(cfg)
         d = cfg.layout.dim
@@ -756,15 +794,14 @@ class TestSectorEvolve:
             return np.sort(rows * d + cols)
 
         rows, cols = _evolved_entries(model, excited)
-        _, q0_rows, q0_cols = _coherence_sectors(model)[0]
+        q0_rows, q0_cols = q_sectors(model)[0]
         assert np.array_equal(rows, q0_rows) and np.array_equal(cols, q0_cols)
         assert np.array_equal(evolved(model, excited), np.flatnonzero(orders == 0))
         one_sided = ground_state(cfg)
         one_sided[2 * (cfg.cutoff + 1), 0] = 1e-14
         for rho0 in (superposition_start(cfg), one_sided):
             assert np.array_equal(evolved(model, rho0), np.flatnonzero(np.isin(orders, (-1, 0, 1))))
-        rows, cols = _evolved_entries(with_atom_a_sigma_x(model), excited)
-        assert np.array_equal(rows, np.arange(d * d) % d) and np.array_equal(cols, np.arange(d * d) // d)
+        assert np.array_equal(evolved(with_atom_a_sigma_x(model), excited), np.flatnonzero(orders % 2 == 0))
 
 
 def phased_start(cfg):
@@ -781,9 +818,10 @@ class TestRealCoordinates:
         (ground_state, "interaction", 52, 34),  # the q = 0 entries, s alone
         (superposition_start, "interaction", 52 + 2 * 46, 34 + 46),  # q in {0, +-1}, s alone
         (phased_start, "interaction", 52, 52),  # q = 0, s and a
-        (ground_state, "sigma_x", 16 ** 2, 16 * 17 // 2),  # no excitation-number symmetry: all d^2 entries
+        # no excitation-number symmetry: the even orders q, half the d^2 entries, 16 of them diagonal
+        (ground_state, "sigma_x", 16 ** 2 // 2, 16 + (16 ** 2 // 2 - 16) // 2),
         (ground_state, "extra_jumps", 52, 34),  # jumps the package never builds: q = 0, s alone
-    ], ids=["q0", "q0_and_pm1", "q0_s_and_a", "all_entries", "q0_extra_jumps"])
+    ], ids=["q0", "q0_and_pm1", "q0_s_and_a", "even_orders", "q0_extra_jumps"])
     def test_generator_is_the_dense_transform(self, start, kind, entries, coordinates):
         cfg = SystemConfig(g_a=0.8, g_b=1.3, n_thermal=0.5, cutoff=3)
         model = {"interaction": build_model, "sigma_x": lambda c: with_atom_a_sigma_x(build_model(c)),
@@ -792,14 +830,14 @@ class TestRealCoordinates:
         generator = SectorBlocks.of(model, rows, cols, start(cfg))
         assert (len(rows), len(generator.block)) == (entries, coordinates)
         u = dense_coordinate_map(rows, cols, antisymmetric=coordinates == entries)
-        expected = dense_real_generator(_superoperator_block(model, rows, cols), u)
+        expected = dense_real_generator(lindblad_block(model, rows, cols), u)
         assert np.abs(generator.block - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
 def with_loss_plus_emission_jump(model, cfg, phase=1.0, rate=0.4):
     """The model plus the collapse term a + phase sigma_minus on atom a.
 
-    It lowers N by one, so the q grading holds. With a real phase the jump is
+    It lowers N by one, so the sectors are still the orders q. With a real phase the jump is
     real and the Liouvillian stays real; with phase i it is complex, and the
     Liouvillian is not real.
     """
@@ -815,7 +853,7 @@ def with_textbook_exchange(model, cfg):
     return LindbladModel(x + x.conj().T, model.collapse_terms, model.layout)
 
 
-# models that keep the q grading but whose Liouvillian is not real, the operator that breaks it and the
+# models whose sectors are still the orders q but whose Liouvillian is not real, the operator that breaks it and the
 # message's advice
 UNREAL_CASES = {
     "lab": (lambda cfg: lab_model(cfg, 1.3, 0.9), "the Hamiltonian", ""),
@@ -842,12 +880,12 @@ class TestRealFrame:
         cfg = SystemConfig(g_a=g_a, g_b=g_b, kappa=kappa, gamma=0.0, n_thermal=0.0, cutoff=cutoff)
         model = build_cavity_model(cfg) if cavity_only else build_model(cfg)
         _require_real_frame(model)
-        _, rows, cols = _coherence_sectors(model)[0]
+        rows, cols = q_sectors(model)[0]
         starts = [None] if cavity_only else [None, ground_state(cfg)]
         for start in starts:
             generator = SectorBlocks.of(model, rows, cols, start)
             u = dense_coordinate_map(rows, cols, antisymmetric=start is None)
-            block = _superoperator_block(model, rows, cols)
+            block = _Liouvillian.of(model).block(rows, cols)
             assert np.array_equal(block @ u, u @ generator.block)
             if start is None:  # s and a are separate sectors
                 n_s = np.count_nonzero(rows <= cols)
@@ -881,7 +919,7 @@ class TestRealFrame:
         cfg = SystemConfig(g_a=0.8, g_b=1.3, n_thermal=0.5, cutoff=3)
         builder, culprit, advice = UNREAL_CASES[case]
         model = builder(cfg)
-        assert len(_coherence_sectors(model)) > 1  # the q grading holds: it is the real Liouvillian that fails
+        assert len(np.unique(sector_labels(model))) > 1  # the sectors split: it is the real Liouvillian that fails
         message = rf"^{culprit} is .*, so the Liouvillian is not real{advice}"
         with pytest.raises(ValueError, match=message):
             _require_real_frame(model)
@@ -908,7 +946,7 @@ class TestRealFrame:
     def test_s_blocks_refuse_a_start_with_an_a_part(self):
         cfg = SystemConfig(n_thermal=0.5, cutoff=3)
         model = build_model(cfg)
-        generator = SectorBlocks.of(model, *_coherence_sectors(model)[0][1:], ground_state(cfg))
+        generator = SectorBlocks.of(model, *q_sectors(model)[0], ground_state(cfg))
         assert not generator.antisymmetric
         with pytest.raises(ValueError, match="outside the sectors evolved"):
             evolve(generator, phased_start(cfg), IntegratorSettings(dt=0.01, t_max=0.1))
@@ -968,6 +1006,119 @@ def stage_rk4(block, rows, cols, x, record_times, dt):
     return out
 
 
+def with_quadrature_noise(model, rate=0.3):
+    """The model plus the jump i(a^dag - a), the lab quadrature a + a^dag in this phase convention.
+
+    It shifts N by +-1, so it keeps the parity of the coherence order q and
+    nothing finer: two sectors where the thermal model has one per q.
+    """
+    a = embed(annihilation(model.layout.factor_dims[CAVITY] - 1), CAVITY, model.layout)
+    return LindbladModel(model.hamiltonian, model.collapse_terms + ((rate, 1j * (a.conj().T - a)),), model.layout)
+
+
+def dense_steady_state_of(model):
+    """The unique null vector of `vectorize_superoperator`, scaled to unit trace."""
+    null = dense_null_space(vectorize_superoperator(model))
+    assert null.shape[1] == 1
+    rho = unvec(null[:, 0], model.dim)
+    return rho / np.trace(rho)
+
+
+def dense_evolution(model, rho0, record_times, dt):
+    """RK4 in stage form on all d^2 entries with the dense `vectorize_superoperator`, with `evolve`'s schedule."""
+    d = model.dim
+    entries = np.arange(d * d)
+    x = vec(np.asarray(rho0, dtype=complex))
+    xs = stage_rk4(vectorize_superoperator(model), entries % d, entries // d, x, record_times, dt)
+    return [unvec(x, d) for x in xs]
+
+
+class TestSectors:
+    """The sectors are the components of the triplets' graph, and their blocks are the equation's."""
+
+    def test_excitation_numbers_match_number_operators(self):
+        # |g> = 0, |e> = 1 and Fock n = n, summed over the legs of the composite index
+        layout = SpaceLayout((2, 2, 4))
+        total = (
+            embed(excited_projector(), 0, layout)
+            + embed(excited_projector(), 1, layout)
+            + embed(number_operator(3), 2, layout)
+        )
+        assert np.array_equal(excitation_numbers(layout), np.diag(total).real.astype(int))
+        assert list(excitation_numbers(SpaceLayout((3,)))) == [0, 1, 2]
+
+    def test_components_of_a_small_graph(self):
+        # 0-3-1 is one component, 4-5 another, and 2 has only a loop
+        assert _components(6, np.array([3, 1, 2, 5]), np.array([0, 3, 2, 4])).tolist() == [0, 0, 2, 0, 4, 4]
+
+    @given(COUPLINGS.filter(bool), COUPLINGS.filter(bool), *[st.one_of(st.just(0.0), st.floats(0.0, 10.0))] * 3,
+           st.integers(1, 6))
+    @example(1.0, 1.0, 2.0, 0.2, 0.0, 5)  # fig3's first n_thermal
+    @example(0.8, 1.3, 0.0, 0.2, 1.0, 3)  # kappa = 0
+    @example(0.8, 1.3, 2.0, 0.0, 1.0, 3)  # gamma = 0
+    @example(1.0, 1.0, 0.0, 0.0, 0.0, 3)  # no dissipation at all
+    @settings(max_examples=40, deadline=None)
+    def test_components_are_the_orders_whatever_the_rates(self, g_a, g_b, kappa, gamma, n_thermal, cutoff):
+        # H and every row of `_channels` at its rate, a zero rate included: the pattern does not depend on the
+        # rates, so no zero rate splits a sector, and a sweep from |g,g,0> evolves the whole q = 0 sector
+        cfg = SystemConfig(g_a=g_a, g_b=g_b, kappa=kappa, gamma=gamma, n_thermal=n_thermal, cutoff=cutoff)
+        layout = cfg.layout
+        channels = tuple((rate, embed(op, slot, layout)) for slot, rate, op in _channels(cfg))
+        model = LindbladModel(build_model(cfg).hamiltonian, channels, layout)
+        d, labels = model.dim, sector_labels(model)
+        sectors = q_sectors(model)
+        assert len(np.unique(labels)) == len(sectors)
+        for rows, cols in sectors.values():
+            entries = rows + d * cols
+            assert np.all(labels[entries] == entries.min())
+        generator = _RateComponents.build(cfg, ground_state(cfg)).generator
+        assert np.array_equal(generator.rows, sectors[0][0]) and np.array_equal(generator.cols, sectors[0][1])
+
+    @pytest.mark.parametrize("case", sorted(set(GENERATOR_CASES) - {"lab_off_resonance"}))
+    def test_blocks_are_the_equation_column_by_column(self, case):
+        model = GENERATOR_CASES[case]()
+        d, labels = model.dim, sector_labels(model)
+        liouvillian = _Liouvillian.of(model)
+        for root in np.unique(labels):
+            entries = np.flatnonzero(labels == root)
+            rows, cols = entries % d, entries // d
+            block, expected = liouvillian.block(rows, cols), lindblad_block(model, rows, cols)
+            assert np.abs(block - expected).max() <= 1e-14 * max(1.0, np.abs(expected).max())
+            out = np.arange(0, len(entries), 2)
+            assert np.array_equal(liouvillian.block(rows, cols, out), block[out])
+
+    def test_a_zero_coupling_splits_the_orders_and_solves_as_the_dense_matrix(self):
+        cfg = SystemConfig(g_a=0.0, g_b=1.2, n_thermal=0.5, cutoff=5)
+        model = build_model(cfg)
+        assert (len(np.unique(sector_labels(model))), len(q_sectors(model))) == (39, 15)
+        assert np.abs(steady_state(model) - dense_steady_state_of(model)).max() <= 1e-12
+        small = replace(cfg, cutoff=3)
+        model, times = build_model(small), [0.0, 0.13, 0.13, 0.3]
+        for rho0 in (ground_state(small), superposition_start(small), phased_start(small)):
+            traj = evolve(model, rho0, IntegratorSettings(dt=0.01, t_max=0.3), record_times=times)
+            for state, expected in zip(traj.states, dense_evolution(model, rho0, times, 0.01)):
+                assert np.abs(state - expected).max() <= 1e-12
+            assert np.abs(traj.states[-1] - rho0).max() > 1e-3  # the state moved
+
+    def test_quadrature_noise_keeps_the_parity_of_q(self):
+        cfg = SystemConfig(n_thermal=0.5, cutoff=5)
+        model = with_quadrature_noise(build_model(cfg))
+        d, labels = model.dim, sector_labels(model)
+        orders = coherence_orders(model)
+        even = np.flatnonzero(orders.ravel(order="F") % 2 == 0)  # in vec order
+        assert np.unique(labels, return_counts=True)[1].tolist() == [288, 288]
+        assert np.array_equal(np.flatnonzero(labels == 0), even)
+        assert np.abs(steady_state(model) - dense_steady_state_of(model)).max() <= 1e-12
+        rows, cols = _evolved_entries(model, ground_state(cfg))
+        assert np.array_equal(rows + d * cols, even)
+        times = [0.0, 0.1, 0.25]
+        traj = evolve(model, ground_state(cfg), IntegratorSettings(dt=0.01, t_max=0.25), record_times=times)
+        for state, expected in zip(traj.states, dense_evolution(model, ground_state(cfg), times, 0.01)):
+            assert np.abs(state - expected).max() <= 1e-12
+            assert not state[orders % 2 == 1].any()
+        assert np.abs(traj.states[-1][orders == 2]).max() > 1e-4  # a q = 2 coherence, which thermal noise never builds
+
+
 class TestStepMap:
     """Each step as one matrix, built once per step size, against RK4 in stage form."""
 
@@ -980,7 +1131,7 @@ class TestStepMap:
         cfg = SystemConfig(cutoff=5, **params)
         model, rho0 = build_model(cfg), start(cfg)
         rows, cols = _evolved_entries(model, rho0)
-        block = _superoperator_block(model, rows, cols)
+        block = lindblad_block(model, rows, cols)
         settings = IntegratorSettings()
         traj = evolve(model, rho0, settings, record_times=times)
         reference = stage_rk4(block, rows, cols, rho0[rows, cols].astype(complex), times, settings.dt)
@@ -1018,7 +1169,7 @@ class TestStepMap:
     def test_step_matrix_is_the_taylor_polynomial(self, cutoff, coordinates):
         # on the s coordinates of the q = 0 entries, which is what a cell evolved from |g,g,0> steps
         cfg = SystemConfig(n_thermal=1.0, cutoff=cutoff)
-        generator = SectorBlocks.of(build_model(cfg), *_coherence_sectors(build_model(cfg))[0][1:], ground_state(cfg))
+        generator = SectorBlocks.of(build_model(cfg), *q_sectors(build_model(cfg))[0], ground_state(cfg))
         n = len(generator.block)
         assert n == coordinates
         for h in (0.002, 0.001, 1.0 / 3.0):
@@ -1260,8 +1411,8 @@ class TestRecordMaps:
     @pytest.mark.parametrize("start,sigma_x", [
         (ground_state, False),  # the q = 0 entries: the reduced atoms are an X-state
         (superposition_start, False),  # q in {0, +-1}: they are not
-        (ground_state, True),  # all d^2 entries of a model without the symmetry
-    ], ids=["q0", "q0_and_pm1", "all_entries"])
+        (ground_state, True),  # the even orders q of a model without the symmetry: half the d^2 entries
+    ], ids=["q0", "q0_and_pm1", "even_orders"])
     def test_records_match_the_scattered_state(self, start, sigma_x, keep):
         cfg = SystemConfig(n_thermal=1.2, kappa=1.5, cutoff=3)
         model, rho0, observables = build_model(cfg), start(cfg), standard_observables(cfg)

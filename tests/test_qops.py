@@ -13,7 +13,6 @@ from noisycav.qops import (
     dagger,
     density_matrix_defects,
     embed,
-    excitation_numbers,
     excited_projector,
     number_operator,
     partial_trace,
@@ -283,14 +282,3 @@ class TestSpaceLayout:
             SpaceLayout((2, 0))
         with pytest.raises(ValueError):
             SpaceLayout(())
-
-    def test_excitation_numbers_match_number_operators(self):
-        # |g> = 0, |e> = 1 and Fock n = n, summed over the legs of the composite index
-        layout = SpaceLayout((2, 2, 4))
-        total = (
-            embed(excited_projector(), 0, layout)
-            + embed(excited_projector(), 1, layout)
-            + embed(number_operator(3), 2, layout)
-        )
-        assert np.array_equal(excitation_numbers(layout), np.diag(total).real.astype(int))
-        assert list(excitation_numbers(SpaceLayout((3,)))) == [0, 1, 2]
